@@ -3,7 +3,7 @@
 
 Times the two hot loops (integer witness search over a conjunction, and
 formula evaluation over an exhaustive box) on workloads shaped like the
-ones the analyses produce, then an end-to-end analysis with each backend.
+ones the analyses produce.  End-to-end timings live in perfbench/.
 
 Run after building the extension in place:
 
@@ -14,10 +14,7 @@ Run after building the extension in place:
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from cmcheck._kernels import pure
 
@@ -79,20 +76,6 @@ def run_box(backend, progs):
         backend.box_find_model(prog, lows, highs)
 
 
-def end_to_end(pure_only: bool) -> float:
-    env = {"CMCHECK_PURE_KERNELS": "1"} if pure_only else {}
-    import os
-
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cmcheck.cli",
-         str(Path(__file__).parent.parent / "programs" / "nonlinear_square.imp"),
-         "--config", "predicate"],
-        capture_output=True, env={**os.environ, **env})
-    assert proc.returncode == 2, proc.stderr  # CONDITION is the expected verdict
-    return time.perf_counter() - t0
-
-
 def main():
     print(f"{'workload':<30} {'pure':>10} {'compiled':>10} {'speedup':>9}")
     rows = [
@@ -107,11 +90,6 @@ def main():
         t_comp = time_call(fn, compiled, data)
         print(f"{name:<30} {t_pure * 1e3:>8.1f}ms {t_comp * 1e3:>8.1f}ms "
               f"{t_pure / t_comp:>8.1f}x")
-    if compiled is not None:
-        t_p = end_to_end(True)
-        t_c = end_to_end(False)
-        print(f"{'cmcheck predicate (e2e)':<30} {t_p * 1e3:>8.1f}ms "
-              f"{t_c * 1e3:>8.1f}ms {t_p / t_c:>8.1f}x")
     # sanity: identical answers on the box workload
     for prog, lows, highs in box_workload():
         a = pure.box_find_model(prog, lows, highs)

@@ -19,9 +19,8 @@ through to the sink U.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from . import conditions as C
 from . import domains as D
 from . import engine, formula as F, lang
 from . import solver as solver_mod
@@ -29,27 +28,6 @@ from . import solver as solver_mod
 
 class AutomatonMismatch(Exception):
     """The input automaton does not belong to the analyzed CFA."""
-
-
-# ---------------------------------------------------------------------------
-# Assumption component (plain formulas)
-# ---------------------------------------------------------------------------
-
-def assumption_transfer(state: F.Formula, edge: lang.Edge) -> list[F.Formula]:
-    """Successor is always the no-assumption state; false stops the path."""
-    if isinstance(state, F.FalseF):
-        return []
-    return [F.TRUE]
-
-
-def assumption_merge(a: F.Formula, b: F.Formula) -> F.Formula:
-    return F.f_and([a, b])
-
-
-def assumption_stop(solver: solver_mod.Solver, state: F.Formula,
-                    reached: Iterable[F.Formula]) -> bool:
-    """Covered iff some reached state carries a stricter assumption."""
-    return any(r == state or solver.entails(r, state) for r in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +48,6 @@ class OverflowComponent:
             upper = F.mk_atom(v, F.LE, self.max_value)
             return F.f_and([lower, upper])
         return F.TRUE
-
-
-def overflow_transfer(state: F.Formula, edge: lang.Edge,
-                      bounds: tuple[int, int]) -> F.Formula:
-    return OverflowComponent(bounds[0], bounds[1]).transfer(edge)
-
-
-def overflow_merge(a: F.Formula, b: F.Formula) -> F.Formula:
-    return F.f_and([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +88,12 @@ def strengthen(candidate: CompositeState, exceeded: bool,
     return candidate, F.TRUE
 
 
-class CompositeCpa(engine.Cpa):
-    """Assumption x location x conditions x observer x overflow x domain."""
+class CompositeCpa:
+    """Assumption x location x conditions x observer x overflow x domain.
+
+    The one CPA the engine runs; with ``NoDomain`` it is the location
+    analysis.
+    """
 
     def __init__(self, cfa: lang.Cfa, domain, solver: solver_mod.Solver,
                  condition_components: Sequence = (),
@@ -135,7 +108,7 @@ class CompositeCpa(engine.Cpa):
         self._is_predicate = isinstance(domain, D.PredicateDomain)
         self._is_explicit = isinstance(domain, D.ExplicitDomain)
 
-    # -- Cpa interface -------------------------------------------------------
+    # -- CPA operators ---------------------------------------------------------
 
     def initial_state(self, cfa: lang.Cfa) -> CompositeState:
         return CompositeState(
@@ -153,16 +126,25 @@ class CompositeCpa(engine.Cpa):
     def is_excluded(self, state: CompositeState) -> bool:
         return isinstance(state.assumption, F.FalseF)
 
-    def successors(self, state: CompositeState, edge: lang.Edge):
+    def _step_bookkeeping(self, state: CompositeState, edge: lang.Edge):
+        """Observer and condition successors, or None if the path stops here."""
         if edge.source != state.location or self.is_excluded(state):
-            return []
+            return None
         obs2 = None
         if self.observer is not None:
             obs2 = self.observer.step(state.observer, edge)
             if obs2 is PRUNED:
-                return []
+                return None
         conds2 = tuple(c.transfer(s, edge)
                        for c, s in zip(self.condition_components, state.conds))
+        return obs2, conds2
+
+    def successors(self, state: CompositeState, edge: lang.Edge):
+        """Abstract successors along one edge, each with its step assumption."""
+        step = self._step_bookkeeping(state, edge)
+        if step is None:
+            return []
+        obs2, conds2 = step
         exceeded = any(c.exceeded(s) for c, s in
                        zip(self.condition_components, conds2))
         overflow_phi = self.overflow.transfer(edge) if self.overflow else None
@@ -188,15 +170,10 @@ class CompositeCpa(engine.Cpa):
 
     def excluded_successor(self, state: CompositeState, edge: lang.Edge):
         """Stand-in for a post computation skipped by the busy-edge monitor."""
-        if edge.source != state.location or self.is_excluded(state):
+        step = self._step_bookkeeping(state, edge)
+        if step is None:
             return None
-        obs2 = None
-        if self.observer is not None:
-            obs2 = self.observer.step(state.observer, edge)
-            if obs2 is PRUNED:
-                return None
-        conds2 = tuple(c.transfer(s, edge)
-                       for c, s in zip(self.condition_components, state.conds))
+        obs2, conds2 = step
         return CompositeState(
             assumption=F.FALSE,
             location=edge.target,
@@ -207,6 +184,7 @@ class CompositeCpa(engine.Cpa):
         )
 
     def covers(self, state: CompositeState, candidate: CompositeState) -> bool:
+        """Is state subsumed by candidate?  A stricter assumption covers."""
         if state.location != candidate.location or state.observer != candidate.observer:
             return False
         if not self.domain.covers(state.domain, candidate.domain):
@@ -219,12 +197,13 @@ class CompositeCpa(engine.Cpa):
         return (state.location, state.observer, state.domain)
 
     def merge(self, new_state: CompositeState, old_state: CompositeState) -> CompositeState:
-        assumption = assumption_merge(new_state.assumption, old_state.assumption)
+        """Combine new into old; returning old_state means no merge."""
+        assumption = F.f_and([new_state.assumption, old_state.assumption])
         conds = tuple(c.merge(a, b) for c, a, b in
                       zip(self.condition_components, new_state.conds, old_state.conds))
         overflow = old_state.overflow
         if self.overflow is not None:
-            overflow = overflow_merge(new_state.overflow, old_state.overflow)
+            overflow = F.f_and([new_state.overflow, old_state.overflow])
         merged = CompositeState(
             assumption=assumption,
             location=old_state.location,
@@ -250,12 +229,6 @@ class CompositeCpa(engine.Cpa):
 
     def render_domain(self, state: CompositeState) -> F.Formula:
         return self.domain.render(state.domain)
-
-
-def composite_stop(cpa: CompositeCpa, state: CompositeState,
-                   reached: Iterable[CompositeState]) -> bool:
-    """Conjunction of the component coverage checks, one witness state."""
-    return any(cpa.covers(state, r) for r in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +343,6 @@ class ObserverComponent:
             return SINK_UNKNOWN
         dst = hit[1]
         return PRUNED if dst == SINK_VERIFIED else dst
-
-
-def observer_transfer(observer: ObserverComponent, sid: str, edge: lang.Edge):
-    """Sink-aware single step; PRUNED stands for entering T."""
-    return observer.step(sid, edge)
 
 
 def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:

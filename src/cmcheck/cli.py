@@ -4,20 +4,22 @@
             [--condition K=V ...] [--input-automaton F]
             [--out-dir D] [--emit json]
 
-Exit codes: 0 = TRUE, 1 = FALSE, 2 = CONDITION, 3 = usage or input error.
+Exit codes: 0 = TRUE, 1 = FALSE, 2 = CONDITION, 3 = usage or input error,
+4 = internal error (a crash, which must not read as a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import driver, lang
 from .assumptions import AutomatonMismatch
 
 EXIT_CODES = {"TRUE": 0, "FALSE": 1, "CONDITION": 2}
+EXIT_INTERNAL_ERROR = 4
 
 
 def load_program(path: str) -> lang.Cfa:
@@ -52,7 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ.get("CMCHECK_SEED")  # reserved: shipped configs are deterministic
+    try:
+        return _run(args)
+    except Exception as exc:
+        print(f"cmcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(args) -> int:
     try:
         cfa = load_program(args.program)
         overrides = {}

@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import lang
 
-CONTINUE = "continue"
 HALT_GLOBAL = "halt"
 PROCEED = "proceed"
 SKIP_WITH_ASSUMPTION = "skip"
@@ -32,27 +31,6 @@ class RepeatState:
     exceeded: bool
 
 
-def repeat_transfer(state: RepeatState, edge: lang.Edge, k: int) -> RepeatState:
-    counts = dict(state.counts)
-    counts[edge.target] = counts.get(edge.target, 0) + 1
-    exceeded = any(c > k for c in counts.values())
-    return RepeatState(tuple(sorted(counts.items())), exceeded)
-
-
-def repeat_merge(a: RepeatState, b: RepeatState) -> RepeatState:
-    counts = dict(a.counts)
-    for loc, c in b.counts:
-        if c > counts.get(loc, 0):
-            counts[loc] = c
-    items = tuple(sorted((l, c) for l, c in counts.items() if c))
-    return RepeatState(items, a.exceeded or b.exceeded)
-
-
-def repeat_stop(state: RepeatState, reached) -> bool:
-    """Always true: coverage never depends on condition bookkeeping."""
-    return True
-
-
 class RepeatComponent:
     def __init__(self, k: int):
         self.k = k
@@ -60,11 +38,19 @@ class RepeatComponent:
     def initial(self) -> RepeatState:
         return RepeatState((), False)
 
-    def transfer(self, state, edge):
-        return repeat_transfer(state, edge, self.k)
+    def transfer(self, state: RepeatState, edge: lang.Edge) -> RepeatState:
+        counts = dict(state.counts)
+        counts[edge.target] = counts.get(edge.target, 0) + 1
+        exceeded = any(c > self.k for c in counts.values())
+        return RepeatState(tuple(sorted(counts.items())), exceeded)
 
-    def merge(self, a, b):
-        return repeat_merge(a, b)
+    def merge(self, a: RepeatState, b: RepeatState) -> RepeatState:
+        counts = dict(a.counts)
+        for loc, c in b.counts:
+            if c > counts.get(loc, 0):
+                counts[loc] = c
+        items = tuple(sorted((l, c) for l, c in counts.items() if c))
+        return RepeatState(items, a.exceeded or b.exceeded)
 
     def exceeded(self, state) -> bool:
         return state.exceeded
@@ -81,22 +67,6 @@ class PathStatsState:
     exceeded: bool
 
 
-def pathstats_transfer(state: PathStatsState, edge: lang.Edge,
-                       max_length: Optional[int],
-                       max_assumes: Optional[int]) -> PathStatsState:
-    length = state.path_length + 1
-    assumes = state.assume_edges + (1 if isinstance(edge.op, lang.Assume) else 0)
-    exceeded = ((max_length is not None and length > max_length)
-                or (max_assumes is not None and assumes > max_assumes))
-    return PathStatsState(length, assumes, exceeded)
-
-
-def pathstats_merge(a: PathStatsState, b: PathStatsState) -> PathStatsState:
-    return PathStatsState(max(a.path_length, b.path_length),
-                          max(a.assume_edges, b.assume_edges),
-                          a.exceeded or b.exceeded)
-
-
 class PathStatsComponent:
     def __init__(self, max_length: Optional[int] = None,
                  max_assumes: Optional[int] = None):
@@ -106,11 +76,17 @@ class PathStatsComponent:
     def initial(self) -> PathStatsState:
         return PathStatsState(1, 0, False)  # the root counts itself
 
-    def transfer(self, state, edge):
-        return pathstats_transfer(state, edge, self.max_length, self.max_assumes)
+    def transfer(self, state: PathStatsState, edge: lang.Edge) -> PathStatsState:
+        length = state.path_length + 1
+        assumes = state.assume_edges + (1 if isinstance(edge.op, lang.Assume) else 0)
+        exceeded = ((self.max_length is not None and length > self.max_length)
+                    or (self.max_assumes is not None and assumes > self.max_assumes))
+        return PathStatsState(length, assumes, exceeded)
 
-    def merge(self, a, b):
-        return pathstats_merge(a, b)
+    def merge(self, a: PathStatsState, b: PathStatsState) -> PathStatsState:
+        return PathStatsState(max(a.path_length, b.path_length),
+                              max(a.assume_edges, b.assume_edges),
+                              a.exceeded or b.exceeded)
 
     def exceeded(self, state) -> bool:
         return state.exceeded
@@ -165,11 +141,3 @@ class GlobalMonitor:
         self.fuel_spent += 1
         return PROCEED
 
-
-def monitor_should_halt(monitor: GlobalMonitor, reached_size: int) -> str:
-    return HALT_GLOBAL if monitor.should_halt(reached_size) else CONTINUE
-
-
-def busy_edge_check(monitor: GlobalMonitor, edge: lang.Edge) -> str:
-    r = monitor.pre_post(edge.id)
-    return SKIP_WITH_ASSUMPTION if r == SKIP_WITH_ASSUMPTION else PROCEED

@@ -1,18 +1,18 @@
-"""Analysis domains: location tracking, explicit values, predicate abstraction.
+"""Analysis domains: explicit values, predicate abstraction, and none.
 
-``LocationCpa`` is a complete standalone CPA (states are locations).  The
-explicit and predicate domains are components consumed by the composite
-CPA: they provide transfer/coverage/rendering over their own states and
-leave locations, assumptions, and bookkeeping to the composition.
+Each domain is a component consumed by the composite CPA: it provides
+transfer/coverage/rendering over its own states and leaves locations,
+assumptions, and bookkeeping to the composition.  ``NoDomain`` tracks
+nothing, so the composite over it is the location analysis.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import engine, formula as F, lang, solver as solver_mod
+from . import formula as F, lang, solver as solver_mod
 
 log = logging.getLogger("cmcheck")
 
@@ -23,38 +23,6 @@ VALUE_LIMIT = 2 ** 63
 
 class AbstractionFailure(Exception):
     """A successor abstraction could not be computed (formula too large)."""
-
-
-# ---------------------------------------------------------------------------
-# Location analysis
-# ---------------------------------------------------------------------------
-
-LOC_TOP = None  # top of the flat location lattice
-
-
-def location_transfer(state, edge: lang.Edge) -> list:
-    if state is LOC_TOP or state == edge.source:
-        return [edge.target]
-    return []
-
-
-class LocationCpa(engine.Cpa):
-    """Tracks the program counter over the flat location lattice."""
-
-    def initial_state(self, cfa: lang.Cfa):
-        return cfa.initial
-
-    def location_of(self, state):
-        return state if state is not LOC_TOP else None
-
-    def successors(self, state, edge):
-        return [(t, F.TRUE) for t in location_transfer(state, edge)]
-
-    def covers(self, state, candidate):
-        return candidate is LOC_TOP or state == candidate
-
-    def merge(self, new_state, old_state):
-        return old_state
 
 
 # ---------------------------------------------------------------------------
@@ -84,64 +52,44 @@ class ExplicitState:
         return ExplicitState(tuple(items))
 
 
-def explicit_initial(cfa: lang.Cfa) -> ExplicitState:
-    return ExplicitState(tuple(sorted((v, 0) for v in cfa.variables)))
-
-
-def explicit_transfer(state: ExplicitState, edge: lang.Edge) -> list[ExplicitState]:
-    op = edge.op
-    if isinstance(op, lang.Assign):
-        val = lang.eval_arith(op.expr, state.store())
-        if val is not None and abs(val) > VALUE_LIMIT:
-            log.warning("explicit value overflow for %s; widening to top", op.var)
-            val = None
-        return [state.with_binding(op.var, val)]
-    if isinstance(op, lang.Assume):
-        truth = lang.eval_bool(op.expr, state.store())
-        return [] if truth is False else [state]
-    assert isinstance(op, lang.Havoc)
-    return [state.with_binding(op.var, None)]
-
-
-def explicit_covers(state: ExplicitState, candidate: ExplicitState) -> bool:
-    """candidate subsumes state iff it is less defined and agrees pointwise."""
-    defined = dict(state.bindings)
-    for v, val in candidate.bindings:
-        if defined.get(v) != val:
-            return False
-    return True
-
-
-def explicit_stop(state: ExplicitState, reached: Iterable[ExplicitState]) -> bool:
-    return any(explicit_covers(state, r) for r in reached)
-
-
-def render_explicit(state: ExplicitState) -> F.Formula:
-    return F.f_and(
-        F.mk_atom(F.lin_sub(F.lin_var(v), F.lin_const(val)), F.EQ, 0)
-        for v, val in state.bindings
-    )
-
-
 class ExplicitDomain:
     """Composite-CPA component for explicit value tracking."""
 
     name = "explicit"
 
     def initial(self, cfa: lang.Cfa) -> ExplicitState:
-        return explicit_initial(cfa)
+        return ExplicitState(tuple(sorted((v, 0) for v in cfa.variables)))
 
-    def transfer(self, state, edge):
-        return explicit_transfer(state, edge)
+    def transfer(self, state: ExplicitState, edge: lang.Edge) -> list[ExplicitState]:
+        op = edge.op
+        if isinstance(op, lang.Assign):
+            val = lang.eval_arith(op.expr, state.store())
+            if val is not None and abs(val) > VALUE_LIMIT:
+                log.warning("explicit value overflow for %s; widening to top", op.var)
+                val = None
+            return [state.with_binding(op.var, val)]
+        if isinstance(op, lang.Assume):
+            truth = lang.eval_bool(op.expr, state.store())
+            return [] if truth is False else [state]
+        assert isinstance(op, lang.Havoc)
+        return [state.with_binding(op.var, None)]
 
-    def covers(self, state, candidate):
-        return explicit_covers(state, candidate)
+    def covers(self, state: ExplicitState, candidate: ExplicitState) -> bool:
+        """candidate subsumes state iff it is less defined and agrees pointwise."""
+        defined = dict(state.bindings)
+        for v, val in candidate.bindings:
+            if defined.get(v) != val:
+                return False
+        return True
 
     def top(self) -> ExplicitState:
         return ExplicitState(())
 
-    def render(self, state) -> F.Formula:
-        return render_explicit(state)
+    def render(self, state: ExplicitState) -> F.Formula:
+        return F.f_and(
+            F.mk_atom(F.lin_sub(F.lin_var(v), F.lin_const(val)), F.EQ, 0)
+            for v, val in state.bindings
+        )
 
     def cover_keys(self, state: ExplicitState):
         """All weaker-or-equal stores; reached covers are found by lookup."""
@@ -179,44 +127,6 @@ class Precision:
 
     def atom_total(self) -> int:
         return len(self.global_atoms) + sum(len(t) for t in self.per_loc.values())
-
-
-def serialize_precision(prec: Precision) -> str:
-    parts = []
-    for loc in sorted(prec.per_loc):
-        atoms = sorted(prec.per_loc[loc], key=F.atom_key)
-        if atoms:
-            parts.append(f"loc L{loc}: " + ", ".join(F.render_atom(a) for a in atoms) + ";")
-    if prec.global_atoms:
-        atoms = sorted(prec.global_atoms, key=F.atom_key)
-        parts.append("global: " + ", ".join(F.render_atom(a) for a in atoms) + ";")
-    return "\n".join(parts) + ("\n" if parts else "")
-
-
-def parse_precision(text: str) -> Precision:
-    prec = Precision()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        head, _, body = chunk.partition(":")
-        head = head.strip()
-        loc: Optional[int]
-        if head == "global":
-            loc = None
-        elif head.startswith("loc"):
-            loc = int(head.split()[1].lstrip("L"))
-        else:
-            raise ValueError(f"bad precision entry {chunk!r}")
-        for atom_text in body.split(","):
-            atom_text = atom_text.strip()
-            if not atom_text:
-                continue
-            f = F.parse_formula(atom_text)
-            if not isinstance(f, F.AtomF):
-                raise ValueError(f"precision entry is not an atom: {atom_text!r}")
-            prec.add(loc, f.atom)
-    return prec
 
 
 def reduce_cubes(minterms: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -346,11 +256,6 @@ class PredicateDomain:
             elif self.solver.entails(sp, F.f_not(ssa_pred)):
                 parts.append(F.f_not(F.AtomF(p)))
         return [F.f_and(parts)]
-
-
-def predicate_stop(solver: solver_mod.Solver, state: F.Formula,
-                   reached: Iterable[F.Formula]) -> bool:
-    return any(solver.entails(state, r) for r in reached)
 
 
 class NoDomain:

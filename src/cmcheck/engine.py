@@ -1,4 +1,4 @@
-"""Generic reachability engine: the worklist algorithm over a pluggable CPA.
+"""Reachability engine: the worklist algorithm that runs the composite CPA.
 
 The loop is the classic one: pop a frontier state, compute abstract
 successors along the CFA edges leaving its location, try to merge each
@@ -12,61 +12,15 @@ at their covering node.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import formula as F
 from . import lang
 
-
-class Cpa:
-    """Abstract domain plus transfer/merge/stop, engine-agnostic."""
-
-    def initial_state(self, cfa: lang.Cfa):
-        raise NotImplementedError
-
-    def location_of(self, state) -> Optional[int]:
-        raise NotImplementedError
-
-    def successors(self, state, edge: lang.Edge) -> list[tuple[Any, F.Formula]]:
-        """Abstract successors along one edge, each with its step assumption."""
-        raise NotImplementedError
-
-    def covers(self, state, candidate) -> bool:
-        """Is state subsumed by candidate (all components)?"""
-        raise NotImplementedError
-
-    def merge_key(self, state):
-        """Bucket key for merge candidates; None means merge never applies."""
-        return None
-
-    def merge(self, new_state, old_state):
-        """Combine new into old; returning old_state means no merge."""
-        return old_state
-
-    def stop_candidates(self, state, rs: "RunState") -> Iterable["ArtNode"]:
-        return rs.group_bucket(self.group_key(state))
-
-    def group_key(self, state):
-        return self.location_of(state)
-
-    def is_excluded(self, state) -> bool:
-        return False
-
-    def excluded_successor(self, state, edge: lang.Edge):
-        """Successor standing in for a skipped post computation, or None."""
-        return None
-
-
-def choose_next(items: Sequence, order: str):
-    """DFS picks the most recently inserted element, BFS the oldest."""
-    if not items:
-        raise IndexError("empty waitlist")
-    if order == "dfs":
-        return items[-1]
-    if order == "bfs":
-        return items[0]
-    raise ValueError(f"unknown order {order!r}")
+if TYPE_CHECKING:
+    from .assumptions import CompositeCpa
 
 
 @dataclass
@@ -98,7 +52,9 @@ class ArtNode:
 class RunState:
     """Reached set, waitlist, and ART for one analysis run."""
 
-    def __init__(self, cfa: lang.Cfa, cpa: Cpa, order: str = "dfs"):
+    def __init__(self, cfa: lang.Cfa, cpa: "CompositeCpa", order: str = "dfs"):
+        if order not in ("dfs", "bfs"):
+            raise ValueError(f"unknown order {order!r}")
         self.cfa = cfa
         self.cpa = cpa
         self.order = order
@@ -107,7 +63,9 @@ class RunState:
         self.groups: dict[Any, list[ArtNode]] = {}
         self.merge_groups: dict[Any, list[ArtNode]] = {}
         self.reached_order: list[ArtNode] = []
-        self.waitlist: list[ArtNode] = []
+        # Lazy deletion: entries whose node left the waitlist stay queued
+        # and are skipped when popped.
+        self.waitlist: deque[ArtNode] = deque()
         self.covers_index: dict[int, list[ArtNode]] = {}
         init = cpa.initial_state(cfa)
         self.root = self._new_node(init, None, None, F.TRUE)
@@ -126,9 +84,7 @@ class RunState:
     def _index(self, node: ArtNode, record_order: bool = True) -> None:
         self.exact[node.state] = node
         self.groups.setdefault(self.cpa.group_key(node.state), []).append(node)
-        mk = self.cpa.merge_key(node.state)
-        if mk is not None:
-            self.merge_groups.setdefault(mk, []).append(node)
+        self.merge_groups.setdefault(self.cpa.merge_key(node.state), []).append(node)
         if record_order:
             self.reached_order.append(node)
 
@@ -138,11 +94,9 @@ class RunState:
         bucket = self.groups.get(self.cpa.group_key(node.state))
         if bucket and node in bucket:
             bucket.remove(node)
-        mk = self.cpa.merge_key(node.state)
-        if mk is not None:
-            bucket = self.merge_groups.get(mk)
-            if bucket and node in bucket:
-                bucket.remove(node)
+        bucket = self.merge_groups.get(self.cpa.merge_key(node.state))
+        if bucket and node in bucket:
+            bucket.remove(node)
 
     def new_reached_node(self, parent, edge, assumption, state) -> ArtNode:
         node = self._new_node(state, parent, edge, assumption)
@@ -184,7 +138,7 @@ class RunState:
 
     def pop_waitlist(self) -> Optional[ArtNode]:
         while self.waitlist:
-            node = self.waitlist.pop() if self.order == "dfs" else self.waitlist.pop(0)
+            node = self.waitlist.pop() if self.order == "dfs" else self.waitlist.popleft()
             if node.in_waitlist and not node.removed:
                 node.in_waitlist = False
                 return node
@@ -251,9 +205,7 @@ def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) ->
         if node is None:
             return RunResult("empty")
         state = node.state
-        loc = cpa.location_of(state)
-        edges = cfa.edges_from(loc) if loc is not None else cfa.edges
-        for edge in edges:
+        for edge in cfa.edges_from(cpa.location_of(state)):
             if monitor is not None:
                 act = monitor.pre_post(edge.id)
                 if act == "halt":
@@ -271,7 +223,7 @@ def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) ->
                     return RunResult("target", hit)
 
 
-def _is_target(cpa: Cpa, state, target_locs: frozenset) -> bool:
+def _is_target(cpa: "CompositeCpa", state, target_locs: frozenset) -> bool:
     if not target_locs or cpa.is_excluded(state):
         return False
     return cpa.location_of(state) in target_locs
@@ -281,13 +233,15 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
                        succ, assumption: F.Formula) -> Optional[ArtNode]:
     """Merge and stop phases for one successor; returns its node if added."""
     cpa = rs.cpa
-    mk = cpa.merge_key(succ)
-    if mk is not None:
-        for other in list(rs.merge_bucket(mk)):
-            merged = cpa.merge(succ, other.state)
-            if merged != other.state:
-                rs.replace_state(other, merged)
-                rs.add_to_waitlist(other)
+    for other in list(rs.merge_bucket(cpa.merge_key(succ))):
+        merged = cpa.merge(succ, other.state)
+        if merged != other.state:
+            rs.replace_state(other, merged)
+            rs.add_to_waitlist(other)
+    for child in node.children:
+        if not child.removed and child.edge is not None \
+                and child.edge.id == edge.id and child.state == succ:
+            return None  # re-expansion of an already recorded step
     cover = None
     exact = rs.exact.get(succ)
     if exact is not None and cpa.covers(succ, exact.state):
@@ -298,16 +252,8 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
                 cover = cand
                 break
     if cover is not None:
-        for child in node.children:
-            if not child.removed and child.edge is not None \
-                    and child.edge.id == edge.id and child.state == succ:
-                return None  # re-expansion of an already recorded step
         rs.new_covered_node(node, edge, assumption, succ, cover)
         return None
-    for child in node.children:
-        if not child.removed and child.edge is not None \
-                and child.edge.id == edge.id and child.state == succ:
-            return None
     child = rs.new_reached_node(node, edge, assumption, succ)
     if not cpa.is_excluded(succ):
         rs.add_to_waitlist(child)

@@ -334,14 +334,6 @@ def atom_count(f: Formula) -> int:
     return len(atoms_of(f))
 
 
-def formula_terms(f: Formula) -> list[Term]:
-    seen: dict = {}
-    for a in atoms_of(f):
-        for t, _ in a.terms:
-            seen.setdefault(term_key(t), t)
-    return [t for _, t in sorted(seen.items(), key=lambda kv: kv[0])]
-
-
 # ---------------------------------------------------------------------------
 # Substitution / renaming / evaluation
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ oracle at desk scale (document the bounds whenever it backs a claim).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import formula as F
 from . import lang
-from . import solver as solver_mod
 
 ConcreteState = tuple[int, tuple[tuple[str, int], ...]]  # (pc, sorted bindings)
 
@@ -191,29 +191,37 @@ def condition_avoids_error(cfa: lang.Cfa, psi: F.Formula,
 # Brute-force boolean abstraction (independent oracle)
 # ---------------------------------------------------------------------------
 
-def brute_force_boolean_abstraction(sp: F.Formula, pi: Sequence[F.Atom],
-                                    var_names: Sequence[str],
-                                    box: int = 8) -> F.Formula:
-    """Disjunction of the predicate minterms satisfiable with sp on the box.
+def box_minterms(sp: F.Formula, pi: Sequence[F.Atom], var_names: Sequence[str],
+                 box: int = 8) -> set[int]:
+    """The predicate minterms that hold together with sp at some box point.
 
-    Fully enumerates all 2^|pi| minterms and checks each with exhaustive
-    box-model search under exact product semantics; independent of the
-    solver-based abstraction path.
+    One pass over [-box, box]^n: every point where sp holds contributes
+    its minterm, the bit-vector with bit i set iff pi[i] holds there.
+    Products are evaluated exactly; independent of the solver.
     """
     if len(pi) > 6:
         raise ValueError("oracle limited to 6 predicates")
-    kept: list[F.Formula] = []
-    n = len(pi)
-    for bits in range(1 << n):
-        literals = []
-        for i, p in enumerate(pi):
-            lit = F.AtomF(p)
-            if not (bits >> i) & 1:
-                lit = F.f_not(lit)
-            literals.append(lit)
-        minterm = F.f_and(literals)
-        if isinstance(minterm, F.FalseF):
-            continue
-        if solver_mod.box_model(F.f_and([sp, minterm]), var_names, -box, box) is not None:
-            kept.append(minterm)
+    preds = [F.AtomF(p) for p in pi]
+    seen: set[int] = set()
+    for point in itertools.product(range(-box, box + 1), repeat=len(var_names)):
+        store = dict(zip(var_names, point))
+        if F.evaluate(sp, store):
+            seen.add(sum(1 << i for i, p in enumerate(preds) if F.evaluate(p, store)))
+    return seen
+
+
+def brute_force_boolean_abstraction(sp: F.Formula, pi: Sequence[F.Atom],
+                                    var_names: Sequence[str], box: int = 8,
+                                    minterms: Optional[set[int]] = None) -> F.Formula:
+    """Disjunction of the predicate minterms satisfiable with sp on the box.
+
+    ``minterms`` is ``box_minterms(sp, pi, var_names, box)`` when the
+    caller has already computed it.
+    """
+    if minterms is None:
+        minterms = box_minterms(sp, pi, var_names, box)
+    kept = []
+    for bits in sorted(minterms):
+        kept.append(F.f_and(F.AtomF(p) if (bits >> i) & 1 else F.f_not(F.AtomF(p))
+                            for i, p in enumerate(pi)))
     return F.f_or(kept)

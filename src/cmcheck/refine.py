@@ -191,7 +191,7 @@ MAX_WP_DEPTH = 3  # substitution steps per atom; longer chains diverge anyway
 
 
 def mine_predicates(path: AbstractPath, pivot: int,
-                    cpa: engine.Cpa) -> set[tuple[int, F.Atom]]:
+                    cpa: A.CompositeCpa) -> set[tuple[int, F.Atom]]:
     """Candidate predicates from the path's assume edges.
 
     Walks backward collecting assume-edge atoms, substituting them through

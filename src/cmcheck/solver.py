@@ -287,10 +287,6 @@ class Solver:
             return SatResult(MAYBE)
         return SatResult(SAT, {t: point[i] for i, t in enumerate(order)})
 
-    def is_satisfiable(self, f: F.Formula) -> str:
-        """Kind only: 'unsat' | 'sat' | 'maybe'.  Raises FormulaTooLarge."""
-        return self.check_sat(f).kind
-
     # -- entailment ---------------------------------------------------------
 
     def entails(self, f: F.Formula, g: F.Formula) -> bool:
@@ -326,9 +322,6 @@ class PathFormula:
     def formula(self) -> F.Formula:
         return F.f_and(self.constraints)
 
-    def atom_count(self) -> int:
-        return sum(F.atom_count(c) for c in self.constraints)
-
 
 def extend_path_formula(pf: PathFormula, edge: lang.Edge) -> PathFormula:
     idx = dict(pf.ssa)
@@ -357,13 +350,6 @@ def build_path_formula(edges: Iterable[lang.Edge]) -> PathFormula:
     for e in edges:
         pf = extend_path_formula(pf, e)
     return pf
-
-
-def atom_count(f) -> int:
-    """Atom occurrences in a Formula or PathFormula."""
-    if isinstance(f, PathFormula):
-        return f.atom_count()
-    return F.atom_count(f)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +418,6 @@ def compile_box_formula(f: F.Formula, var_names: Sequence[str]):
 
     emit(f)
     return (len(var_names), tuple(derived), tuple(atoms), tuple(code))
-
-
-def box_model(f: F.Formula, var_names: Sequence[str], lo: int, hi: int):
-    """First integer model of f in [lo, hi]^n under exact product semantics."""
-    prog = compile_box_formula(f, var_names)
-    n = len(var_names)
-    point = kernels.box_find_model(prog, [lo] * n, [hi] * n)
-    if point is None:
-        return None
-    return dict(zip(var_names, point))
 
 
 def box_equivalent(f: F.Formula, g: F.Formula, var_names: Sequence[str], lo: int, hi: int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from cmcheck import engine, lang, oracle
+from cmcheck.assumptions import CompositeCpa
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +112,14 @@ def random_cfa(rng: random.Random, n_vars: int = 3, max_locations: int = 20,
 # Independent reference implementation of the worklist algorithm
 # ---------------------------------------------------------------------------
 
-def reference_reached(cfa: lang.Cfa, cpa: engine.Cpa, order: str = "dfs") -> list:
+def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:
     """Naive list-based worklist run: no ART, no indexes, no shortcuts."""
     init = cpa.initial_state(cfa)
     reached = [init]
     waitlist = [init]
     while waitlist:
         state = waitlist.pop(-1) if order == "dfs" else waitlist.pop(0)
-        loc = cpa.location_of(state)
-        edges = cfa.edges_from(loc) if loc is not None else cfa.edges
-        for edge in edges:
+        for edge in cfa.edges_from(cpa.location_of(state)):
             for succ, _assumption in cpa.successors(state, edge):
                 for old in list(reached):
                     merged = cpa.merge(succ, old)
@@ -136,7 +135,7 @@ def reference_reached(cfa: lang.Cfa, cpa: engine.Cpa, order: str = "dfs") -> lis
     return reached
 
 
-def engine_reached_states(cfa: lang.Cfa, cpa: engine.Cpa, order: str = "dfs") -> list:
+def engine_reached_states(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:
     rs = engine.RunState(cfa, cpa, order=order)
     result = engine.run_cpa(rs)
     assert result.status == "empty"

@@ -173,17 +173,19 @@ def test_criterion_4_predicate_abstraction_exactness():
         # Box conditioning (see the formula module's completeness property):
         # skip pairs whose satisfiability leaks outside the [-8,8]^3 box,
         # where solver Sat and box-model existence legitimately diverge.
+        # One sweep of the box yields the minterms with a box model; the
+        # oracle below reuses it.
+        on_box = oracle.box_minterms(sp, pi, names)
         leaky = False
         for bits in range(1 << len(pi)):
             m = F.f_and([F.AtomF(p) if (bits >> i) & 1 else F.f_not(F.AtomF(p))
                          for i, p in enumerate(pi)])
-            query = F.f_and([sp, m])
             try:
-                kind = solver.is_satisfiable(query)
+                kind = solver.check_sat(F.f_and([sp, m])).kind
             except F.FormulaTooLarge:
                 leaky = True
                 break
-            if kind != S.UNSAT and S.box_model(query, names, -8, 8) is None:
+            if kind != S.UNSAT and bits not in on_box:
                 leaky = True
                 break
         if leaky:
@@ -196,7 +198,8 @@ def test_criterion_4_predicate_abstraction_exactness():
         dom = D.PredicateDomain(solver, prec, minterm_bound=8)
         out = dom.transfer(sp, edge)
         engine_abs = out[0] if out else F.FALSE
-        oracle_abs = oracle.brute_force_boolean_abstraction(sp, pi, names)
+        oracle_abs = oracle.brute_force_boolean_abstraction(sp, pi, names,
+                                                            minterms=on_box)
         diff = S.box_equivalent(engine_abs, oracle_abs, names, -8, 8)
         assert diff is None, (
             f"abstractions disagree at {diff} for sp={F.render_formula(sp)} "
@@ -211,12 +214,12 @@ def test_criterion_5_worklist_algorithm_fidelity():
     solver = S.Solver()
     for i in range(50):
         cfa = random_cfa(rng, n_vars=rng.randint(1, 3))
-        # location-only
-        loc_cpa = D.LocationCpa()
+        # location-only: the shipped location configuration's CPA
+        loc_cpa = CompositeCpa(cfa, D.NoDomain(), solver)
         rs = engine.RunState(cfa, loc_cpa)
         assert engine.run_cpa(rs).status == "empty"
-        got = sorted(n.state for n in rs.reached_nodes())
-        assert got == sorted(reference_reached(cfa, loc_cpa))
+        got = sorted(n.state.location for n in rs.reached_nodes())
+        assert got == sorted(s.location for s in reference_reached(cfa, loc_cpa))
         # explicit composite
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
         rs = engine.RunState(cfa, cpa)

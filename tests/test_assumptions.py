@@ -23,39 +23,59 @@ def an_edge(op="havoc x", src=0, dst=1, eid=0) -> lang.Edge:
 
 # -- assumption component ---------------------------------------------------------
 
-def test_assumption_transfer():
-    assert A.assumption_transfer(F.TRUE, an_edge()) == [F.TRUE]
-    assert A.assumption_transfer(F.parse_formula("x >= 1"), an_edge()) == [F.TRUE]
-    assert A.assumption_transfer(F.FALSE, an_edge()) == []
+def assumed(phi, overflow=None):
+    """A location-only composite state at L0 carrying assumption phi."""
+    return A.CompositeState(phi, 0, (), None, overflow, None)
 
 
-def test_assumption_merge():
+def test_assumption_transfer(solver):
+    # The successor always starts with no assumption; false stops the path.
+    cpa = composite(lang.parse_program("int x;"), solver)
+
+    def succ_assumptions(phi):
+        return [s.assumption for s, _ in cpa.successors(assumed(phi), an_edge())]
+
+    assert succ_assumptions(F.TRUE) == [F.TRUE]
+    assert succ_assumptions(F.parse_formula("x >= 1")) == [F.TRUE]
+    assert succ_assumptions(F.FALSE) == []
+
+
+def test_assumption_merge(solver):
+    cpa = composite(lang.parse_program("int x;"), solver)
+
+    def merged(a, b):
+        return cpa.merge(assumed(a), assumed(b)).assumption
+
     phi = F.parse_formula("x >= 1")
-    assert A.assumption_merge(F.TRUE, phi) == phi
-    assert A.assumption_merge(F.FALSE, phi) == F.FALSE
-    assert A.assumption_merge(phi, phi) == phi  # idempotent after canonicalization
+    assert merged(F.TRUE, phi) == phi
+    assert merged(F.FALSE, phi) == F.FALSE
+    assert merged(phi, phi) == phi  # idempotent after canonicalization
 
 
 def test_assumption_stop(solver):
+    # Covered iff the candidate carries an equal or stricter assumption.
+    cpa = composite(lang.parse_program("int x;"), solver)
     phi = F.parse_formula("x >= 1")
-    assert A.assumption_stop(solver, F.TRUE, [phi])
-    assert not A.assumption_stop(solver, phi, [F.TRUE])
-    assert A.assumption_stop(solver, phi, [F.parse_formula("x >= 5")])
+    assert cpa.covers(assumed(F.TRUE), assumed(phi))
+    assert not cpa.covers(assumed(phi), assumed(F.TRUE))
+    assert cpa.covers(assumed(phi), assumed(F.parse_formula("x >= 5")))
 
 
 # -- overflow component -------------------------------------------------------------
 
-def test_overflow_transfer_assignment_bounds():
-    bounds = (-(2 ** 31), 2 ** 31 - 1)
-    phi = A.overflow_transfer(F.TRUE, an_edge("x := y + 1"), bounds)
+def test_overflow_transfer_assignment_bounds(solver):
+    overflow = A.OverflowComponent(-(2 ** 31), 2 ** 31 - 1)
+    phi = overflow.transfer(an_edge("x := y + 1"))
     assert phi == F.f_and([
         F.parse_formula(f"x >= {-(2**31)}"),
         F.parse_formula(f"x <= {2**31 - 1}"),
     ])
-    assert A.overflow_transfer(F.TRUE, an_edge("assume x < 1"), bounds) == F.TRUE
+    assert overflow.transfer(an_edge("assume x < 1")) == F.TRUE
     a = F.parse_formula("x <= 5")
     b = F.parse_formula("y <= 5")
-    assert A.overflow_merge(a, b) == F.f_and([a, b])
+    cpa = composite(lang.parse_program("int x, y;"), solver, overflow=overflow)
+    merged = cpa.merge(assumed(F.TRUE, overflow=a), assumed(F.TRUE, overflow=b))
+    assert merged.overflow == F.f_and([a, b])
 
 
 # -- strengthen ------------------------------------------------------------------------
@@ -122,7 +142,7 @@ def test_composite_stop_is_conjunction(solver):
     stricter = A.CompositeState(F.parse_formula("x >= 9"), 1, (), None, None,
                                 F.parse_formula("x >= 1"))
     assert cpa.covers(weak, stricter)
-    assert A.composite_stop(cpa, strong, [elsewhere, weak])
+    assert any(cpa.covers(strong, r) for r in [elsewhere, weak])
 
 
 # -- post-processing ---------------------------------------------------------------------

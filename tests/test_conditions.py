@@ -2,9 +2,10 @@
 
 import random
 
+from cmcheck import assumptions as A
 from cmcheck import conditions as C
 from cmcheck import domains as D
-from cmcheck import engine, lang
+from cmcheck import engine, formula as F, lang
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
@@ -22,24 +23,25 @@ def rstate(counts, exceeded=False):
 # -- repeating locations ---------------------------------------------------------
 
 def test_repeat_transfer_at_threshold():
-    s = C.repeat_transfer(rstate({1: 2}), edge_to(1), k=3)
+    s = C.RepeatComponent(3).transfer(rstate({1: 2}), edge_to(1))
     assert dict(s.counts)[1] == 3 and not s.exceeded
 
 
 def test_repeat_transfer_over_threshold():
-    s = C.repeat_transfer(rstate({1: 3}), edge_to(1), k=3)
+    s = C.RepeatComponent(3).transfer(rstate({1: 3}), edge_to(1))
     assert dict(s.counts)[1] == 4 and s.exceeded
 
 
 def test_repeat_transfer_zero_threshold():
-    s = C.repeat_transfer(rstate({}), edge_to(5), k=0)
+    s = C.RepeatComponent(0).transfer(rstate({}), edge_to(5))
     assert s.exceeded  # first visit already beats k = 0
 
 
 def test_repeat_merge_takes_pointwise_max():
     a, b = rstate({1: 2}), rstate({1: 5})
-    assert C.repeat_merge(a, b) == rstate({1: 5})
-    assert C.repeat_merge(a, a) == a
+    rep = C.RepeatComponent(3)
+    assert rep.merge(a, b) == rstate({1: 5})
+    assert rep.merge(a, a) == a
 
 
 def test_repeat_merge_commutes_on_random_pairs():
@@ -49,13 +51,23 @@ def test_repeat_merge_commutes_on_random_pairs():
                    exceeded=rng.random() < 0.3)
         b = rstate({rng.randint(0, 3): rng.randint(0, 5) for _ in range(rng.randint(0, 3))},
                    exceeded=rng.random() < 0.3)
-        assert C.repeat_merge(a, b) == C.repeat_merge(b, a)
+        rep = C.RepeatComponent(3)
+        assert rep.merge(a, b) == rep.merge(b, a)
 
 
 def test_repeat_stop_always_true():
-    assert C.repeat_stop(rstate({}), [])
-    assert C.repeat_stop(rstate({1: 9}, exceeded=True), [rstate({})])
-    assert C.repeat_stop(rstate({2: 1}), None)
+    # Coverage never depends on condition bookkeeping: composite states
+    # that differ only in their repeat counters cover each other.
+    cfa = lang.parse_program("int x; x := 0;")
+    cpa = CompositeCpa(cfa, D.NoDomain(), S.Solver(),
+                       condition_components=[C.RepeatComponent(3)])
+
+    def at(repeat):
+        return A.CompositeState(F.TRUE, 1, (repeat,), None, None, None)
+
+    assert cpa.covers(at(rstate({})), at(rstate({})))
+    assert cpa.covers(at(rstate({1: 9}, exceeded=True)), at(rstate({})))
+    assert cpa.covers(at(rstate({2: 1})), at(rstate({1: 9}, exceeded=True)))
 
 
 def test_composite_stop_still_requires_domain_coverage():
@@ -72,41 +84,43 @@ def test_composite_stop_still_requires_domain_coverage():
 
 def test_pathstats_transfer_length_limit():
     s = C.PathStatsState(6, 0, False)
-    s2 = C.pathstats_transfer(s, edge_to(1), 7, None)
+    stats = C.PathStatsComponent(max_length=7)
+    s2 = stats.transfer(s, edge_to(1))
     assert s2.path_length == 7 and not s2.exceeded
-    s3 = C.pathstats_transfer(s2, edge_to(1), 7, None)
+    s3 = stats.transfer(s2, edge_to(1))
     assert s3.exceeded
 
 
 def test_pathstats_counts_assume_edges_only():
     assume_edge = lang.Edge(0, 0, 1, lang.Assume(lang.BoolConst(True)))
     assign_edge = lang.Edge(1, 1, 2, lang.Assign("x", lang.Const(0)))
+    stats = C.PathStatsComponent(max_assumes=20)
     s = C.PathStatsState(1, 0, False)
-    s = C.pathstats_transfer(s, assume_edge, None, 20)
+    s = stats.transfer(s, assume_edge)
     assert s.assume_edges == 1
-    s = C.pathstats_transfer(s, assign_edge, None, 20)
+    s = stats.transfer(s, assign_edge)
     assert s.assume_edges == 1
 
 
 def test_pathstats_merge_max():
     a = C.PathStatsState(4, 2, False)
     b = C.PathStatsState(3, 5, True)
-    assert C.pathstats_merge(a, b) == C.PathStatsState(4, 5, True)
+    assert C.PathStatsComponent().merge(a, b) == C.PathStatsState(4, 5, True)
 
 
 # -- global monitor --------------------------------------------------------------
 
 def test_monitor_reached_threshold():
     m = C.GlobalMonitor(max_reached=100)
-    assert C.monitor_should_halt(m, 100) == C.CONTINUE
-    assert C.monitor_should_halt(m, 101) == C.HALT_GLOBAL
-    assert C.monitor_should_halt(m, 0) == C.HALT_GLOBAL  # sticky once halted
+    assert not m.should_halt(100)
+    assert m.should_halt(101)
+    assert m.should_halt(0)  # sticky once halted
 
 
 def test_monitor_without_thresholds_never_halts():
     m = C.GlobalMonitor()
     for n in (0, 10 ** 6):
-        assert C.monitor_should_halt(m, n) == C.CONTINUE
+        assert not m.should_halt(n)
 
 
 def test_monitor_fuel_is_deterministic():
@@ -127,7 +141,7 @@ def test_monitor_fuel_is_deterministic():
 def test_busy_edge_skip_after_limit():
     m = C.GlobalMonitor(busy_edge_limit=3)
     e = edge_to(1)
-    results = [C.busy_edge_check(m, e) for _ in range(5)]
+    results = [m.pre_post(e.id) for _ in range(5)]
     assert results == [C.PROCEED] * 3 + [C.SKIP_WITH_ASSUMPTION] * 2
 
 
@@ -135,9 +149,9 @@ def test_busy_edge_counts_edges_independently():
     m = C.GlobalMonitor(busy_edge_limit=1)
     e0 = lang.Edge(0, 0, 1, lang.Havoc("x"))
     e1 = lang.Edge(1, 0, 1, lang.Havoc("x"))
-    assert C.busy_edge_check(m, e0) == C.PROCEED
-    assert C.busy_edge_check(m, e1) == C.PROCEED
-    assert C.busy_edge_check(m, e0) == C.SKIP_WITH_ASSUMPTION
+    assert m.pre_post(e0.id) == C.PROCEED
+    assert m.pre_post(e1.id) == C.PROCEED
+    assert m.pre_post(e0.id) == C.SKIP_WITH_ASSUMPTION
 
 
 def test_busy_edge_unlimited_equals_unmonitored():

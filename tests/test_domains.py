@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cmcheck import assumptions as A
 from cmcheck import domains as D
 from cmcheck import formula as F
 from cmcheck import lang, oracle
@@ -24,37 +25,43 @@ def edge(text: str) -> lang.Edge:
 
 # -- location -------------------------------------------------------------------
 
-def test_location_transfer():
+def test_location_transfer(solver):
+    # The location analysis is the composite CPA over NoDomain.
+    cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: x := x + 1;\n")
+    cpa = A.CompositeCpa(cfa, D.NoDomain(), solver)
+    at0 = cpa.initial_state(cfa)
     e01 = edge("L0 -> L1: x := x + 1;")
-    assert D.location_transfer(0, e01) == [1]
+    assert [s.location for s, _ in cpa.successors(at0, e01)] == [1]
     e23 = edge("L2 -> L3: havoc x;")
-    assert D.location_transfer(0, e23) == []
-    assert D.location_transfer(D.LOC_TOP, e23) == [3]
+    assert cpa.successors(at0, e23) == []
 
 
 # -- explicit ---------------------------------------------------------------------
+
+EXPLICIT = D.ExplicitDomain()
+
 
 def st(**kv):
     return D.ExplicitState(tuple(sorted(kv.items())))
 
 
 def test_explicit_transfer_assign():
-    assert D.explicit_transfer(st(x=1), edge("L0 -> L1: x := x + 2;")) == [st(x=3)]
+    assert EXPLICIT.transfer(st(x=1), edge("L0 -> L1: x := x + 2;")) == [st(x=3)]
 
 
 def test_explicit_transfer_unknown_assume_keeps_state():
     s = D.ExplicitState(())  # x unknown
-    out = D.explicit_transfer(s, edge("L0 -> L1: assume x < 10;"))
+    out = EXPLICIT.transfer(s, edge("L0 -> L1: assume x < 10;"))
     assert out == [s]
 
 
 def test_explicit_transfer_false_assume_blocks():
-    assert D.explicit_transfer(st(x=5), edge("L0 -> L1: assume x < 3;")) == []
+    assert EXPLICIT.transfer(st(x=5), edge("L0 -> L1: assume x < 3;")) == []
 
 
 def test_explicit_transfer_products_and_havoc():
-    assert D.explicit_transfer(st(x=4), edge("L0 -> L1: y := x * x;")) == [st(x=4, y=16)]
-    out = D.explicit_transfer(st(x=4), edge("L0 -> L1: havoc x;"))
+    assert EXPLICIT.transfer(st(x=4), edge("L0 -> L1: y := x * x;")) == [st(x=4, y=16)]
+    out = EXPLICIT.transfer(st(x=4), edge("L0 -> L1: havoc x;"))
     assert out == [D.ExplicitState(())]
 
 
@@ -62,16 +69,16 @@ def test_explicit_overflow_guard_demotes_to_top(caplog):
     big = 2 ** 40
     s = st(x=big)
     with caplog.at_level("WARNING", logger="cmcheck"):
-        out = D.explicit_transfer(s, edge("L0 -> L1: x := x * x;"))
-    out2 = D.explicit_transfer(out[0], edge("L0 -> L1: x := x * x;"))
+        out = EXPLICIT.transfer(s, edge("L0 -> L1: x := x * x;"))
+    out2 = EXPLICIT.transfer(out[0], edge("L0 -> L1: x := x * x;"))
     assert out2 == [D.ExplicitState(())]
     assert any("widening to top" in r.message for r in caplog.records)
 
 
 def test_explicit_stop():
-    assert D.explicit_stop(st(x=1), [st(x=1)])
-    assert D.explicit_stop(st(x=1), [D.ExplicitState(())])  # top covers
-    assert not D.explicit_stop(D.ExplicitState(()), [st(x=1)])
+    assert EXPLICIT.covers(st(x=1), st(x=1))
+    assert EXPLICIT.covers(st(x=1), D.ExplicitState(()))  # top covers
+    assert not EXPLICIT.covers(D.ExplicitState(()), st(x=1))
 
 
 # -- precision ----------------------------------------------------------------------
@@ -83,18 +90,6 @@ def test_precision_dedups_complement_pairs():
     assert prec.add(1, a)
     assert not prec.add(1, b)  # complement of the same tracked predicate
     assert prec.atoms_at(1) == (a,)
-
-
-def test_precision_dump_load_roundtrip():
-    prec = D.Precision()
-    prec.add(5, F.parse_formula("x >= 1000000").atom)
-    prec.add(5, F.parse_formula("x + y <= 3").atom)
-    prec.add(None, F.parse_formula("y <= 0").atom)
-    text = D.serialize_precision(prec)
-    again = D.parse_precision(text)
-    assert D.serialize_precision(again) == text
-    assert again.atoms_at(5) == prec.atoms_at(5)
-    assert again.atoms_at(99) == prec.atoms_at(99)  # global only
 
 
 # -- predicate abstraction ------------------------------------------------------------
@@ -141,13 +136,15 @@ def test_predicate_transfer_cartesian_fallback_is_weaker(solver):
 
 
 def test_predicate_stop(solver):
-    assert D.predicate_stop(solver, F.parse_formula("x >= 5"), [F.parse_formula("x >= 1")])
-    assert not D.predicate_stop(solver, F.TRUE, [F.parse_formula("x >= 1")])
+    dom = pred_domain(solver, {})
+    assert dom.covers(F.parse_formula("x >= 5"), F.parse_formula("x >= 1"))
+    assert not dom.covers(F.TRUE, F.parse_formula("x >= 1"))
 
 
 def test_predicate_stop_implies_box_subset(solver):
     rng = random.Random(31)
     names = ("x", "y")
+    dom = pred_domain(solver, {})
     hits = 0
     for _ in range(80):
         def rand_f():
@@ -155,7 +152,7 @@ def test_predicate_stop_implies_box_subset(solver):
                      for _ in range(rng.randint(1, 2))]
             return F.parse_formula(" & ".join(parts))
         s, r = rand_f(), rand_f()
-        if D.predicate_stop(solver, s, [r]):
+        if dom.covers(s, r):
             hits += 1
             assert S.box_equivalent(F.f_and([s, F.f_not(r)]), F.FALSE, names, -8, 8) is None
     assert hits > 5

@@ -180,6 +180,15 @@ def test_cli_usage_error(tmp_path, capsys):
     assert cli.main([str(f2), "--config", "nope"]) == 3
 
 
+def test_cli_crash_exits_with_internal_error(tmp_path, capsys):
+    # 3000 terms overflow the recursive frontend.  The crash must exit 4,
+    # never 1, which would read as the verdict FALSE.
+    f = tmp_path / "deep.imp"
+    f.write_text("int x; x := " + " + ".join(["x"] * 3000) + ";")
+    assert cli.main([str(f)]) == 4
+    assert capsys.readouterr().err.startswith("cmcheck: internal error: RecursionError")
+
+
 def test_cli_pipeline_and_automaton_flow(tmp_path, programs_dir):
     prog = programs_dir / "nonlinear_square.imp"
     out1 = tmp_path / "first"

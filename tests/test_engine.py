@@ -6,15 +6,21 @@ import pytest
 
 from cmcheck import conditions as C
 from cmcheck import domains as D
-from cmcheck import engine, lang
+from cmcheck import engine, formula as F, lang
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
 from helpers import engine_reached_states, random_cfa, reference_reached
 
 
+def location_cpa(cfa):
+    """What the shipped ``location`` configuration runs."""
+    return CompositeCpa(cfa, D.NoDomain(), S.Solver())
+
+
 def location_run(cfa, order="dfs"):
-    return engine_reached_states(cfa, D.LocationCpa(), order=order)
+    states, rs = engine_reached_states(cfa, location_cpa(cfa), order=order)
+    return [s.location for s in states], rs
 
 
 def test_straight_line_reaches_every_location():
@@ -38,7 +44,7 @@ def test_diamond_covers_second_join_visit():
     assert sorted(states) == [0, 1, 2, 3]
     covered = [n for n in rs.nodes if n.covered_by is not None]
     assert len(covered) == 1
-    assert covered[0].state == 3
+    assert covered[0].state.location == 3
 
 
 def test_explicit_loop_enumerates_values():
@@ -51,11 +57,28 @@ def test_explicit_loop_enumerates_values():
     assert vals == [0, 1, 2, 3]
 
 
+def empty_waitlist(order):
+    """A run state whose waitlist is drained, for driving it by hand."""
+    cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: x := x + 1;\n")
+    rs = engine.RunState(cfa, location_cpa(cfa), order=order)
+    assert rs.pop_waitlist() is rs.root
+    return rs
+
+
+def queued(rs, value):
+    node = engine.ArtNode(-1, value, None, None, F.TRUE)
+    rs.add_to_waitlist(node)
+    return node
+
+
 def test_choose_next_orders():
-    assert engine.choose_next(["a", "b", "c"], "dfs") == "c"
-    assert engine.choose_next(["a", "b", "c"], "bfs") == "a"
+    for order, want in (("dfs", "c"), ("bfs", "a")):
+        rs = empty_waitlist(order)
+        for value in ("a", "b", "c"):
+            queued(rs, value)
+        assert rs.pop_waitlist().state == want
     with pytest.raises(ValueError):
-        engine.choose_next(["a"], "random")
+        empty_waitlist("random")
 
 
 def test_choose_next_matches_reference_trace():
@@ -63,16 +86,28 @@ def test_choose_next_matches_reference_trace():
     ops = [("push", rng.randint(0, 99)) if rng.random() < 0.6 else ("pop", None)
            for _ in range(80)]
     for order in ("dfs", "bfs"):
-        items, reference, trace, expected = [], [], [], []
+        rs = empty_waitlist(order)
+        reference, trace, expected = [], [], []
         for kind, value in ops:
             if kind == "push":
-                items.append(value)
+                queued(rs, value)
                 reference.append(value)
-            elif items:
-                trace.append(engine.choose_next(items, order))
-                items.pop(-1 if order == "dfs" else 0)
+            elif reference:
+                trace.append(rs.pop_waitlist().state)
                 expected.append(reference.pop(-1 if order == "dfs" else 0))
         assert trace == expected
+
+
+def test_waitlist_skips_lazily_deleted_entries():
+    for order in ("dfs", "bfs"):
+        rs = empty_waitlist(order)
+        a, b, c = (queued(rs, v) for v in "abc")
+        rs.remove_from_waitlist(b)
+        c.removed = True
+        rs.add_to_waitlist(a)  # already queued: not queued twice
+        assert rs.pop_waitlist() is a
+        assert rs.pop_waitlist() is None
+        assert rs.waitlist_nodes() == []
 
 
 def test_fuel_budget_is_exact():
@@ -146,8 +181,8 @@ def test_engine_matches_reference_location_cpa():
     for _ in range(15):
         cfa = random_cfa(rng)
         states, _ = location_run(cfa)
-        ref = reference_reached(cfa, D.LocationCpa())
-        assert sorted(states) == sorted(ref)
+        ref = reference_reached(cfa, location_cpa(cfa))
+        assert sorted(states) == sorted(s.location for s in ref)
 
 
 def test_engine_matches_reference_explicit_composite():

@@ -43,7 +43,7 @@ def test_step_agrees_with_explicit_transfer_on_defined_states():
             s_concrete = oracle.make_state(edge.source, store)
             s_abs = D.ExplicitState(tuple(sorted(store.items())))
             conc = oracle.step(s_concrete, edge)
-            abst = D.explicit_transfer(s_abs, edge)
+            abst = D.ExplicitDomain().transfer(s_abs, edge)
             if conc is None:
                 assert abst == []
             else:
