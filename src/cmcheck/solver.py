@@ -36,7 +36,10 @@ class SatResult:
 class SolverConfig:
     dnf_clause_bound: int = 4096
     witness_box: int = 32
-    fm_constraint_bound: int = 4000
+
+
+# Fourier-Motzkin gives up (MaybeSat) once a round derives more constraints.
+FM_CONSTRAINT_BOUND = 4000
 
 
 def _floor_div(a: int, b: int) -> int:
@@ -252,7 +255,7 @@ class Solver:
     def _clause_sat(self, atoms: tuple[F.Atom, ...]) -> SatResult:
         if not atoms:
             return SatResult(SAT, {})
-        fm = _fm_unsat(atoms, self.config.fm_constraint_bound)
+        fm = _fm_unsat(atoms, FM_CONSTRAINT_BOUND)
         if fm is True:
             return SatResult(UNSAT)
         terms = []
@@ -350,82 +353,3 @@ def build_path_formula(edges: Iterable[lang.Edge]) -> PathFormula:
     for e in edges:
         pf = extend_path_formula(pf, e)
     return pf
-
-
-# ---------------------------------------------------------------------------
-# Compilation to the box-evaluation kernels (concrete product semantics)
-# ---------------------------------------------------------------------------
-
-def compile_box_formula(f: F.Formula, var_names: Sequence[str]):
-    """Encode a formula for kernel box evaluation over the given variables.
-
-    Unlike the satisfiability procedure, products are evaluated exactly
-    here (derived values), which is what brute-force oracles need.
-    """
-    var_index = {name: i for i, name in enumerate(var_names)}
-    derived: list = []
-    derived_index: dict = {}
-
-    def lin_encode(terms: tuple, const: int):
-        enc = []
-        for t, c in terms:
-            enc.append((term_dim(t), c))
-        return (const, tuple(enc))
-
-    def term_dim(t: F.Term) -> int:
-        if isinstance(t, F.VarTerm):
-            return var_index[t.name]
-        key = F.term_key(t)
-        if key in derived_index:
-            return derived_index[key]
-        left = lin_encode(t.left.terms, t.left.const)
-        right = lin_encode(t.right.terms, t.right.const)
-        derived.append((left, right))
-        dim = len(var_names) + len(derived) - 1
-        derived_index[key] = dim
-        return dim
-
-    atoms: list = []
-    atom_index: dict = {}
-    code: list[int] = []
-
-    def emit(g: F.Formula):
-        if isinstance(g, F.TrueF):
-            code.append(-4)
-        elif isinstance(g, F.FalseF):
-            code.append(-5)
-        elif isinstance(g, F.AtomF):
-            key = F.atom_key(g.atom)
-            if key not in atom_index:
-                atom_index[key] = len(atoms)
-                atoms.append((0 if g.atom.op == F.LE else 1, g.atom.bound,
-                              lin_encode(g.atom.terms, 0)))
-            code.append(atom_index[key])
-        elif isinstance(g, F.NotF):
-            emit(g.arg)
-            code.append(-3)
-        elif isinstance(g, F.AndF):
-            emit(g.args[0])
-            for a in g.args[1:]:
-                emit(a)
-                code.append(-1)
-        else:
-            assert isinstance(g, F.OrF)
-            emit(g.args[0])
-            for a in g.args[1:]:
-                emit(a)
-                code.append(-2)
-
-    emit(f)
-    return (len(var_names), tuple(derived), tuple(atoms), tuple(code))
-
-
-def box_equivalent(f: F.Formula, g: F.Formula, var_names: Sequence[str], lo: int, hi: int):
-    """None if f and g agree on every box point, else a differing point."""
-    pf = compile_box_formula(f, var_names)
-    pg = compile_box_formula(g, var_names)
-    n = len(var_names)
-    point = kernels.box_find_disagreement(pf, pg, [lo] * n, [hi] * n)
-    if point is None:
-        return None
-    return dict(zip(var_names, point))

@@ -189,6 +189,17 @@ def test_cli_crash_exits_with_internal_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cmcheck: internal error: RecursionError")
 
 
+def test_cli_constants_beyond_64_bits(tmp_path, capsys):
+    # The witness search runs on constants >= 2^63; they must stay exact
+    # integers, not overflow a machine word.
+    f = tmp_path / "big.imp"
+    f.write_text("int x, y; havoc x; y := x + 9223372036854775808;"
+                 " assert(y != 9223372036854775811);")
+    assert cli.main([str(f), "--config", "predicate",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_cli_pipeline_and_automaton_flow(tmp_path, programs_dir):
     prog = programs_dir / "nonlinear_square.imp"
     out1 = tmp_path / "first"

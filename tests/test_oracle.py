@@ -97,7 +97,7 @@ def test_enumerate_order_independent():
             assert bfs.states == dfs.states
 
 
-# -- brute-force boolean abstraction ------------------------------------------
+# -- brute-force box sweeps ----------------------------------------------------
 
 def test_bfa_single_predicate():
     sp = F.parse_formula("x = 5")
@@ -118,6 +118,35 @@ def test_bfa_exact_products():
     sp = F.parse_formula("x * x <= x - 1")
     pi = [F.parse_formula("x >= 0").atom]
     assert oracle.brute_force_boolean_abstraction(sp, pi, ["x"]) == F.FALSE
+
+
+def test_box_model_first_point_in_product_order():
+    assert oracle.box_model(F.parse_formula("x >= 7"), ["x"]) == {"x": 7}
+    f = F.parse_formula("x + y = 3 & x >= 8")
+    assert oracle.box_model(f, ["x", "y"]) == {"x": 8, "y": -5}
+    # x*x >= x on every integer: products are evaluated exactly.
+    assert oracle.box_model(F.parse_formula("x * x <= x - 1"), ["x"]) is None
+
+
+def test_abstraction_minterms_reads_literals():
+    pi = [F.parse_formula("x >= 3").atom, F.parse_formula("y = 1").atom]
+    p0, p1 = F.AtomF(pi[0]), F.AtomF(pi[1])
+    assert oracle.abstraction_minterms(p0, pi) == {0b01, 0b11}
+    assert oracle.abstraction_minterms(F.f_not(p0), pi) == {0b00, 0b10}
+    assert oracle.abstraction_minterms(F.f_not(p1), pi) == {0b00, 0b01}
+    assert oracle.abstraction_minterms(F.f_or([p0, p1]), pi) == {0b01, 0b10, 0b11}
+    assert oracle.abstraction_minterms(F.TRUE, pi) == {0, 1, 2, 3}
+    assert oracle.abstraction_minterms(F.FALSE, pi) == set()
+    with pytest.raises(ValueError, match="not in the precision"):
+        oracle.abstraction_minterms(F.parse_formula("x >= 4"), pi)
+
+
+def test_abstraction_minterms_inverts_bfa():
+    sp = F.parse_formula("x + y <= 2 & x >= -1")
+    pi = [F.parse_formula(t).atom for t in ("x >= 1", "y <= 0", "x = y")]
+    names = ["x", "y"]
+    bfa = oracle.brute_force_boolean_abstraction(sp, pi, names)
+    assert oracle.abstraction_minterms(bfa, pi) == oracle.box_minterms(sp, pi, names)
 
 
 # -- condition soundness helpers ------------------------------------------------

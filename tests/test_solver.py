@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cmcheck import _kernels
 from cmcheck import formula as F
 from cmcheck import lang, oracle
 from cmcheck import solver as S
@@ -78,13 +79,6 @@ def random_formula(rng, vars=("x", "y", "z"), atoms=4):
     return F.parse_formula(connector.join(parts))
 
 
-def exhaustive_box_model(f, names, lo=-8, hi=8):
-    for point in itertools.product(range(lo, hi + 1), repeat=len(names)):
-        if F.evaluate(f, dict(zip(names, point))):
-            return point
-    return None
-
-
 def test_unsat_soundness_1000_random(solver):
     rng = random.Random(2024)
     names = ("x", "y", "z")
@@ -97,7 +91,7 @@ def test_unsat_soundness_1000_random(solver):
             continue
         if kind == S.UNSAT:
             checked += 1
-            assert exhaustive_box_model(f, names) is None, F.render_formula(f)
+            assert oracle.box_model(f, names) is None, F.render_formula(f)
     assert checked > 50  # the sample actually exercised the unsat path
 
 
@@ -113,7 +107,7 @@ def test_box_completeness(solver):
             v = rng.choice(names)
             parts.append(f"{rng.choice([-2,-1,1,2])}*{v} {rng.choice(['<=', '>=', '='])} {rng.randint(-6, 6)}")
         f = F.parse_formula(" & ".join(parts))
-        model = exhaustive_box_model(f, names)
+        model = oracle.box_model(f, names)
         if model is not None:
             exercised += 1
             assert solver.check_sat(f).kind == S.SAT
@@ -132,6 +126,49 @@ def test_entails_reflexive_and_transitive(solver):
     for (f, g), (g2, h) in itertools.product(yes, repeat=2):
         if g == g2:
             assert solver.entails(f, h)
+
+
+# -- witness search kernel -------------------------------------------------------
+
+def random_conjunction(rng, n_dims):
+    atoms = []
+    for _ in range(rng.randint(0, 5)):
+        terms = []
+        for d in rng.sample(range(n_dims), rng.randint(1, n_dims)):
+            c = rng.randint(-3, 3)
+            if c:
+                terms.append((d, c))
+        atoms.append((rng.randint(0, 1), rng.randint(-7, 7), tuple(terms)))
+    return atoms
+
+
+def meets(point, atom):
+    op, bound, terms = atom
+    s = sum(c * point[d] for d, c in terms)
+    return s <= bound if op == 0 else s == bound
+
+
+def reference_witness(lows, highs, atoms):
+    """First point of the box, in itertools.product order, meeting every atom."""
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if all(meets(point, a) for a in atoms):
+            return point
+    return None
+
+
+def test_conjunction_witness_matches_reference():
+    rng = random.Random(42)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(0, 3)
+        atoms = random_conjunction(rng, n) if n else [(0, rng.randint(-2, 2), ())]
+        lows = [rng.randint(-6, 0) for _ in range(n)]
+        highs = [lo + rng.randint(0, 8) for lo in lows]
+        want = reference_witness(lows, highs, atoms)
+        assert _kernels.find_conjunction_witness(n, lows, highs, atoms) == want, \
+            (n, lows, highs, atoms)
+        found += want is not None
+    assert found > 100  # both outcomes are exercised
 
 
 # -- path formulas ---------------------------------------------------------------
