@@ -1,8 +1,12 @@
-"""Integer box search for conjunctions of linear atoms.
+"""Integer witnesses by back-substitution along a Fourier-Motzkin record.
 
-Encoding: an atom is ``(op, bound, ((dim, coeff), ...))`` with op 0 for
-``<=`` and 1 for ``=``; a point satisfies the atom when the dot product
-compares against ``bound``.  Arithmetic is on Python integers, so
+The solver's elimination record lists steps ``(term, constraints)`` in
+elimination order; each constraint ``(coeffs, bound)`` means
+``sum(coeff * term) <= bound`` and mentions its step's term plus terms of
+later steps only.  Fixing the terms in reverse order therefore leaves one
+unknown per constraint.  Each term takes the integer nearest 0 in the
+range its constraints allow; an empty range backs off to the next value
+of the term fixed before it.  Arithmetic is on Python integers, so
 coefficients and bounds of any size are exact.
 """
 
@@ -12,55 +16,60 @@ from __future__ import annotations
 # runs whose labels differ.
 BACKEND = "pure"
 
+# Back-off budgets: values tried for one term, and in all, before giving up.
+VALUES_PER_TERM = 16
+VALUES_IN_ALL = 4096
 
-def find_conjunction_witness(n_dims, lows, highs, atoms):
-    """First point of the box satisfying every atom, or None.
 
-    Atoms are bucketed by their highest dimension so partial assignments
-    prune early; iteration is lexicographic in dimension order.
-    """
-    for lo, hi in zip(lows, highs):
-        if lo > hi:
+def _candidates(term, constraints, values) -> list[int]:
+    """Values the constraints allow for term, nearest 0 first (up to budget)."""
+    lo = hi = None
+    for coeffs, bound in constraints:
+        rest = bound
+        for t, c in coeffs.items():
+            if t != term:
+                rest -= c * values[t]
+        c = coeffs[term]
+        if c > 0:
+            bound_hi = rest // c
+            if hi is None or bound_hi < hi:
+                hi = bound_hi
+        else:
+            bound_lo = -(rest // -c)
+            if lo is None or bound_lo > lo:
+                lo = bound_lo
+    if lo is not None and hi is not None and lo > hi:
+        return []
+    start = lo if lo is not None and lo > 0 else 0
+    if hi is not None and start > hi:
+        start = hi
+    out = []
+    for d in range(VALUES_PER_TERM):
+        for v in ((start + d, start - d) if d else (start,)):
+            if (lo is None or v >= lo) and (hi is None or v <= hi):
+                out.append(v)
+    return out[:VALUES_PER_TERM]
+
+
+def find_conjunction_witness(steps):
+    """``{term: int}`` meeting every constraint of the record, or None."""
+    order = steps[::-1]
+    if not order:
+        return {}
+    values: dict = {}
+    pending = [_candidates(order[0][0], order[0][1], values)]
+    budget = VALUES_IN_ALL
+    while pending:
+        level = len(pending) - 1
+        if not pending[level]:
+            pending.pop()  # exhausted: back off to the previous term
+            continue
+        if not budget:
             return None
-    if n_dims == 0:
-        for op, bound, terms in atoms:
-            if op == 0:
-                if not (0 <= bound):
-                    return None
-            elif bound != 0:
-                return None
-        return ()
-
-    buckets: list[list] = [[] for _ in range(n_dims)]
-    for op, bound, terms in atoms:
-        if not terms:
-            ok = (0 <= bound) if op == 0 else (bound == 0)
-            if not ok:
-                return None
-            continue
-        top = max(d for d, _ in terms)
-        buckets[top].append((op, bound, terms))
-
-    vals = [0] * n_dims
-    level = 0
-    vals[0] = lows[0]
-    while True:
-        ok = True
-        for op, bound, terms in buckets[level]:
-            s = 0
-            for d, c in terms:
-                s += c * vals[d]
-            if (s > bound) if op == 0 else (s != bound):
-                ok = False
-                break
-        if ok:
-            if level == n_dims - 1:
-                return tuple(vals)
-            level += 1
-            vals[level] = lows[level]
-            continue
-        while vals[level] >= highs[level]:
-            level -= 1
-            if level < 0:
-                return None
-        vals[level] += 1
+        budget -= 1
+        term = order[level][0]
+        values[term] = pending[level].pop(0)
+        if level + 1 == len(order):
+            return values
+        pending.append(_candidates(order[level + 1][0], order[level + 1][1], values))
+    return None

@@ -3,10 +3,12 @@
 The composite state is the tuple (assumption, location, condition states,
 observer state, overflow state, domain state).  Component transfers run in
 lockstep along each CFA edge; the strengthen operator then folds condition
-violations and overflow facts into the assumption (and, for predicate
-domains, into the abstraction).  A state whose assumption is false is an
-excluded leaf: it stays in the reached set for post-processing but is
-never expanded.
+violations and overflow facts into the assumption.  A predicate domain's
+next transfer also assumes the state's overflow fact, but the domain state
+itself never carries it, so the rendered condition still covers the
+out-of-range states.  A state whose assumption is false is an excluded
+leaf: it stays in the reached set for post-processing but is never
+expanded.
 
 Post-processing turns a finished run into the condition formula: waitlist
 and error-location states contribute ``(pc = l) -> !state``, settled ones
@@ -65,25 +67,20 @@ class CompositeState:
 
 
 def strengthen(candidate: CompositeState, exceeded: bool,
-               overflow_phi: Optional[F.Formula],
-               predicate_domain: bool) -> tuple[CompositeState, F.Formula]:
+               overflow_phi: Optional[F.Formula]) -> tuple[CompositeState, F.Formula]:
     """Apply the composite strengthen operator to a fresh successor tuple.
 
     Returns the adjusted state plus the assumption label for its ART edge:
     false when the path is excluded, the overflow fact when one was
-    generated, true otherwise.
+    generated, true otherwise.  The fact goes into the assumption only:
+    the domain state stays unstrengthened, so the rendered condition
+    still covers the out-of-range states.
     """
     if exceeded:
         return replace(candidate, assumption=F.FALSE), F.FALSE
     if overflow_phi is not None and not isinstance(overflow_phi, F.TrueF):
-        domain = candidate.domain
-        if predicate_domain:
-            domain = F.f_and([domain, overflow_phi])
         strengthened = replace(
-            candidate,
-            assumption=F.f_and([candidate.assumption, overflow_phi]),
-            domain=domain,
-        )
+            candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
         return strengthened, overflow_phi
     return candidate, F.TRUE
 
@@ -148,8 +145,12 @@ class CompositeCpa:
         exceeded = any(c.exceeded(s) for c, s in
                        zip(self.condition_components, conds2))
         overflow_phi = self.overflow.transfer(edge) if self.overflow else None
+        premise = state.domain
+        if self._is_predicate and state.overflow is not None:
+            # Prune under the overflow assumption without rendering it.
+            premise = F.f_and([premise, state.overflow])
         try:
-            domain_succs = self.domain.transfer(state.domain, edge)
+            domain_succs = self.domain.transfer(premise, edge)
         except D.AbstractionFailure:
             domain_succs = [self.domain.top()]
             exceeded = True  # absorb the failure into an excluding assumption
@@ -163,8 +164,7 @@ class CompositeCpa:
                 overflow=overflow_phi if self.overflow else None,
                 domain=d2,
             )
-            strengthened, label = strengthen(candidate, exceeded, overflow_phi,
-                                             self._is_predicate)
+            strengthened, label = strengthen(candidate, exceeded, overflow_phi)
             out.append((strengthened, label))
         return out
 
@@ -323,7 +323,9 @@ class ObserverComponent:
     """Runs an input automaton in parallel with the analysis.
 
     Entering T prunes the path (already verified by the producing run);
-    unmatched edges fall into U, below which exploration is unrestricted.
+    unmatched edges, and transitions labelled with an assumption other
+    than true or false, fall into U, below which exploration is
+    unrestricted.
     """
 
     def __init__(self, automaton: AssumptionAutomaton, cfa: lang.Cfa):
@@ -341,7 +343,10 @@ class ObserverComponent:
         hit = self.automaton.transitions.get((sid, edge.id))
         if hit is None:
             return SINK_UNKNOWN
-        dst = hit[1]
+        label, dst = hit
+        if not isinstance(label, (F.TrueF, F.FalseF)):
+            # Verified only under the label: nothing may be pruned below.
+            return SINK_UNKNOWN
         return PRUNED if dst == SINK_VERIFIED else dst
 
 

@@ -41,9 +41,6 @@ class AnalysisConfig:
     soft_time: Optional[float] = None
     fuel: Optional[int] = None
     pf_atoms: Optional[int] = None
-    dnf_clause_bound: int = 4096
-    witness_box: int = 32
-    minterm_bound: int = 8
     input_automaton: Optional[str] = None  # file path
     full_restart: bool = False
     max_refinements: Optional[int] = None
@@ -110,16 +107,13 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
                  input_automaton: Optional[A.AssumptionAutomaton] = None) -> A.ConditionReport:
     """Run one configuration to a condition report."""
     config.validate()
-    solver = solver_mod.Solver(solver_mod.SolverConfig(
-        dnf_clause_bound=config.dnf_clause_bound,
-        witness_box=config.witness_box,
-    ))
+    solver = solver_mod.Solver()
     precision: Optional[D.Precision] = None
     if config.domain == "explicit":
         domain = D.ExplicitDomain()
     elif config.domain == "predicate":
         precision = D.Precision()
-        domain = D.PredicateDomain(solver, precision, config.minterm_bound)
+        domain = D.PredicateDomain(solver, precision)
     else:
         domain = D.NoDomain()
 

@@ -2,8 +2,9 @@
 
 The decision procedure is deliberately self-contained: normalize to DNF
 (bounded), then per conjunct run integer Fourier-Motzkin elimination
-(combination results are gcd-reduced with floor-tightened bounds) and, if
-rationally satisfiable, search a bounded integer box for a witness.
+(combination results are gcd-reduced with floor-tightened bounds).  When
+the projection is rationally satisfiable, its elimination record yields
+an integer witness by back-substitution (``_kernels``).
 
 Unsat answers are sound; Sat is only reported with a concrete integer
 witness; everything else is MaybeSat.  Opaque product terms are free
@@ -35,19 +36,10 @@ class SatResult:
 @dataclass(frozen=True)
 class SolverConfig:
     dnf_clause_bound: int = 4096
-    witness_box: int = 32
 
 
 # Fourier-Motzkin gives up (MaybeSat) once a round derives more constraints.
 FM_CONSTRAINT_BOUND = 4000
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b  # Python floor division
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +97,7 @@ def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Conjunct decision: interval propagation + Fourier-Motzkin + box witness
+# Conjunct decision: Fourier-Motzkin, then a witness by back-substitution
 # ---------------------------------------------------------------------------
 
 def _as_le_constraints(atoms: Sequence[F.Atom]) -> list[tuple[dict, int]]:
@@ -119,24 +111,36 @@ def _as_le_constraints(atoms: Sequence[F.Atom]) -> list[tuple[dict, int]]:
     return cs
 
 
-def _fm_unsat(atoms: Sequence[F.Atom], max_constraints: int) -> Optional[bool]:
-    """True = integer-unsat proven, False = rationally satisfiable, None = gave up."""
-    constraints = _as_le_constraints(atoms)
-    live: list[tuple[dict, int]] = []
-    for coeffs, bound in constraints:
-        if not coeffs:
-            if bound < 0:
-                return True
-        else:
-            live.append((coeffs, bound))
+def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
+    """Integer Fourier-Motzkin projection of one conjunct, with its record.
 
+    Returns True when integer-unsat is proven, None when a round derives
+    more than ``max_constraints`` constraints, and otherwise the steps
+    ``(term, constraints)`` in elimination order.  Each step holds the
+    constraints that mentioned its term when it was eliminated; they
+    mention only terms that come later in the list.  Terms that drop out
+    unpicked (every constraint on them went away with a one-sided
+    elimination, or their coefficients cancelled) come last, with no
+    constraints, so back-substitution fixes them first and can still
+    back off their values.
+    """
+    live: list[tuple[dict, int]] = []
+    for coeffs, bound in _as_le_constraints(atoms):
+        if coeffs:
+            live.append((coeffs, bound))
+        elif bound < 0:
+            return True
+    remaining = {}
+    for coeffs, _ in live:
+        for t in coeffs:
+            remaining.setdefault(F.term_key(t), t)
+
+    steps: list[tuple[F.Term, list[tuple[dict, int]]]] = []
     while live:
         terms = {}
         for coeffs, _ in live:
             for t in coeffs:
                 terms.setdefault(F.term_key(t), t)
-        if not terms:
-            break
         # Pick the cheapest variable to eliminate, deterministically.
         best = None
         for key, t in sorted(terms.items()):
@@ -145,11 +149,12 @@ def _fm_unsat(atoms: Sequence[F.Atom], max_constraints: int) -> Optional[bool]:
             cost = ups * downs
             if best is None or cost < best[0]:
                 best = (cost, key, t)
-        _, _, var = best
+        _, key, var = best
         uppers = [(c, b) for c, b in live if c.get(var, 0) > 0]
         lowers = [(c, b) for c, b in live if c.get(var, 0) < 0]
-        rest = [(c, b) for c, b in live if c.get(var, 0) == 0]
-        nxt = rest
+        steps.append((var, uppers + lowers))
+        del remaining[key]
+        nxt = [(c, b) for c, b in live if c.get(var, 0) == 0]
         for uc, ub in uppers:
             a = uc[var]
             for lc, lb in lowers:
@@ -172,48 +177,13 @@ def _fm_unsat(atoms: Sequence[F.Atom], max_constraints: int) -> Optional[bool]:
                     g = gcd(g, abs(c))
                 if g > 1:
                     comb = {t: c // g for t, c in comb.items()}
-                    bound = _floor_div(bound, g)  # integer tightening on derived bounds
+                    bound //= g  # floor: integer tightening on derived bounds
                 nxt.append((comb, bound))
                 if len(nxt) > max_constraints:
                     return None
         live = nxt
-    return False
-
-
-def _propagate_box(atoms: Sequence[F.Atom], terms: Sequence, width: int):
-    """Per-term integer bounds within [-width, width]; None when a range empties."""
-    lows = {F.term_key(t): -width for t in terms}
-    highs = {F.term_key(t): width for t in terms}
-    constraints = _as_le_constraints(atoms)
-    for _ in range(4):
-        changed = False
-        for coeffs, bound in constraints:
-            for tj, cj in coeffs.items():
-                kj = F.term_key(tj)
-                rest_min = 0
-                for ti, ci in coeffs.items():
-                    if ti is tj:
-                        continue
-                    ki = F.term_key(ti)
-                    rest_min += min(ci * lows[ki], ci * highs[ki])
-                slack = bound - rest_min
-                if cj > 0:
-                    hi = _floor_div(slack, cj)
-                    if hi < highs[kj]:
-                        highs[kj] = hi
-                        changed = True
-                else:
-                    lo = _ceil_div(slack, cj)
-                    if lo > lows[kj]:
-                        lows[kj] = lo
-                        changed = True
-        if not changed:
-            break
-    for t in terms:
-        k = F.term_key(t)
-        if lows[k] > highs[k]:
-            return None
-    return lows, highs
+    steps.extend((t, []) for _, t in sorted(remaining.items()))
+    return steps
 
 
 class Solver:
@@ -255,40 +225,18 @@ class Solver:
     def _clause_sat(self, atoms: tuple[F.Atom, ...]) -> SatResult:
         if not atoms:
             return SatResult(SAT, {})
-        fm = _fm_unsat(atoms, FM_CONSTRAINT_BOUND)
-        if fm is True:
+        steps = _fm_eliminate(atoms, FM_CONSTRAINT_BOUND)
+        if steps is True:
             return SatResult(UNSAT)
-        terms = []
-        seen = set()
-        for a in atoms:
-            for t, _ in a.terms:
-                k = F.term_key(t)
-                if k not in seen:
-                    seen.add(k)
-                    terms.append(t)
-        box = _propagate_box(atoms, terms, self.config.witness_box)
-        if box is None:
-            # Empty integer box: rationally satisfiable but no integer
-            # witness in range (divisibility gap); stay conservative.
+        if steps is None:
             return SatResult(MAYBE)
-        lows, highs = box
-        # Most-constrained dimension first keeps the search shallow.
-        order = sorted(terms, key=lambda t: (highs[F.term_key(t)] - lows[F.term_key(t)], F.term_key(t)))
-        index = {F.term_key(t): i for i, t in enumerate(order)}
-        enc = []
-        for a in atoms:
-            enc.append((0 if a.op == F.LE else 1, a.bound,
-                        tuple((index[F.term_key(t)], c) for t, c in a.terms)))
         self.stats["witness_searches"] += 1
-        point = kernels.find_conjunction_witness(
-            len(order),
-            [lows[F.term_key(t)] for t in order],
-            [highs[F.term_key(t)] for t in order],
-            enc,
-        )
-        if point is None:
+        witness = kernels.find_conjunction_witness(steps)
+        if witness is None:
+            # Rationally satisfiable, but back-substitution found no
+            # integer point within its budget (e.g. a divisibility gap).
             return SatResult(MAYBE)
-        return SatResult(SAT, {t: point[i] for i, t in enumerate(order)})
+        return SatResult(SAT, witness)
 
     # -- entailment ---------------------------------------------------------
 

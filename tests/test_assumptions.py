@@ -88,23 +88,38 @@ def comp_state(**kw):
 
 
 def test_strengthen_exceeded_excludes():
-    out, label = A.strengthen(comp_state(), exceeded=True, overflow_phi=None,
-                              predicate_domain=True)
+    out, label = A.strengthen(comp_state(), exceeded=True, overflow_phi=None)
     assert out.assumption == F.FALSE and label == F.FALSE
 
 
 def test_strengthen_overflow_feeds_assumption_and_predicate():
+    # The fact becomes the assumption and the edge label; the predicate
+    # state stays unstrengthened (the next transfer assumes the fact).
     phi = F.parse_formula("x <= 100")
-    out, label = A.strengthen(comp_state(), exceeded=False, overflow_phi=phi,
-                              predicate_domain=True)
-    assert out.assumption == phi and out.domain == phi and label == phi
+    out, label = A.strengthen(comp_state(), exceeded=False, overflow_phi=phi)
+    assert out.assumption == phi and out.domain == F.TRUE and label == phi
 
 
 def test_strengthen_identity():
     s = comp_state()
-    out, label = A.strengthen(s, exceeded=False, overflow_phi=F.TRUE,
-                              predicate_domain=True)
+    out, label = A.strengthen(s, exceeded=False, overflow_phi=F.TRUE)
     assert out == s and label == F.TRUE
+
+
+def test_predicate_transfer_assumes_overflow_fact(solver):
+    # y := x with y in [-3, 3]: the assert edge y > 3 is pruned under the
+    # fact, yet the predicate state that psi renders does not carry it.
+    cfa = lang.parse_program("int x, y; havoc x; y := x; assert(y <= 3);")
+    cpa = composite(cfa, solver, domain=D.PredicateDomain(solver, D.Precision()),
+                    overflow=A.OverflowComponent(-3, 3))
+    state = cpa.initial_state(cfa)
+    for edge in cfa.edges[:2]:
+        ((state, _),) = cpa.successors(state, edge)
+    assert state.domain == F.TRUE
+    assert state.assumption == F.parse_formula("y >= -3 & y <= 3")
+    failing = next(e for e in cfa.edges_from(state.location)
+                   if e.target in cfa.error_locations)
+    assert cpa.successors(state, failing) == []
 
 
 # -- composite merge / stop ------------------------------------------------------------
@@ -278,6 +293,22 @@ def test_observer_sink_semantics():
     assert obs.step("U", cfa.edges[0]) == A.SINK_UNKNOWN  # unrestricted below U
 
 
+def test_observer_labelled_transition_falls_to_unknown():
+    # A transition into T verified only under x <= 3 must not prune.
+    aut = A.AssumptionAutomaton(
+        initial="q0",
+        flags={"q0": ("init",), "T": ("T",), "U": ("U",)},
+        transitions={("q0", 0): (F.parse_formula("x <= 3"), "T"),
+                     ("q0", 1): (F.FALSE, "T")},
+        edge_count=2,
+    )
+    cfa = lang.parse_cfa(
+        "vars: x;\ninit: L0;\nL0 -> L0: x := x + 1;\nL0 -> L0: x := x + 2;\n")
+    obs = A.ObserverComponent(aut, cfa)
+    assert obs.step("q0", cfa.edges[0]) == A.SINK_UNKNOWN
+    assert obs.step("q0", cfa.edges[1]) is A.PRUNED  # a false label keeps its target
+
+
 def test_second_run_explores_only_unverified_paths(solver):
     # First run verifies one branch and gives up on the loop; the second
     # run restricted by the automaton must not re-enter the verified branch.
@@ -326,6 +357,19 @@ def test_overflow_analysis_reports_condition_with_bounds():
     rs = report.run
     assert any(s.overflow is not None for s in
                (n.state for n in rs.reached_nodes()))
+
+
+def test_overflow_condition_covers_out_of_range_states():
+    # psi must not hide the states outside [-3, 3]: y = 4 fails the
+    # assertion, so psi has to exclude it rather than render it away.
+    from cmcheck import driver, oracle
+
+    cfa = lang.parse_program("int x, y; havoc x; y := x; assert(y <= 3);")
+    report = driver.run_analysis(cfa, driver.AnalysisConfig(
+        name="predicate-overflow", domain="predicate", overflow=True,
+        overflow_min=-3, overflow_max=3))
+    assert report.verdict == "CONDITION"
+    assert oracle.condition_avoids_error(cfa, report.psi, havoc_range=(0, 4)) is True
 
 
 def test_overflow_off_by_default():

@@ -191,13 +191,26 @@ def test_cli_crash_exits_with_internal_error(tmp_path, capsys):
 
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):
     # The witness search runs on constants >= 2^63; they must stay exact
-    # integers, not overflow a machine word.
+    # integers, not overflow a machine word.  x = 3 reaches the error.
     f = tmp_path / "big.imp"
     f.write_text("int x, y; havoc x; y := x + 9223372036854775808;"
                  " assert(y != 9223372036854775811);")
     assert cli.main([str(f), "--config", "predicate",
-                     "--out-dir", str(tmp_path / "out")]) == 2
+                     "--out-dir", str(tmp_path / "out")]) == 1
     assert "internal error" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "witness.txt").exists()
+
+
+def test_cli_pipeline_keeps_overflow_labels_unverified(tmp_path, capsys):
+    # The predicate stage verifies the assertion only under y's machine
+    # bounds; the explicit stage must not prune there, and x = 2^31 fails.
+    f = tmp_path / "ov.imp"
+    f.write_text("int x, y; havoc x; y := x; assert(y <= 2147483647);")
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps({"stages": [
+        {"name": "predicate", "domain": "predicate", "overflow": True},
+        {"name": "explicit", "domain": "explicit"}]}))
+    assert cli.main([str(f), "--pipeline", str(pipe)]) == 1
 
 
 def test_cli_pipeline_and_automaton_flow(tmp_path, programs_dir):

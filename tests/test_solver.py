@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from cmcheck import _kernels
 from cmcheck import formula as F
 from cmcheck import lang, oracle
 from cmcheck import solver as S
@@ -31,8 +30,8 @@ def test_sum_bound_unsat(solver):
 
 
 def test_divisibility_gap_is_maybe(solver):
-    # Rationally satisfiable at x = 3/2; exhaustive scan of [-32, 32]
-    # confirms there is no integer witness.
+    # Rationally satisfiable at x = 3/2, but no integer has 2x = 3
+    # (a scan of [-32, 32] finds none), so the answer stays MaybeSat.
     assert not any(2 * x == 3 for x in range(-32, 33))
     assert sat_kind(solver, "2*x = 3") == S.MAYBE
 
@@ -128,47 +127,44 @@ def test_entails_reflexive_and_transitive(solver):
             assert solver.entails(f, h)
 
 
-# -- witness search kernel -------------------------------------------------------
+# -- witnesses by back-substitution ----------------------------------------------
 
-def random_conjunction(rng, n_dims):
-    atoms = []
-    for _ in range(rng.randint(0, 5)):
-        terms = []
-        for d in rng.sample(range(n_dims), rng.randint(1, n_dims)):
-            c = rng.randint(-3, 3)
-            if c:
-                terms.append((d, c))
-        atoms.append((rng.randint(0, 1), rng.randint(-7, 7), tuple(terms)))
-    return atoms
-
-
-def meets(point, atom):
-    op, bound, terms = atom
-    s = sum(c * point[d] for d, c in terms)
-    return s <= bound if op == 0 else s == bound
+def random_conjunction(rng, names):
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        terms = " + ".join(f"{rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])}*{v}" for v in chosen)
+        magnitude = rng.choice([6, 6, 10 ** 20])
+        parts.append(f"({terms} {rng.choice(['<=', '>=', '='])}"
+                     f" {rng.randint(-magnitude, magnitude)})")
+    return F.parse_formula(" & ".join(parts))
 
 
-def reference_witness(lows, highs, atoms):
-    """First point of the box, in itertools.product order, meeting every atom."""
-    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if all(meets(point, a) for a in atoms):
-            return point
-    return None
-
-
-def test_conjunction_witness_matches_reference():
-    rng = random.Random(42)
-    found = 0
+def test_back_substitution_witnesses(solver):
+    # Every Sat witness satisfies the formula, constants of +-10^20
+    # included, and Sat is found whenever the [-4,4]^4 box has a model.
+    rng = random.Random(6)
+    names = ("w", "x", "y", "z")
+    sat = boxed = 0
     for _ in range(400):
-        n = rng.randint(0, 3)
-        atoms = random_conjunction(rng, n) if n else [(0, rng.randint(-2, 2), ())]
-        lows = [rng.randint(-6, 0) for _ in range(n)]
-        highs = [lo + rng.randint(0, 8) for lo in lows]
-        want = reference_witness(lows, highs, atoms)
-        assert _kernels.find_conjunction_witness(n, lows, highs, atoms) == want, \
-            (n, lows, highs, atoms)
-        found += want is not None
-    assert found > 100  # both outcomes are exercised
+        f = random_conjunction(rng, names)
+        r = solver.check_sat(f)
+        if r.kind == S.SAT:
+            sat += 1
+            store = dict.fromkeys(names, 0)
+            store.update((t.name, v) for t, v in r.witness.items())
+            assert F.evaluate(f, store), F.render_formula(f)
+        if oracle.box_model(f, names, box=4) is not None:
+            boxed += 1
+            assert r.kind == S.SAT, F.render_formula(f)
+    assert boxed > 100 and sat > boxed + 100  # both kinds of witness are exercised
+
+
+def test_witness_far_outside_any_box(solver):
+    r = solver.check_sat(F.parse_formula("x - y = 100000000000000000000 & y >= 3"))
+    assert r.kind == S.SAT
+    w = {t.name: v for t, v in r.witness.items()}
+    assert w == {"x": 10 ** 20 + 3, "y": 3}
 
 
 # -- path formulas ---------------------------------------------------------------
