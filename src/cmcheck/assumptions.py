@@ -527,13 +527,3 @@ def _render_clause(clause: F.Formula) -> tuple:
             body = F.f_or(rest)
             return (guard.bound, f"({F.render_atom(guard)}) -> ({F.render_formula(body)})")
     return (-1, F.render_formula(clause))
-
-
-def parse_condition(text: str) -> F.Formula:
-    clauses = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        clauses.append(F.parse_formula(line))
-    return F.f_and(clauses)

@@ -178,8 +178,9 @@ class PredicateDomain:
 
     Successor abstraction is the strongest boolean combination of the
     target location's predicates implied by the strongest postcondition:
-    exact minterm enumeration up to ``minterm_bound`` predicates, then the
-    (weaker but sound) cartesian abstraction.
+    up to ``minterm_bound`` predicates, the disjunction of the minterms the
+    solver does not refute (``Solver.sat_minterms``, one pruned enumeration
+    per transfer); above it, the (weaker but sound) cartesian abstraction.
     """
 
     name = "predicate"
@@ -233,14 +234,7 @@ class PredicateDomain:
 
     def _boolean_abstraction(self, sp, pi, at_latest) -> list[F.Formula]:
         ssa_preds = [F.rename_vars(F.AtomF(p), at_latest) for p in pi]
-        survivors = []
-        for bits in range(1 << len(pi)):
-            literals = []
-            for i, pred in enumerate(ssa_preds):
-                literals.append(pred if (bits >> i) & 1 else F.f_not(pred))
-            query = F.f_and([sp] + literals)
-            if self.solver.check_sat(query).kind != solver_mod.UNSAT:
-                survivors.append(bits)
+        survivors = self.solver.sat_minterms(sp, ssa_preds)
         if not survivors:
             return []
         return [cubes_to_formula(reduce_cubes(survivors, len(pi)), pi)]

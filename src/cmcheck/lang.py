@@ -18,6 +18,13 @@ from typing import Mapping, Optional, Union
 LocationId = int
 EdgeId = int
 
+# Deepest nesting the parsers accept.  Parentheses, unary operators and
+# statements inside statements nest at most this deep, counted together,
+# and every expression tree is at most this high; deeper input is a
+# ParseError.  Parsing, evaluation, linearization and rendering recurse
+# once per level, so the limit keeps them inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(Exception):
     """Syntax or scoping error, carrying a 1-based source position."""
@@ -86,6 +93,21 @@ Expr = Union[ArithExpr, BoolExpr]
 def negate(e: BoolExpr) -> BoolExpr:
     """Structural negation; branches carry complementary conditions."""
     return Not(e)
+
+
+def expr_height(e: Expr) -> int:
+    """Levels of the expression tree (a leaf is 1), computed without recursion."""
+    height = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, (BinOp, Cmp, And, Or)):
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
+        elif isinstance(node, Not):
+            stack.append((node.arg, level + 1))
+    return height
 
 
 def variables_of(e: Expr) -> set[str]:
@@ -356,6 +378,27 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, tok: _Tok, parse, *args):
+        """``parse(*args)`` one level deeper; a ParseError past MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.depth += 1
+        try:
+            return parse(*args)
+        finally:
+            self.depth -= 1
+
+    def bounded(self, parse, tok: _Tok) -> Expr:
+        """``parse()``, rejecting a tree more than MAX_NESTING levels high."""
+        start = self.pos
+        e = parse()
+        # Every level of the tree takes at least one token of its own.
+        if self.pos - start > MAX_NESTING and expr_height(e) > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+        return e
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -405,7 +448,7 @@ class _Parser:
         t = self.peek()
         if t.text == "!":
             self.next()
-            return Not(self.bool_factor())
+            return Not(self.nested(t, self.bool_factor))
         if t.kind == "name" and t.text == "true":
             self.next()
             return BoolConst(True)
@@ -417,7 +460,7 @@ class _Parser:
             saved = self.pos
             self.next()
             try:
-                e = self.bool_expr()
+                e = self.nested(t, self.bool_expr)
                 self.expect(")")
                 if self.peek().text in ("<", "<=", "==", "=", "!=", ">=", ">"):
                     raise ParseError("comparison of boolean", t.line, t.col)
@@ -459,7 +502,7 @@ class _Parser:
             return Const(int(t.text))
         if t.text == "-":
             self.next()
-            inner = self.arith_factor()
+            inner = self.nested(t, self.arith_factor)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return BinOp("-", Const(0), inner)
@@ -468,18 +511,10 @@ class _Parser:
             return Var(t.text)
         if t.text == "(":
             self.next()
-            e = self.arith_expr()
+            e = self.nested(t, self.arith_expr)
             self.expect(")")
             return e
         self.fail(f"expected expression, found {t.text or 'end of input'!r}")
-
-
-def parse_bool_expr(text: str) -> BoolExpr:
-    p = _Parser(text)
-    e = p.bool_expr()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after expression")
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +581,9 @@ class _ProgramParser(_Parser):
         return loc
 
     def stmt(self, b: _CfaBuilder, loc: LocationId) -> LocationId:
+        return self.nested(self.peek(), self._stmt, b, loc)
+
+    def _stmt(self, b: _CfaBuilder, loc: LocationId) -> LocationId:
         t = self.peek()
         if t.text == "int":
             raise ParseError("declarations must precede statements", t.line, t.col)
@@ -569,7 +607,7 @@ class _ProgramParser(_Parser):
         if t.text == "if":
             self.next()
             self.expect("(")
-            cond = self.bool_expr()
+            cond = self.bounded(self.bool_expr, t)
             self.check_declared(cond, t)
             self.expect(")")
             then_start = b.fresh()
@@ -589,7 +627,7 @@ class _ProgramParser(_Parser):
         if t.text == "while":
             self.next()
             self.expect("(")
-            cond = self.bool_expr()
+            cond = self.bounded(self.bool_expr, t)
             self.check_declared(cond, t)
             self.expect(")")
             body_start = b.fresh()
@@ -602,7 +640,7 @@ class _ProgramParser(_Parser):
         if t.text == "assert":
             self.next()
             self.expect("(")
-            cond = self.bool_expr()
+            cond = self.bounded(self.bool_expr, t)
             self.check_declared(cond, t)
             self.expect(")")
             self.expect(";")
@@ -629,7 +667,7 @@ class _ProgramParser(_Parser):
                 nxt = b.fresh()
                 b.edge(loc, nxt, Havoc(name.text))
                 return nxt
-            rhs = self.arith_expr()
+            rhs = self.bounded(self.arith_expr, name)
             if "nondet" in variables_of(rhs):
                 raise ParseError("nondet() must be the whole right-hand side", name.line, name.col)
             self.check_declared(rhs, name)
@@ -709,7 +747,7 @@ def parse_cfa(source_text: str) -> Cfa:
         op: Operation
         if t.text == "assume":
             p.next()
-            op = Assume(p.bool_expr())
+            op = Assume(p.bounded(p.bool_expr, t))
         elif t.text == "havoc":
             p.next()
             v = p.next()
@@ -721,7 +759,7 @@ def parse_cfa(source_text: str) -> Cfa:
             if v.kind != "name":
                 raise ParseError("expected operation", v.line, v.col)
             p.expect(":=")
-            op = Assign(v.text, p.arith_expr())
+            op = Assign(v.text, p.bounded(p.arith_expr, v))
         p.expect(";")
         edges.append(Edge(len(edges), src, dst, op))
 

@@ -2,9 +2,17 @@
 
 The decision procedure is deliberately self-contained: normalize to DNF
 (bounded), then per conjunct run integer Fourier-Motzkin elimination
-(combination results are gcd-reduced with floor-tightened bounds).  When
-the projection is rationally satisfiable, its elimination record yields
-an integer witness by back-substitution (``_kernels``).
+(combination results are gcd-reduced with floor-tightened bounds) over
+terms numbered in ``term_key`` order.  When the projection is rationally
+satisfiable, its elimination record yields an integer witness by
+back-substitution (``_kernels``).
+
+Predicate abstraction asks only which minterms over the predicates are
+not refuted (``Solver.sat_minterms``): the formula's DNF is computed once,
+each clause is extended one predicate literal at a time, and a prefix
+that Fourier-Motzkin refutes is dropped with all its extensions, without
+any witness search (Lahiri, Nieuwenhuis and Oliveras, "SMT Techniques for
+Fast Predicate Abstraction", CAV 2006).
 
 Unsat answers are sound; Sat is only reported with a concrete integer
 witness; everything else is MaybeSat.  Opaque product terms are free
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _kernels as kernels
 from . import formula as F
@@ -100,17 +108,6 @@ def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
 # Conjunct decision: Fourier-Motzkin, then a witness by back-substitution
 # ---------------------------------------------------------------------------
 
-def _as_le_constraints(atoms: Sequence[F.Atom]) -> list[tuple[dict, int]]:
-    """Each constraint means sum(coeff * term) <= bound; equalities split."""
-    cs: list[tuple[dict, int]] = []
-    for a in atoms:
-        coeffs = {t: c for t, c in a.terms}
-        cs.append((coeffs, a.bound))
-        if a.op == F.EQ:
-            cs.append(({t: -c for t, c in coeffs.items()}, -a.bound))
-    return cs
-
-
 def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
     """Integer Fourier-Motzkin projection of one conjunct, with its record.
 
@@ -123,50 +120,64 @@ def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
     elimination, or their coefficients cancelled) come last, with no
     constraints, so back-substitution fixes them first and can still
     back off their values.
-    """
-    live: list[tuple[dict, int]] = []
-    for coeffs, bound in _as_le_constraints(atoms):
-        if coeffs:
-            live.append((coeffs, bound))
-        elif bound < 0:
-            return True
-    remaining = {}
-    for coeffs, _ in live:
-        for t in coeffs:
-            remaining.setdefault(F.term_key(t), t)
 
-    steps: list[tuple[F.Term, list[tuple[dict, int]]]] = []
+    Elimination runs on terms numbered in ``term_key`` order, so ties in
+    the cheapest-term choice go to the smaller ``term_key``; the record is
+    mapped back to terms only on return.
+    """
+    terms = sorted({t for a in atoms for t, _ in a.terms}, key=F.term_key)
+    number = {t: i for i, t in enumerate(terms)}
+
+    # Each constraint means sum(coeff * term) <= bound; equalities split.
+    live: list[tuple[dict, int]] = []
+    for a in atoms:
+        if not a.terms:
+            if not (0 <= a.bound if a.op == F.LE else a.bound == 0):
+                return True
+            continue
+        coeffs = {number[t]: c for t, c in a.terms}
+        live.append((coeffs, a.bound))
+        if a.op == F.EQ:
+            live.append(({v: -c for v, c in coeffs.items()}, -a.bound))
+    remaining = set(range(len(terms)))
+
+    steps: list[tuple[int, list[tuple[dict, int]]]] = []
+    ups = [0] * len(terms)
+    downs = [0] * len(terms)
     while live:
-        terms = {}
+        for v in remaining:
+            ups[v] = downs[v] = 0
         for coeffs, _ in live:
-            for t in coeffs:
-                terms.setdefault(F.term_key(t), t)
-        # Pick the cheapest variable to eliminate, deterministically.
-        best = None
-        for key, t in sorted(terms.items()):
-            ups = sum(1 for c, _ in live if c.get(t, 0) > 0)
-            downs = sum(1 for c, _ in live if c.get(t, 0) < 0)
-            cost = ups * downs
-            if best is None or cost < best[0]:
-                best = (cost, key, t)
-        _, key, var = best
-        uppers = [(c, b) for c, b in live if c.get(var, 0) > 0]
-        lowers = [(c, b) for c, b in live if c.get(var, 0) < 0]
+            for v, c in coeffs.items():
+                if c > 0:
+                    ups[v] += 1
+                else:
+                    downs[v] += 1
+        # Eliminate the cheapest term; ties go to the smallest term_key.
+        var = min((v for v in remaining if ups[v] or downs[v]),
+                  key=lambda v: (ups[v] * downs[v], v))
+        uppers = []
+        lowers = []
+        nxt = []
+        for coeffs, bound in live:
+            c = coeffs.get(var, 0)
+            if c > 0:
+                uppers.append((coeffs, bound))
+            elif c < 0:
+                lowers.append((coeffs, bound))
+            else:
+                nxt.append((coeffs, bound))
         steps.append((var, uppers + lowers))
-        del remaining[key]
-        nxt = [(c, b) for c, b in live if c.get(var, 0) == 0]
+        remaining.discard(var)
         for uc, ub in uppers:
             a = uc[var]
             for lc, lb in lowers:
                 b = -lc[var]
-                comb: dict = {}
-                for t, c in uc.items():
-                    if t != var:
-                        comb[t] = comb.get(t, 0) + b * c
-                for t, c in lc.items():
-                    if t != var:
-                        comb[t] = comb.get(t, 0) + a * c
-                comb = {t: c for t, c in comb.items() if c}
+                comb = {v: b * c for v, c in uc.items() if v != var}
+                for v, c in lc.items():
+                    if v != var:
+                        comb[v] = comb.get(v, 0) + a * c
+                comb = {v: c for v, c in comb.items() if c}
                 bound = b * ub + a * lb
                 if not comb:
                     if bound < 0:
@@ -176,14 +187,16 @@ def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
                 for c in comb.values():
                     g = gcd(g, abs(c))
                 if g > 1:
-                    comb = {t: c // g for t, c in comb.items()}
+                    comb = {v: c // g for v, c in comb.items()}
                     bound //= g  # floor: integer tightening on derived bounds
                 nxt.append((comb, bound))
                 if len(nxt) > max_constraints:
                     return None
         live = nxt
-    steps.extend((t, []) for _, t in sorted(remaining.items()))
-    return steps
+    steps.extend((v, []) for v in sorted(remaining))
+    return [(terms[v], [({terms[u]: c for u, c in coeffs.items()}, bound)
+                        for coeffs, bound in cs])
+            for v, cs in steps]
 
 
 class Solver:
@@ -237,6 +250,44 @@ class Solver:
             # integer point within its budget (e.g. a divisibility gap).
             return SatResult(MAYBE)
         return SatResult(SAT, witness)
+
+    def sat_minterms(self, f: F.Formula, preds: Sequence[F.Formula]) -> list[int]:
+        """Sorted bit-vectors ``b`` for which ``f & minterm(b)`` is not refuted.
+
+        Bit i of ``b`` set means ``preds[i]`` holds, clear means its
+        negation holds.  DNF(f) is computed once; each of its clauses is
+        extended one predicate literal at a time, in index order, and a
+        prefix that Fourier-Motzkin refutes is dropped with all its
+        extensions.  Raises FormulaTooLarge when the clauses of the
+        largest minterm query would exceed ``dnf_clause_bound``.
+        """
+        bound = self.config.dnf_clause_bound
+        clauses = to_dnf(f, bound)
+        # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
+        literals = [(to_dnf(F.f_not(p), bound), to_dnf(p, bound)) for p in preds]
+        size = len(clauses)
+        for neg, pos in literals:
+            size *= max(len(neg), len(pos))
+        if size > bound:
+            raise F.FormulaTooLarge(f"minterm queries exceed {bound} clauses")
+        found: set[int] = set()
+
+        def extend(prefix: dict, i: int, bits: int, grew: bool) -> None:
+            if grew and _fm_eliminate(tuple(prefix), FM_CONSTRAINT_BOUND) is True:
+                return
+            if i == len(literals):
+                found.add(bits)
+                return
+            for value, options in enumerate(literals[i]):
+                for clause in options:
+                    merged = dict(prefix)
+                    merged.update(dict.fromkeys(clause))
+                    # A literal already in the prefix cannot refute it.
+                    extend(merged, i + 1, bits | (value << i), len(merged) > len(prefix))
+
+        for clause in clauses:
+            extend(dict.fromkeys(clause), 0, 0, True)
+        return sorted(found)
 
     # -- entailment ---------------------------------------------------------
 
@@ -294,10 +345,3 @@ def extend_path_formula(pf: PathFormula, edge: lang.Edge) -> PathFormula:
         assert isinstance(op, lang.Havoc)
         idx[op.var] = idx.get(op.var, 0) + 1
     return PathFormula(constraints, idx)
-
-
-def build_path_formula(edges: Iterable[lang.Edge]) -> PathFormula:
-    pf = PathFormula((), {})
-    for e in edges:
-        pf = extend_path_formula(pf, e)
-    return pf

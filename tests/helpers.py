@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from cmcheck import engine, lang, oracle
+from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
 
@@ -158,3 +159,11 @@ def replay_witness(cfa: lang.Cfa, witness) -> bool:
         if oracle.store_of(state) != expected_store:
             return False
     return state[0] in cfa.error_locations
+
+
+def path_formula(edges) -> S.PathFormula:
+    """SSA path formula of an edge sequence, one shipped step per edge."""
+    pf = S.PathFormula((), {})
+    for e in edges:
+        pf = S.extend_path_formula(pf, e)
+    return pf

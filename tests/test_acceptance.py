@@ -9,6 +9,7 @@ the oracle module.
 
 import random
 import time
+from collections import Counter
 
 from cmcheck import assumptions as A
 from cmcheck import domains as D
@@ -38,15 +39,15 @@ def _shipped_matrix() -> list[AnalysisConfig]:
     ]
 
 
-def _check_soundness(cfa, report) -> None:
+def _check_soundness(cfa, report, havoc_range=(0, 4)) -> None:
     if report.verdict == "TRUE":
-        ground = oracle.enumerate_reachable(cfa, havoc_range=(0, 4), max_states=8000)
+        ground = oracle.enumerate_reachable(cfa, havoc_range=havoc_range, max_states=8000)
         assert not ground.error_hit, "verdict TRUE but brute force finds an error"
     elif report.verdict == "FALSE":
         assert replay_witness(cfa, report.witness), "witness does not replay"
     else:
         ok = oracle.condition_avoids_error(cfa, report.psi,
-                                           havoc_range=(0, 4), max_states=20000)
+                                           havoc_range=havoc_range, max_states=20000)
         assert ok is not None, "oracle budget exhausted; shrink the program"
         assert ok, "an execution inside psi reaches an error location"
 
@@ -70,6 +71,44 @@ def test_criterion_1_condition_soundness():
     assert elapsed < 300, f"criterion 1 exceeded its 5-minute budget ({elapsed:.0f}s)"
     _report(1, f"condition soundness over {len(programs)} programs, "
                f"{runs} runs, 0 violations, {elapsed:.0f}s")
+
+
+def _overflow_config(domain: str) -> AnalysisConfig:
+    return AnalysisConfig(name=f"{domain}-overflow", domain=domain, overflow=True,
+                          overflow_min=-3, overflow_max=3, fuel=1500, max_refinements=25)
+
+
+def test_criterion_1_soundness_under_overflow_bounds():
+    # With machine bounds [-3, 3], havoc values fall on both sides of the
+    # bounds.  A condition must still exclude the out-of-range states it
+    # did not verify, and a pipeline whose first stage assumed the bounds
+    # may answer TRUE only if no execution at all reaches an error.
+    family = [f"int x, y; havoc x; {guard}y := x + {k}; assert(y <= {c});{end}"
+              for guard, end in (("", ""), ("if (x >= 0 && x <= 2) { ", " }"))
+              for k in range(-4, 5) for c in (-4, -3, -2, 2, 3, 4)]
+    rng = random.Random(20110901)
+    corpus = [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                         require_assert=(i % 2 == 0))
+              for i in range(60)]
+    cases = [(lang.parse_program(t), (-6, 6)) for t in family]
+    cases += [(cfa, (0, 4)) for cfa in corpus]
+    verdicts = Counter()
+    for cfa, havoc_range in cases:
+        for domain in ("predicate", "explicit"):
+            report = run_analysis(cfa, _overflow_config(domain))
+            _check_soundness(cfa, report, havoc_range)
+            verdicts[report.verdict] += 1
+        for first, second in (("predicate", "explicit"), ("explicit", "predicate")):
+            final = run_pipeline(cfa, Pipeline(stages=[
+                _overflow_config(first),
+                AnalysisConfig(name=second, domain=second, fuel=1500, max_refinements=25)]))
+            if final.verdict != "CONDITION":
+                _check_soundness(cfa, final.last_report, havoc_range)
+            verdicts[f"pipeline {final.verdict}"] += 1
+    # every outcome the checks guard is exercised
+    assert min(verdicts[v] for v in ("CONDITION", "FALSE", "pipeline TRUE")) > 50, verdicts
+    _report(1, f"overflow bounds [-3, 3]: {len(cases)} programs, "
+               f"{sum(verdicts.values())} runs, 0 violations")
 
 
 def test_criterion_2_nonlinear_scenario(nonlinear_square_cfa):

@@ -180,13 +180,63 @@ def test_cli_usage_error(tmp_path, capsys):
     assert cli.main([str(f2), "--config", "nope"]) == 3
 
 
-def test_cli_crash_exits_with_internal_error(tmp_path, capsys):
-    # 3000 terms overflow the recursive frontend.  The crash must exit 4,
-    # never 1, which would read as the verdict FALSE.
-    f = tmp_path / "deep.imp"
-    f.write_text("int x; x := " + " + ".join(["x"] * 3000) + ";")
+def test_cli_crash_exits_with_internal_error(tmp_path, capsys, monkeypatch):
+    # A crash must exit 4, never 1, which would read as the verdict FALSE.
+    def crash(cfa, pipeline):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(driver, "run_pipeline", crash)
+    f = tmp_path / "p.imp"
+    f.write_text("int x; x := 2; assert(x == 1);")
     assert cli.main([str(f)]) == 4
     assert capsys.readouterr().err.startswith("cmcheck: internal error: RecursionError")
+
+
+DEEP_SUM = "int x; x := " + " + ".join(["x"] * 3000) + ";"
+DEEP_IFS = "int x; havoc x; " + "if (x < 5) { " * 600 + "x := 1;" + " }" * 600
+
+
+@pytest.mark.parametrize("text", [DEEP_SUM, DEEP_IFS], ids=["sum", "ifs"])
+def test_cli_deep_input_is_a_parse_error(tmp_path, capsys, text):
+    f = tmp_path / "deep.imp"
+    f.write_text(text)
+    assert cli.main([str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cmcheck: ") and f"deeper than {lang.MAX_NESTING}" in err
+    assert "Traceback" not in err
+
+
+def nested_programs(n):
+    """One program of each kind that nests exactly n levels deep."""
+    return {
+        # n - 1 operators make a tree n levels high
+        "sum": "int x; havoc x; x := " + " + ".join(["x"] * n) + "; assert(x != 7);",
+        "product": "int x; havoc x; x := " + " * ".join(["x"] * n) + "; assert(x != 8);",
+        "condition": "int x; havoc x; assert(" + " + ".join(["x"] * (n - 1)) + " != 7);",
+        # n - 1 statements around an innermost one
+        "ifs": "int x; havoc x; " + "if (x < 5) " * (n - 1) + "x := 1; assert(x != 1);",
+        # the assignment plus n - 1 parentheses
+        "parens": ("int x; havoc x; x := " + "(" * (n - 1) + "x + 1" + ")" * (n - 1)
+                   + "; assert(x != 7);"),
+    }
+
+
+@pytest.mark.parametrize("config", sorted(driver.shipped_configurations()))
+def test_programs_at_the_nesting_limit_analyse(config):
+    for name, text in nested_programs(lang.MAX_NESTING).items():
+        final = driver.run_pipeline(lang.parse_program(text),
+                                    driver.parse_config(config_name=config))
+        assert final.verdict in ("TRUE", "FALSE", "CONDITION"), name
+
+
+def test_one_level_past_the_nesting_limit_is_a_parse_error():
+    n = lang.MAX_NESTING
+    for name, text in nested_programs(n + 1).items():
+        with pytest.raises(lang.ParseError, match="deeper than"):
+            lang.parse_program(text)
+    for op in ("x := " + " + ".join(["x"] * (n + 1)), "assume " + "!" * n + "(x < 1)"):
+        with pytest.raises(lang.ParseError, match="deeper than"):
+            lang.parse_cfa(f"vars: x;\ninit: L0;\nL0 -> L1: {op};\n")
 
 
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):

@@ -74,7 +74,8 @@ def test_opaque_products():
 
 def test_substitute_through_assignment():
     f = F.parse_formula("x >= 3")
-    sub = F.substitute(f, "x", F.linearize(lang.parse_bool_expr("y + 1 == 0").left))
+    rhs = lang.parse_program("int x, y; x := y + 1;").edges[0].op.expr
+    sub = F.substitute(f, "x", F.linearize(rhs))
     assert sub == F.parse_formula("y >= 2")
 
 

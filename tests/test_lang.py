@@ -152,13 +152,19 @@ def test_roundtrip_twenty_edge_fixture():
 
 # -- evaluation ----------------------------------------------------------------
 
+def condition(text: str):
+    """The expression of an assume edge, read by the .cfa frontend."""
+    cfa = lang.parse_cfa(f"vars: x, y;\ninit: L0;\nL0 -> L1: assume {text};\n")
+    return cfa.edges[0].op.expr
+
+
 def test_three_valued_evaluation():
-    e = lang.parse_bool_expr("x < 10")
+    e = condition("x < 10")
     assert lang.eval_bool(e, {"x": 3}) is True
     assert lang.eval_bool(e, {"x": None}) is None
-    both = lang.parse_bool_expr("x < 10 && y > 0")
+    both = condition("x < 10 && y > 0")
     assert lang.eval_bool(both, {"x": 20, "y": None}) is False
-    assert lang.eval_bool(lang.parse_bool_expr("x < 10 || y > 0"),
+    assert lang.eval_bool(condition("x < 10 || y > 0"),
                           {"x": 3, "y": None}) is True
 
 
@@ -166,6 +172,6 @@ def test_expression_rendering_reparses():
     texts = ["x + 1 < 2 * y", "!(x == 0) && y >= -3", "x - (y - 1) != 0",
              "x * x >= x", "true", "x <= 0 || x > 5"]
     for t in texts:
-        e = lang.parse_bool_expr(t)
-        again = lang.parse_bool_expr(lang.render_expr(e))
+        e = condition(t)
+        again = condition(lang.render_expr(e))
         assert again == e, t

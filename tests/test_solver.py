@@ -9,7 +9,7 @@ from cmcheck import formula as F
 from cmcheck import lang, oracle
 from cmcheck import solver as S
 
-from helpers import random_cfa
+from helpers import path_formula, random_cfa
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,85 @@ def test_witness_far_outside_any_box(solver):
     assert w == {"x": 10 ** 20 + 3, "y": 3}
 
 
+# -- minterm enumeration for predicate abstraction --------------------------------
+
+def random_predicates(rng, names, n):
+    pi = []
+    while len(pi) < n:
+        chosen = rng.sample(names, rng.randint(1, 2))
+        terms = " + ".join(f"{rng.choice([-2, -1, 1, 2])}*{v}" for v in chosen)
+        f = F.parse_formula(f"{terms} {rng.choice(['<=', '>=', '='])} {rng.randint(-4, 4)}")
+        if isinstance(f, F.AtomF) and f.atom not in pi:
+            pi.append(f.atom)
+    return pi
+
+
+def test_sat_minterms_matches_per_minterm_queries(solver):
+    # The pruned enumeration keeps every minterm that its own query finds
+    # SAT or that the [-6,6]^3 box realizes, and none that the query refutes.
+    rng = random.Random(7)
+    names = ("x", "y", "z")
+    kept = dropped = 0
+    for _ in range(150):
+        sp = F.f_or([random_formula(rng), random_formula(rng)])
+        pi = random_predicates(rng, names, rng.randint(1, 4))
+        preds = [F.AtomF(p) for p in pi]
+        got = solver.sat_minterms(sp, preds)
+        assert got == sorted(set(got))
+        kinds = {}
+        for bits in range(1 << len(pi)):
+            literals = [p if (bits >> i) & 1 else F.f_not(p) for i, p in enumerate(preds)]
+            kinds[bits] = solver.check_sat(F.f_and([sp] + literals)).kind
+        assert set(got) <= {b for b, k in kinds.items() if k != S.UNSAT}
+        assert set(got) >= {b for b, k in kinds.items() if k == S.SAT}
+        assert set(got) >= oracle.box_minterms(sp, pi, names, box=6)
+        kept += len(got)
+        dropped += len(kinds) - len(got)
+    assert kept > 200 and dropped > 200  # both outcomes are exercised
+
+
+def test_fm_record_mentions_only_later_terms():
+    rng = random.Random(11)
+    records = 0
+    for _ in range(400):
+        f = random_conjunction(rng, ("w", "x", "y", "z", "x*y"))
+        for clause in S.to_dnf(f, 4096):
+            steps = S._fm_eliminate(clause, S.FM_CONSTRAINT_BOUND)
+            if steps is True or steps is None:
+                continue
+            records += 1
+            order = [t for t, _ in steps]
+            assert sorted(order, key=F.term_key) == sorted(
+                {t for a in clause for t, _ in a.terms}, key=F.term_key)
+            for i, (term, constraints) in enumerate(steps):
+                later = set(order[i + 1:])
+                for coeffs, _ in constraints:
+                    assert term in coeffs and set(coeffs) - {term} <= later
+    assert records > 200
+
+
+@pytest.mark.parametrize("disjuncts,fails", [(16, False), (17, True)])
+def test_minterm_queries_limited_up_front(disjuncts, fails):
+    # Each negated equality predicate splits into two clauses, so eight of
+    # them over 16 disjuncts reach exactly the default 4096-clause bound.
+    from cmcheck import domains as D
+
+    prec = D.Precision()
+    for i in range(8):
+        prec.add(1, F.parse_formula(f"y = {i}").atom)
+    dom = D.PredicateDomain(S.Solver(), prec)
+    state = F.f_or([F.parse_formula(f"x = {i}") for i in range(disjuncts)])
+    step = lang.parse_cfa("vars: x, y;\ninit: L0;\nL0 -> L1: havoc y;\n").edges[0]
+    if fails:
+        with pytest.raises(D.AbstractionFailure):
+            dom.transfer(state, step)
+    else:
+        out, = dom.transfer(state, step)
+        # y takes at most one of the eight values
+        assert oracle.abstraction_minterms(out, prec.atoms_at(1)) == \
+            {0} | {1 << i for i in range(8)}
+
+
 # -- path formulas ---------------------------------------------------------------
 
 def edges_of(src: str):
@@ -174,7 +253,7 @@ def edges_of(src: str):
 
 
 def test_path_formula_assignment_chain():
-    pf = S.build_path_formula(edges_of("int x; x := 0; x := x + 1;"))
+    pf = path_formula(edges_of("int x; x := 0; x := x + 1;"))
     assert pf.ssa == {"x": 2}
     rendered = F.render_formula(pf.formula)
     assert "x@1" in rendered and "x@2" in rendered
@@ -187,7 +266,7 @@ def test_path_formula_assignment_chain():
 
 def test_path_formula_assume_normalizes():
     cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: assume x < 10;\n")
-    pf = S.build_path_formula(cfa.edges)
+    pf = path_formula(cfa.edges)
     assert pf.formula == F.mk_atom(F.lin_var("x@0"), F.LE, 9)
     assert pf.ssa == {}
 
@@ -195,13 +274,13 @@ def test_path_formula_assume_normalizes():
 def test_path_formula_havoc_bumps_index():
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nL0 -> L1: havoc x;\nL1 -> L2: assume x >= 1;\n")
-    pf = S.build_path_formula(cfa.edges)
+    pf = path_formula(cfa.edges)
     assert pf.ssa == {"x": 1}
     assert pf.formula == F.mk_atom(F.lin_scale(F.lin_var("x@1"), -1), F.LE, -1)
 
 
 def test_atom_count_on_path_formula():
-    pf = S.build_path_formula(edges_of(
+    pf = path_formula(edges_of(
         "int x, y; x := 0; y := x + 2; x := y - 1;"))
     assert F.atom_count(pf.formula) == 3
     assert F.atom_count(F.TRUE) == 0
@@ -212,7 +291,7 @@ def test_seven_edge_chain_matches_interpreter(solver):
     src = "int x, y; x := 1; y := x + 2; x := y * 1;"
     cfa = lang.parse_program(src + " assert(x == 3);")
     ok_path = [e for e in cfa.edges if e.target not in cfa.error_locations]
-    pf = S.build_path_formula(ok_path)
+    pf = path_formula(ok_path)
     start = F.f_and([F.mk_atom(F.lin_var(S.ssa_name(v, 0)), F.EQ, 0)
                      for v in cfa.variables])
     assert solver.check_sat(F.f_and([start, pf.formula])).kind == S.SAT
@@ -240,7 +319,7 @@ def test_random_paths_executability_matches_interpreter(solver):
             path.append(e)
         if not path:
             continue
-        pf = S.build_path_formula(path)
+        pf = path_formula(path)
         init = F.f_and([F.mk_atom(F.lin_var(S.ssa_name(v, 0)), F.EQ, 0)
                         for v in cfa.variables])
         kind = solver.check_sat(F.f_and([init, pf.formula])).kind
