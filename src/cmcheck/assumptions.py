@@ -219,11 +219,17 @@ class CompositeCpa:
             return (state.location, state.observer, state.domain)
         return (state.location, state.observer)
 
+    def shape_key(self, state: CompositeState):
+        """(stop-check key, shape) for the engine's shape index, or None."""
+        if self._is_explicit:
+            return (state.location, state.observer), state.domain.shape()
+        return None
+
     def stop_candidates(self, state: CompositeState, rs: engine.RunState):
         if self._is_explicit:
-            for weaker in self.domain.cover_keys(state.domain):
-                bucket = rs.group_bucket((state.location, state.observer, weaker))
-                yield from bucket
+            shapes = rs.shape_bucket((state.location, state.observer))
+            for weaker in self.domain.cover_keys(state.domain, shapes):
+                yield from rs.group_bucket((state.location, state.observer, weaker))
         else:
             yield from rs.group_bucket((state.location, state.observer))
 
@@ -414,7 +420,10 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
             main = next((c for c in kids if c.covered_by is None), None)
             if main is None:
                 main = min(kids, key=lambda c: c.covered_by.nid)
-            label = F.f_and(c.assumption for c in kids)
+            if len(kids) == 1:
+                label = kids[0].assumption  # already canonical
+            else:
+                label = F.f_and(c.assumption for c in kids)
             transitions[(sid, edge_id)] = (label, resolve(main))
         loc = cpa.location_of(n.state)
         for edge in rs.cfa.edges_from(loc):

@@ -44,6 +44,10 @@ class ExplicitState:
     def store(self) -> dict[str, Optional[int]]:
         return dict(self.bindings)
 
+    def shape(self) -> tuple[str, ...]:
+        """The variables this store defines, in binding order."""
+        return tuple(v for v, _ in self.bindings)
+
     def with_binding(self, var: str, value: Optional[int]) -> "ExplicitState":
         items = [(v, val) for v, val in self.bindings if v != var]
         if value is not None:
@@ -91,12 +95,31 @@ class ExplicitDomain:
             for v, val in state.bindings
         )
 
-    def cover_keys(self, state: ExplicitState):
-        """All weaker-or-equal stores; reached covers are found by lookup."""
-        items = state.bindings
-        n = len(items)
-        for mask in range((1 << n) - 1, -1, -1):
-            yield ExplicitState(tuple(items[i] for i in range(n) if (mask >> i) & 1))
+    def cover_keys(self, state: ExplicitState, shapes):
+        """The sub-stores of ``state`` with one of the given shapes.
+
+        Only a sub-store can cover ``state``, so reached covers are found
+        by looking these up.  ``shapes`` are the shapes reached at the
+        state's stop-check key; each that ``state`` defines gives one
+        projection.  They come strongest first, in descending order of
+        the subset mask over ``state.bindings`` (bit i for binding i),
+        which is the order of the full 2^n sub-store enumeration.
+        """
+        bits = {v: 1 << i for i, (v, _) in enumerate(state.bindings)}
+        found = []
+        for shape in shapes:
+            mask = 0
+            for v in shape:
+                bit = bits.get(v)
+                if bit is None:
+                    break
+                mask |= bit
+            else:
+                found.append((mask, shape))
+        found.sort(reverse=True)
+        values = dict(state.bindings)
+        for _, shape in found:
+            yield ExplicitState(tuple((v, values[v]) for v in shape))
 
 
 # ---------------------------------------------------------------------------

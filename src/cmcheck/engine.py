@@ -62,6 +62,9 @@ class RunState:
         self.exact: dict[Any, ArtNode] = {}
         self.groups: dict[Any, list[ArtNode]] = {}
         self.merge_groups: dict[Any, list[ArtNode]] = {}
+        # Stop-check key -> the shapes of the states ever indexed there
+        # (see CompositeCpa.shape_key); a stale shape is an empty lookup.
+        self.shapes: dict[Any, dict[Any, None]] = {}
         self.reached_order: list[ArtNode] = []
         # Lazy deletion: entries whose node left the waitlist stay queued
         # and are skipped when popped.
@@ -85,6 +88,9 @@ class RunState:
         self.exact[node.state] = node
         self.groups.setdefault(self.cpa.group_key(node.state), []).append(node)
         self.merge_groups.setdefault(self.cpa.merge_key(node.state), []).append(node)
+        shaped = self.cpa.shape_key(node.state)
+        if shaped is not None:
+            self.shapes.setdefault(shaped[0], {})[shaped[1]] = None
         if record_order:
             self.reached_order.append(node)
 
@@ -116,6 +122,9 @@ class RunState:
 
     def merge_bucket(self, key) -> list[ArtNode]:
         return self.merge_groups.get(key, ())
+
+    def shape_bucket(self, key) -> dict[Any, None]:
+        return self.shapes.get(key, ())
 
     def reached_nodes(self) -> list[ArtNode]:
         return [n for n in self.reached_order if not n.removed]

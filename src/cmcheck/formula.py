@@ -525,6 +525,7 @@ def parse_formula(text: str) -> Formula:
 
     Infix comparisons over +, -, * arithmetic; connectives ``&``, ``|``,
     ``!``; constants ``true``/``false``; ``a -> b`` sugar for ``!a | b``.
+    Input nested deeper than ``lang.MAX_NESTING`` is a ParseError.
     """
     p = lang._Parser(text)
     f = _parse_implication(p)
@@ -535,8 +536,9 @@ def parse_formula(text: str) -> Formula:
 
 def _parse_implication(p: "lang._Parser") -> Formula:
     left = _parse_or(p)
+    t = p.peek()
     if p.accept("->"):
-        right = _parse_implication(p)
+        right = p.nested(t, _parse_implication, p)
         return f_implies(left, right)
     return left
 
@@ -558,8 +560,9 @@ def _parse_and(p) -> Formula:
 
 
 def _parse_not(p) -> Formula:
+    t = p.peek()
     if p.accept("!"):
-        return f_not(_parse_not(p))
+        return f_not(p.nested(t, _parse_not, p))
     return _parse_formula_atom(p)
 
 
@@ -575,12 +578,12 @@ def _parse_formula_atom(p) -> Formula:
         saved = p.pos
         p.next()
         try:
-            f = _parse_implication(p)
+            f = p.nested(t, _parse_implication, p)
             p.expect(")")
             if p.peek().text in ("<", "<=", "=", "==", "!=", ">=", ">", "*", "+", "-"):
                 raise lang.ParseError("arithmetic context", t.line, t.col)
             return f
         except lang.ParseError:
             p.pos = saved
-    cmp = p.comparison()
+    cmp = p.bounded(p.comparison, t)
     return bexpr_to_formula(cmp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from cmcheck import domains as D
 from cmcheck import engine, lang, oracle
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
@@ -134,6 +135,19 @@ def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> l
                     reached.append(succ)
                     waitlist.append(succ)
     return reached
+
+
+def reference_cover_keys(self, state: D.ExplicitState, shapes):
+    """Every sub-store of ``state``, all 2^n masks in descending order.
+
+    Stands in for ``ExplicitDomain.cover_keys``, which yields only the
+    sub-stores whose shapes were reached; the reached-shape filter must
+    not change which cover a stop check finds.
+    """
+    items = state.bindings
+    n = len(items)
+    for mask in range((1 << n) - 1, -1, -1):
+        yield D.ExplicitState(tuple(items[i] for i in range(n) if (mask >> i) & 1))
 
 
 def engine_reached_states(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:

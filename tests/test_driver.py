@@ -239,6 +239,21 @@ def test_one_level_past_the_nesting_limit_is_a_parse_error():
             lang.parse_cfa(f"vars: x;\ninit: L0;\nL0 -> L1: {op};\n")
 
 
+@pytest.mark.parametrize("label", ["!" * 101 + "x <= 1", "x <= 1 -> " * 101 + "x <= 1",
+                                   "(" * 101 + "x <= 1" + ")" * 101],
+                         ids=["not", "implies", "parens"])
+def test_cli_deep_automaton_label_is_a_parse_error(tmp_path, capsys, label):
+    f = tmp_path / "p.imp"
+    f.write_text("int x; x := 0; assert(x == 0);")
+    aut = tmp_path / "automaton.txt"
+    aut.write_text("# edges: 3\nstate q0 init;\nstate T T;\nstate U U;\n"
+                   f"trans q0 edge=0 assume={label} -> U;\n")
+    assert cli.main([str(f), "--config", "explicit", "--input-automaton", str(aut)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cmcheck: ") and f"deeper than {lang.MAX_NESTING}" in err
+    assert "Traceback" not in err
+
+
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):
     # The witness search runs on constants >= 2^63; they must stay exact
     # integers, not overflow a machine word.  x = 3 reaches the error.

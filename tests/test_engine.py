@@ -196,3 +196,120 @@ def test_engine_matches_reference_explicit_composite():
         proj = sorted((s.location, s.domain.bindings) for s in states)
         proj_ref = sorted((s.location, s.domain.bindings) for s in ref)
         assert proj == proj_ref
+
+
+# -- the shape-indexed stop check -------------------------------------------
+
+def havoc_heavy_text(rng: random.Random) -> str:
+    """Loops whose head holds stores of several shapes (havoc in branches)."""
+    names = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+    lines = [f"int g, i, {', '.join(names)};", "havoc g;"]
+    for v in names:
+        k = rng.randint(0, 3)
+        lines.append(rng.choice([f"havoc {v};", f"{v} := {k};",
+                                 f"if (g < {k}) {{ havoc {v}; }} else {{ {v} := {k}; }}"]))
+    body = []
+    for v in rng.sample(names, rng.randint(1, len(names))):
+        k = rng.randint(0, 3)
+        body.append(rng.choice([f"if (g < {k}) {{ havoc {v}; }}",
+                                f"if ({v} == {k}) {{ havoc {v}; }} else {{ {v} := {v} + 1; }}",
+                                f"{v} := {k};"]))
+    lines.append(f"while (i < {rng.randint(2, 4)}) {{ {' '.join(body)} i := i + 1; }}")
+    lines.append(f"assert({rng.choice(names)} != {rng.randint(0, 5)});")
+    return "\n".join(lines) + "\n"
+
+
+def run_fingerprint(cfa, pipeline, monkeypatch) -> tuple:
+    """Verdicts, psi, automata and every ART node's cover, per stage."""
+    from cmcheck import assumptions as A, driver
+
+    runs = []
+
+    class RecordingRunState(engine.RunState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "RunState", RecordingRunState)
+        final = driver.run_pipeline(cfa, pipeline)
+    covers = [[(n.nid, n.removed, n.covered_by.nid if n.covered_by else None)
+               for n in rs.nodes] for rs in runs]
+    reports = [(s.verdict, F.render_formula(s.report.psi),
+                A.serialize_automaton(s.report.automaton))
+               for s in final.stages if s.report is not None]
+    weaker = sum(n.covered_by is not None and n.covered_by.state.domain != n.state.domain
+                 for rs in runs for n in rs.nodes)
+    return (final.verdict, reports, covers), weaker
+
+
+def test_shape_index_agrees_with_full_enumeration(monkeypatch):
+    from cmcheck import driver
+    from helpers import reference_cover_keys
+
+    configs = [c for c in driver.shipped_configurations().values()
+               if c.domain == "explicit"]
+    rng = random.Random(20110901)
+    cfas = [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                       require_assert=(i % 2 == 0)) for i in range(100)]
+    pipelines = [driver.Pipeline(stages=[c]) for c in configs]
+    rng = random.Random(8)
+    for _ in range(30):
+        cfas.append(lang.parse_program(havoc_heavy_text(rng)))
+    # A second stage keys its stop checks by observer state as well.
+    pipelines.append(driver.Pipeline(stages=[
+        driver.AnalysisConfig(name="explicit", domain="explicit", repeat_loc=2),
+        driver.AnalysisConfig(name="explicit-bfs", domain="explicit", order="bfs")]))
+    weaker_total = 0
+    for cfa in cfas:
+        for pipeline in pipelines:
+            shipped, weaker = run_fingerprint(cfa, pipeline, monkeypatch)
+            with monkeypatch.context() as m:
+                m.setattr(D.ExplicitDomain, "cover_keys", reference_cover_keys)
+                reference, _ = run_fingerprint(cfa, pipeline, monkeypatch)
+            assert shipped == reference
+            weaker_total += weaker
+    assert weaker_total > 0  # some stop checks found a strictly weaker cover
+
+
+def wide_program(n: int) -> str:
+    """A 50-iteration loop incrementing n variables; the assertion holds."""
+    names = ", ".join(f"v{k}" for k in range(n))
+    body = " ".join(f"v{k} := v{k} + 1;" for k in range(n))
+    return (f"int i, {names};\ni := 0;\n"
+            f"while (i < 50) {{ {body} i := i + 1; }}\nassert(i == 50);\n")
+
+
+def test_wide_family_stop_checks_stay_linear(tmp_path, capsys, monkeypatch):
+    # A stop check used to look up all 2^15 sub-stores of a 15-variable store.
+    import json
+
+    from cmcheck import cli
+
+    shipped = D.ExplicitDomain.cover_keys
+    yielded = [0]
+
+    def counting(self, state, shapes):
+        for key in shipped(self, state, shapes):
+            yielded[0] += 1
+            yield key
+
+    monkeypatch.setattr(D.ExplicitDomain, "cover_keys", counting)
+    f = tmp_path / "wide14.imp"
+    f.write_text(wide_program(14))
+    out = tmp_path / "out"
+    assert cli.main([str(f), "--config", "explicit", "--out-dir", str(out),
+                     "--emit", "json"]) == 0
+    assert capsys.readouterr().out.startswith("TRUE")
+    stage = json.loads((out / "stats.jsonl").read_text().splitlines()[0])
+    assert 0 < yielded[0] <= stage["posts"]
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_wide_family_is_true(tmp_path, capsys, n):
+    from cmcheck import cli
+
+    f = tmp_path / f"wide{n}.imp"
+    f.write_text(wide_program(n))
+    assert cli.main([str(f), "--config", "explicit"]) == 0
+    assert capsys.readouterr().out.startswith("TRUE")

@@ -1,5 +1,6 @@
 """Atom/formula canonicalization, rendering, and parsing."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmcheck import formula as F
@@ -165,3 +166,27 @@ def test_product_content_is_hoisted():
     assert F.parse_formula(F.render_formula(a)) == a
     c = F.parse_formula("(0 - x)*y >= 1")
     assert F.parse_formula(F.render_formula(c)) == c
+
+
+def nested_formulas(n):
+    """One formula of each kind that nests exactly n levels deep."""
+    return {
+        "not": "!" * n + "x <= 1",
+        "implies": "x <= 1 -> " * n + "x <= 1",
+        "parens": "(" * n + "x <= 1" + ")" * n,
+        # n - 1 operators under the comparison make a tree n levels high
+        "sum": " + ".join(["x"] * (n - 1)) + " <= 1",
+    }
+
+
+def test_formulas_at_the_nesting_limit_parse():
+    for name, text in nested_formulas(lang.MAX_NESTING).items():
+        f = F.parse_formula(text)
+        assert F.evaluate(f, {"x": 0}) is True, name
+
+
+@pytest.mark.parametrize("depth", [lang.MAX_NESTING + 1, 2000])
+def test_formulas_past_the_nesting_limit_are_parse_errors(depth):
+    for name, text in nested_formulas(depth).items():
+        with pytest.raises(lang.ParseError, match="deeper than"):
+            F.parse_formula(text)
