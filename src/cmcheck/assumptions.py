@@ -269,12 +269,19 @@ def serialize_automaton(aut: AssumptionAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_automaton(text: str) -> AssumptionAutomaton:
+def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutomaton:
+    """Read the text ``serialize_automaton`` writes.
+
+    Each distinct label is parsed once and its formula shared.  A label's
+    ParseError is re-raised at its position in ``text``, naming ``source``
+    (the file name) when given.
+    """
     edge_count = -1
     flags: dict[str, set[str]] = {}
     transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
+    labels: dict[str, F.Formula] = {}
     initial = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -300,7 +307,16 @@ def parse_automaton(text: str) -> AssumptionAutomaton:
             key = (src.strip(), int(edge_text))
             if key in transitions:
                 raise ValueError(f"duplicate transition for {key}")
-            transitions[key] = (F.parse_formula(assume_text.strip()), dst.strip())
+            label = assume_text.strip()
+            assumption = labels.get(label)
+            if assumption is None:
+                try:
+                    assumption = labels[label] = F.parse_formula(label)
+                except lang.ParseError as exc:
+                    start = raw.index(label, raw.index(" assume=") + len(" assume="))
+                    raise lang.ParseError(exc.message, lineno, start + exc.col,
+                                          source) from None
+            transitions[key] = (assumption, dst.strip())
             continue
         raise ValueError(f"unrecognized automaton line: {raw!r}")
     if initial is None:

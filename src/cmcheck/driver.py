@@ -127,7 +127,8 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
     observer = None
     automaton = input_automaton
     if automaton is None and config.input_automaton:
-        automaton = A.parse_automaton(Path(config.input_automaton).read_text())
+        automaton = A.parse_automaton(Path(config.input_automaton).read_text(),
+                                      source=config.input_automaton)
     if automaton is not None:
         observer = A.ObserverComponent(automaton, cfa)
 

@@ -10,6 +10,9 @@ Formulas are canonical on construction: and/or arguments are flattened,
 deduplicated and sorted, negation is pushed to the atoms (only equality
 atoms keep an explicit negation node), and trivial truth is folded away.
 Structural equality of canonical formulas is therefore deterministic.
+Every term, atom and formula node computes its hash once, on first use,
+and keeps it (``_memo_hash``), so hashing a large state formula again
+costs one attribute lookup instead of a walk over its tree.
 """
 
 from __future__ import annotations
@@ -25,15 +28,48 @@ class FormulaTooLarge(Exception):
     """Raised when normalization exceeds the configured clause bound."""
 
 
+def _memo_hash(cls):
+    """Make the frozen dataclass ``cls`` compute its hash once and keep it.
+
+    The value is the one the dataclass generates, ``hash((field, ...))``,
+    so hash-ordered containers behave exactly as without the memo.  It is
+    kept in the instance dict under ``_hash``, which equality ignores, and
+    ``__getstate__`` leaves it out, so pickle and copy recompute it:
+    string hashes are seeded per process.  The class-level ``None``
+    makes the first lookup a plain miss instead of a raised
+    AttributeError.
+    """
+    generated = cls.__hash__
+    cls._hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Terms and linear expressions
 # ---------------------------------------------------------------------------
 
+@_memo_hash
 @dataclass(frozen=True)
 class VarTerm:
     name: str
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class ProdTerm:
     """Opaque product of two linear expressions (uninterpreted)."""
@@ -45,6 +81,7 @@ class ProdTerm:
 Term = Union[VarTerm, ProdTerm]
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class LinExpr:
     """``sum(coeff * term) + const`` with sorted terms and no zero coeffs."""
@@ -137,6 +174,7 @@ LE = "<="
 EQ = "="
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class Atom:
     """Canonical ``sum(coeff * term) op bound`` with op in {<=, =}.
@@ -175,31 +213,37 @@ class Formula:
     __slots__ = ()
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class TrueF(Formula):
     pass
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class FalseF(Formula):
     pass
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class AtomF(Formula):
     atom: Atom
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class NotF(Formula):
     arg: Formula  # canonically only around equality atoms
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class AndF(Formula):
     args: tuple[Formula, ...]
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class OrF(Formula):
     args: tuple[Formula, ...]

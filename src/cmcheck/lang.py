@@ -27,10 +27,15 @@ MAX_NESTING = 100
 
 
 class ParseError(Exception):
-    """Syntax or scoping error, carrying a 1-based source position."""
+    """Syntax or scoping error, carrying a 1-based source position.
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    ``source`` names the file the position is in, when it is known.
+    """
+
+    def __init__(self, message: str, line: int, col: int, source: Optional[str] = None):
+        where = f"{line}:{col}" if source is None else f"{source}:{line}:{col}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

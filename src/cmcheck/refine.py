@@ -198,9 +198,23 @@ def mine_predicates(path: AbstractPath, pivot: int,
     assignments (weakest-precondition style, a few steps per atom) and
     dropping them at havocs; every collected atom is proposed at every
     path location from the pivot back to the root.
+
+    A long path walks the same few edges again and again, so the assume
+    atoms and right-hand side of each edge, the variables of each atom and
+    each (atom, edge) substitution are computed once per call.
     """
     current: dict = {}
     collected: dict = {}
+    assume_atoms: dict[int, list[F.Atom]] = {}
+    rhs: dict[int, F.LinExpr] = {}
+    atom_vars: dict[F.Atom, set[str]] = {}
+    substituted: dict[tuple[F.Atom, int], F.Formula] = {}
+
+    def vars_of(atom: F.Atom) -> set[str]:
+        names = atom_vars.get(atom)
+        if names is None:
+            names = atom_vars[atom] = _atom_vars(atom)
+        return names
 
     def note(atom: F.Atom, depth: int):
         if any(isinstance(t, F.ProdTerm) for t, _ in atom.terms):
@@ -213,22 +227,29 @@ def mine_predicates(path: AbstractPath, pivot: int,
     for edge in reversed(path.edges):
         op = edge.op
         if isinstance(op, lang.Assume):
-            for atom in F.atoms_of(F.bexpr_to_formula(op.expr)):
+            atoms = assume_atoms.get(edge.id)
+            if atoms is None:
+                atoms = assume_atoms[edge.id] = F.atoms_of(F.bexpr_to_formula(op.expr))
+            for atom in atoms:
                 note(atom, 0)
         elif isinstance(op, lang.Assign):
-            repl = F.linearize(op.expr)
             for key, (atom, depth) in list(current.items()):
-                if op.var not in _atom_vars(atom):
+                if op.var not in vars_of(atom):
                     continue
                 del current[key]
                 if depth >= MAX_WP_DEPTH:
                     continue
-                sub = F.substitute(F.AtomF(atom), op.var, repl)
+                sub = substituted.get((atom, edge.id))
+                if sub is None:
+                    repl = rhs.get(edge.id)
+                    if repl is None:
+                        repl = rhs[edge.id] = F.linearize(op.expr)
+                    sub = substituted[(atom, edge.id)] = F.substitute(F.AtomF(atom), op.var, repl)
                 if isinstance(sub, F.AtomF):
                     note(sub.atom, depth + 1)
         else:
             for key, (atom, _) in list(current.items()):
-                if op.var in _atom_vars(atom):
+                if op.var in vars_of(atom):
                     del current[key]
 
     locations = {cpa.location_of(path.nodes[i].state) for i in range(pivot + 1)}

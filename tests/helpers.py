@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from cmcheck import domains as D
-from cmcheck import engine, lang, oracle
+from cmcheck import engine, formula as F, lang, oracle, refine
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
@@ -148,6 +148,48 @@ def reference_cover_keys(self, state: D.ExplicitState, shapes):
     n = len(items)
     for mask in range((1 << n) - 1, -1, -1):
         yield D.ExplicitState(tuple(items[i] for i in range(n) if (mask >> i) & 1))
+
+
+def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:
+    """``refine.mine_predicates`` without its per-call tables.
+
+    Re-converts, re-linearizes and re-substitutes on every edge visit; the
+    shipped version must mine the same set.
+    """
+    current: dict = {}
+    collected: dict = {}
+
+    def note(atom: F.Atom, depth: int):
+        if any(isinstance(t, F.ProdTerm) for t, _ in atom.terms):
+            return  # opaque products are untrackable for the linear domain
+        pos = F.positive_form(atom)
+        key = F.atom_key(pos)
+        current[key] = (pos, depth)
+        collected[key] = pos
+
+    for edge in reversed(path.edges):
+        op = edge.op
+        if isinstance(op, lang.Assume):
+            for atom in F.atoms_of(F.bexpr_to_formula(op.expr)):
+                note(atom, 0)
+        elif isinstance(op, lang.Assign):
+            repl = F.linearize(op.expr)
+            for key, (atom, depth) in list(current.items()):
+                if op.var not in refine._atom_vars(atom):
+                    continue
+                del current[key]
+                if depth >= refine.MAX_WP_DEPTH:
+                    continue
+                sub = F.substitute(F.AtomF(atom), op.var, repl)
+                if isinstance(sub, F.AtomF):
+                    note(sub.atom, depth + 1)
+        else:
+            for key, (atom, _) in list(current.items()):
+                if op.var in refine._atom_vars(atom):
+                    del current[key]
+
+    locations = {cpa.location_of(path.nodes[i].state) for i in range(pivot + 1)}
+    return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
 def engine_reached_states(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:

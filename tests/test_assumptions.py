@@ -269,6 +269,42 @@ def test_automaton_roundtrip_bytes():
     A.validate_automaton(again, cfa)
 
 
+def test_parse_automaton_shares_equal_labels():
+    text = ("# edges: 4\nstate q0 init;\nstate T T;\n"
+            "trans q0 edge=0 assume=(x <= 1) & (y = 2) -> q1;\n"
+            "trans q1 edge=1 assume=(x <= 1) & (y = 2) -> q0;\n"
+            "trans q0 edge=2 assume=!(x = 3) -> T;\n"
+            "trans q1 edge=3 assume=!(x = 3) -> T;\n")
+    t = A.parse_automaton(text).transitions
+    assert t[("q0", 0)][0] is t[("q1", 1)][0]
+    assert t[("q0", 2)][0] is t[("q1", 3)][0]
+    assert t[("q0", 0)][0] == F.parse_formula("(x <= 1) & (y = 2)")
+
+
+def test_two_stage_automaton_roundtrip(nonlinear_square_explicit_automaton):
+    text = nonlinear_square_explicit_automaton
+    aut = A.parse_automaton(text)
+    assert len(aut.transitions) > 50000
+    assert A.serialize_automaton(aut) == text
+    by_text: dict = {}
+    for label, _ in aut.transitions.values():
+        by_text.setdefault(F.render_formula(label), set()).add(id(label))
+    assert all(len(ids) == 1 for ids in by_text.values())
+
+
+def test_automaton_label_error_points_into_the_file():
+    label = "(x <= 1) & " + "!" * 101 + "x <= 1"
+    line = f"  trans q0 edge=0 assume= {label} -> U;"
+    with pytest.raises(lang.ParseError) as inner:
+        F.parse_formula(label)
+    with pytest.raises(lang.ParseError) as err:
+        A.parse_automaton("# edges: 3\nstate q0 init;\n\n" + line + "\n", source="a.txt")
+    exc = err.value
+    assert (exc.line, exc.col) == (4, line.index(label) + inner.value.col)
+    assert line[exc.col - 1] == "!"
+    assert str(exc) == f"a.txt:4:{exc.col}: nested deeper than {lang.MAX_NESTING} levels"
+
+
 def test_automaton_mismatch_detected():
     cfa, report = run_program("int x; x := 0; while (x >= 0) { x := x + 1; }",
                               None, fuel=50)

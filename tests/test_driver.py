@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cmcheck import cli, driver, lang
+from cmcheck import cli, driver, formula as F, lang
 from cmcheck.driver import AnalysisConfig, Pipeline
 
 from helpers import replay_witness
@@ -252,6 +252,11 @@ def test_cli_deep_automaton_label_is_a_parse_error(tmp_path, capsys, label):
     err = capsys.readouterr().err
     assert err.startswith("cmcheck: ") and f"deeper than {lang.MAX_NESTING}" in err
     assert "Traceback" not in err
+    # The position is in the automaton file: its fifth line, inside the label.
+    with pytest.raises(lang.ParseError) as inner:
+        F.parse_formula(label)
+    line = aut.read_text().splitlines()[4]
+    assert f"{aut}:5:{line.index(label) + inner.value.col}: " in err
 
 
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):

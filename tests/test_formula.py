@@ -1,5 +1,13 @@
 """Atom/formula canonicalization, rendering, and parsing."""
 
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,3 +198,119 @@ def test_formulas_past_the_nesting_limit_are_parse_errors(depth):
     for name, text in nested_formulas(depth).items():
         with pytest.raises(lang.ParseError, match="deeper than"):
             F.parse_formula(text)
+
+
+# -- memoized hashes ----------------------------------------------------------------
+
+def random_formula(rng: random.Random, depth: int) -> F.Formula:
+    """Atoms with products, disequalities and nested and/or."""
+    if depth == 0:
+        names = rng.sample(["x", "y", "z", "w"], rng.randint(1, 3))
+        lin = F.make_lin([(F.VarTerm(v), rng.choice([-3, -1, 1, 2])) for v in names],
+                         rng.randint(-5, 5))
+        if rng.random() < 0.3:
+            lin = F.lin_add(lin, F.lin_mul(F.lin_var(rng.choice(names)),
+                                           F.lin_add(F.lin_var("w"), F.lin_const(1))))
+        op = rng.choice(["<=", "=", "!="])
+        if op == "!=":
+            return F.f_not(F.mk_atom(lin, F.EQ, 0))
+        return F.mk_atom(lin, op, rng.randint(-4, 4))
+    parts = [random_formula(rng, rng.randint(0, depth - 1)) for _ in range(rng.randint(2, 4))]
+    return F.f_and(parts) if rng.random() < 0.5 else F.f_or(parts)
+
+
+def formula_nodes(x):
+    """Every term, linear expression, atom and formula node under ``x``."""
+    yield x
+    if isinstance(x, (F.AndF, F.OrF)):
+        for a in x.args:
+            yield from formula_nodes(a)
+    elif isinstance(x, F.NotF):
+        yield from formula_nodes(x.arg)
+    elif isinstance(x, F.AtomF):
+        yield from formula_nodes(x.atom)
+    elif isinstance(x, (F.Atom, F.LinExpr)):
+        for t, _ in x.terms:
+            yield from formula_nodes(t)
+    elif isinstance(x, F.ProdTerm):
+        yield from formula_nodes(x.left)
+        yield from formula_nodes(x.right)
+
+
+def test_memoized_hash_equals_the_dataclass_hash():
+    rng = random.Random(10)
+    kinds = set()
+    for _ in range(300):
+        f = random_formula(rng, rng.randint(0, 3))
+        for node in formula_nodes(f):
+            kinds.add(type(node).__name__)
+            want = hash(tuple(getattr(node, x.name) for x in fields(node)))
+            assert hash(node) == want
+            assert hash(node) == want  # the stored value
+    assert hash(F.TRUE) == hash(()) == hash(F.FALSE)
+    assert kinds == {"VarTerm", "ProdTerm", "LinExpr", "Atom", "AtomF", "NotF", "AndF", "OrF"}
+
+
+def test_equal_formulas_from_different_orders_hash_equal():
+    rng = random.Random(11)
+    for _ in range(100):
+        parts = [random_formula(rng, 1) for _ in range(4)]
+        first = F.f_and(parts)
+        hash(first)  # one side hashed before the other is built
+        shuffled = parts[:]
+        rng.shuffle(shuffled)
+        for other in (F.f_and(shuffled), F.f_and([F.f_and(shuffled[:2]), *shuffled[2:]])):
+            assert other == first and hash(other) == hash(first)
+        assert F.f_or(shuffled) == F.f_or(parts)
+        assert hash(F.f_or(shuffled)) == hash(F.f_or(parts))
+
+
+def test_rehashing_a_large_conjunction_hashes_no_child(monkeypatch):
+    big = F.f_and(F.mk_atom(F.lin_var(f"x{i}"), F.LE, i) for i in range(1000))
+    assert isinstance(big, F.AndF) and len(big.args) == 1000
+    calls = [0]
+    child_hash = F.AtomF.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return child_hash(self)
+
+    monkeypatch.setattr(F.AtomF, "__hash__", counting)
+    first = hash(big)
+    assert calls[0] == 1000
+    calls[0] = 0
+    assert hash(big) == first and hash(F.AndF(big.args)) == first
+    assert calls[0] == 1000  # the fresh AndF hashed its children once ...
+    calls[0] = 0
+    hash(big)
+    assert calls[0] == 0  # ... and the old one none at all
+
+
+def test_pickle_and_copy_recompute_the_hash():
+    f = F.parse_formula("x*y + 2*z <= 3 & (w != 1 | x = 2)")
+    true_hash = hash(f)
+    object.__setattr__(f, "_hash", true_hash + 1)  # a stored value that must not travel
+    for other in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert other == f
+        assert all("_hash" not in vars(node) for node in formula_nodes(other))
+        assert hash(other) == true_hash
+    shallow = copy.copy(f)  # shares f's children, so only the root is new
+    assert shallow == f and "_hash" not in vars(shallow)
+    assert hash(shallow) == true_hash
+
+
+def test_pickled_formula_hashes_with_the_new_process_seed():
+    f = F.parse_formula("x*y + 2*z <= 3 & (w != 1 | x = 2)")
+    hash(f)
+    script = (
+        "import pickle, sys\n"
+        "from cmcheck import formula as F\n"
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = F.parse_formula('x*y + 2*z <= 3 & (w != 1 | x = 2)')\n"
+        "assert hash(f) == hash(fresh) and f in {fresh}\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(f),
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from cmcheck import assumptions as A
 from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang, refine
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 from cmcheck.driver import AnalysisConfig, run_analysis
 
-from helpers import random_cfa, replay_witness
+from helpers import random_cfa, reference_mine_predicates, replay_witness
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +252,75 @@ def test_pivot_prefers_earliest_unsat_prefix(solver):
     res = refine.check_feasibility(fake_path(cfa, [0, 1, 2, 3, 4]), cfa, solver)
     assert isinstance(res, refine.Infeasible)
     assert res.pivot == 3
+
+
+# -- the mining memo tables ----------------------------------------------------------
+
+def check_mining_against_reference(monkeypatch) -> list:
+    """Make every refinement compare its mined set with the reference's."""
+    paths = []
+    shipped = refine.mine_predicates
+
+    def compared(path, pivot, cpa):
+        got = shipped(path, pivot, cpa)
+        assert got == reference_mine_predicates(path, pivot, cpa)
+        paths.append(path)
+        return got
+
+    monkeypatch.setattr(refine, "mine_predicates", compared)
+    return paths
+
+
+def test_mining_matches_reference_on_criterion_1_programs(monkeypatch):
+    paths = check_mining_against_reference(monkeypatch)
+    rng = random.Random(20110901)
+    cfas = [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                       require_assert=(i % 2 == 0)) for i in range(200)][:100]
+    configs = [AnalysisConfig(name="predicate", domain="predicate", fuel=1500,
+                              max_refinements=25),
+               AnalysisConfig(name="predicate-norefine", domain="predicate",
+                              refinement=False, fuel=1500),
+               AnalysisConfig(name="predicate-overflow", domain="predicate", overflow=True,
+                              overflow_min=-3, overflow_max=3, fuel=1500,
+                              max_refinements=25)]
+    for cfa in cfas:
+        for config in configs:
+            run_analysis(cfa, config)
+    assert paths
+
+
+def test_mining_memo_on_the_two_stage_path(monkeypatch, nonlinear_square_cfa,
+                                           nonlinear_square_explicit_automaton):
+    # The predicate stage restricted by the explicit stage's automaton
+    # refines on a counterexample of about 100,000 edges.
+    shipped = refine.mine_predicates
+    convert = F.bexpr_to_formula
+    runs = []  # (path, top-level conversions while mining it)
+
+    def counted(path, pivot, cpa):
+        calls = [0, 0]  # top-level calls, current nesting
+
+        def counting(e, *args):
+            calls[0] += calls[1] == 0
+            calls[1] += 1
+            try:
+                return convert(e, *args)
+            finally:
+                calls[1] -= 1
+
+        with monkeypatch.context() as m:
+            m.setattr(F, "bexpr_to_formula", counting)
+            got = shipped(path, pivot, cpa)
+        assert got == reference_mine_predicates(path, pivot, cpa)
+        runs.append((path, calls[0]))
+        return got
+
+    monkeypatch.setattr(refine, "mine_predicates", counted)
+    report = run_analysis(
+        nonlinear_square_cfa, AnalysisConfig(name="predicate", domain="predicate"),
+        input_automaton=A.parse_automaton(nonlinear_square_explicit_automaton))
+    assert report.verdict == "TRUE"
+    assert any(len(path.edges) > 50000 for path, _ in runs)
+    for path, conversions in runs:
+        assumes = {e.id for e in path.edges if isinstance(e.op, lang.Assume)}
+        assert conversions <= len(assumes)
