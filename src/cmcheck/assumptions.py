@@ -193,9 +193,6 @@ class CompositeCpa:
             return True
         return self.solver.entails(candidate.assumption, state.assumption)
 
-    def merge_key(self, state: CompositeState):
-        return (state.location, state.observer, state.domain)
-
     def merge(self, new_state: CompositeState, old_state: CompositeState) -> CompositeState:
         """Combine new into old; returning old_state means no merge."""
         assumption = F.f_and([new_state.assumption, old_state.assumption])
@@ -214,24 +211,26 @@ class CompositeCpa:
         )
         return old_state if merged == old_state else merged
 
-    def group_key(self, state: CompositeState):
-        if self._is_explicit:
-            return (state.location, state.observer, state.domain)
+    def partition_key(self, state: CompositeState):
+        """The engine's reached-set partition: only states that agree on
+        location and observer state can merge or cover each other."""
         return (state.location, state.observer)
 
-    def shape_key(self, state: CompositeState):
-        """(stop-check key, shape) for the engine's shape index, or None."""
+    def shape_of(self, state: CompositeState):
+        """The explicit store's shape, which the engine records per
+        partition for ``stop_candidates``; None for other domains."""
         if self._is_explicit:
-            return (state.location, state.observer), state.domain.shape()
+            return state.domain.shape()
         return None
 
-    def stop_candidates(self, state: CompositeState, rs: engine.RunState):
+    def stop_candidates(self, state: CompositeState, partition: engine.Partition):
+        """The partition's nodes that may cover ``state``, in try order."""
         if self._is_explicit:
-            shapes = rs.shape_bucket((state.location, state.observer))
+            shapes = partition.shapes or ()
             for weaker in self.domain.cover_keys(state.domain, shapes):
-                yield from rs.group_bucket((state.location, state.observer, weaker))
+                yield from partition.by_domain.get(weaker, ())
         else:
-            yield from rs.group_bucket((state.location, state.observer))
+            yield from partition.members
 
     def render_domain(self, state: CompositeState) -> F.Formula:
         return self.domain.render(state.domain)
@@ -272,9 +271,9 @@ def serialize_automaton(aut: AssumptionAutomaton) -> str:
 def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutomaton:
     """Read the text ``serialize_automaton`` writes.
 
-    Each distinct label is parsed once and its formula shared.  A label's
-    ParseError is re-raised at its position in ``text``, naming ``source``
-    (the file name) when given.
+    Each distinct label is parsed once and its formula shared.  A syntax
+    error, in a label or around it, raises ParseError at its position in
+    ``text``, naming ``source`` (the file name) when given.
     """
     edge_count = -1
     flags: dict[str, set[str]] = {}
@@ -288,25 +287,42 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("edges:"):
-                edge_count = int(body.split(":", 1)[1])
+                count_text = body.split(":", 1)[1]
+                try:
+                    edge_count = int(count_text)
+                except ValueError:
+                    raise lang.ParseError(f"edge count {count_text.strip()!r} is not an integer",
+                                          lineno, raw.index("edges:") + len("edges:") + 1,
+                                          source) from None
             continue
+        indent = len(raw) - len(raw.lstrip())
         if not line.endswith(";"):
-            raise ValueError(f"missing ';' in automaton line: {raw!r}")
+            raise lang.ParseError("missing ';' at the end of the line", lineno,
+                                  indent + len(line) + 1, source)
         line = line[:-1].strip()
         if line.startswith("state "):
-            _, sid, flag = line.split()
-            flags.setdefault(sid, set()).add(flag)
-            if flag == "init":
-                initial = sid
-            continue
-        if line.startswith("trans "):
+            fields = line.split()
+            if len(fields) == 3:
+                _, sid, flag = fields
+                flags.setdefault(sid, set()).add(flag)
+                if flag == "init":
+                    initial = sid
+                continue
+        elif line.startswith("trans ") and " edge=" in line and " assume=" in line \
+                and " -> " in line:
             head, dst = line.rsplit(" -> ", 1)
             head = head[len("trans "):]
             src, rest = head.split(" edge=", 1)
             edge_text, assume_text = rest.split(" assume=", 1)
-            key = (src.strip(), int(edge_text))
+            try:
+                key = (src.strip(), int(edge_text))
+            except ValueError:
+                raise lang.ParseError(f"edge id {edge_text!r} is not an integer", lineno,
+                                      raw.index(" edge=") + len(" edge=") + 1,
+                                      source) from None
             if key in transitions:
-                raise ValueError(f"duplicate transition for {key}")
+                raise lang.ParseError(f"duplicate transition from {key[0]} along edge {key[1]}",
+                                      lineno, indent + 1, source)
             label = assume_text.strip()
             assumption = labels.get(label)
             if assumption is None:
@@ -318,7 +334,8 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
                                           source) from None
             transitions[key] = (assumption, dst.strip())
             continue
-        raise ValueError(f"unrecognized automaton line: {raw!r}")
+        raise lang.ParseError(f"unrecognized automaton line: {line};", lineno, indent + 1,
+                              source)
     if initial is None:
         raise ValueError("automaton has no init state")
     if edge_count < 0:
@@ -382,47 +399,41 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
     whose successor computation produced nothing (proven infeasible).
     """
     cpa = rs.cpa
-    alive = [n for n in rs.nodes if not n.removed]
-    waitlisted = {id(n) for n in rs.waitlist_nodes()}
+    covers_index = rs.covers_index
 
     def interesting(node: engine.ArtNode) -> bool:
         if not isinstance(node.assumption, F.TrueF):
             return True
         if node.covered_by is not None:
             return False
-        return cpa.is_excluded(node.state) or id(node) in waitlisted
+        return cpa.is_excluded(node.state) or node.in_waitlist
 
-    preds: dict[int, list[engine.ArtNode]] = {}
-    for n in alive:
-        for c in n.children:
-            if not c.removed:
-                preds.setdefault(id(c), []).append(n)
-        if n.covered_by is not None and not n.covered_by.removed:
-            preds.setdefault(id(n.covered_by), []).append(n)
-
-    retained: set[int] = set()
-    stack = [n for n in alive if interesting(n)]
+    # Walk back from the interesting nodes: a node's predecessors are its
+    # parent and the live nodes it covers.
+    retained = bytearray(len(rs.nodes))  # by nid
+    stack = [n for n in rs.nodes if not n.removed and interesting(n)]
     while stack:
         n = stack.pop()
-        if id(n) in retained:
+        if retained[n.nid]:
             continue
-        retained.add(id(n))
-        stack.extend(preds.get(id(n), ()))
+        retained[n.nid] = 1
+        if n.parent is not None:
+            stack.append(n.parent)
+        stack.extend(c for c in covers_index.get(n.nid, ()) if not c.removed)
 
-    named = [n for n in alive if id(n) in retained and n.covered_by is None]
-    named.sort(key=lambda n: n.nid)
-    qid = {id(n): f"q{i}" for i, n in enumerate(named)}
+    named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
+    qid = {n: f"q{i}" for i, n in enumerate(named)}
 
     def resolve(node: engine.ArtNode) -> str:
         target = node.covered_by if node.covered_by is not None else node
-        return qid.get(id(target), SINK_VERIFIED)
+        return qid.get(target, SINK_VERIFIED)
 
     flags: dict[str, set[str]] = {SINK_VERIFIED: {"T"}, SINK_UNKNOWN: {"U"}}
     transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
     for n in named:
-        sid = qid[id(n)]
+        sid = qid[n]
         flags.setdefault(sid, set())
-        if cpa.is_excluded(n.state) or id(n) in waitlisted:
+        if cpa.is_excluded(n.state) or n.in_waitlist:
             continue  # all matches fall through to U at run time
         by_edge: dict[int, list[engine.ArtNode]] = {}
         for c in n.children:
@@ -481,14 +492,14 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
     """Assemble the final invariant and verdict from a finished run."""
     cpa = rs.cpa
     cfa = rs.cfa
-    waitlisted = {id(n) for n in rs.waitlist_nodes()}
+    waiting = bool(rs.waitlist_nodes())
     clauses = []
     all_assumptions_true = True
     error_reached = False
     for node in rs.reached_nodes():
         state = node.state
         loc = cpa.location_of(state)
-        frontier = id(node) in waitlisted or loc in cfa.error_locations
+        frontier = node.in_waitlist or loc in cfa.error_locations
         if loc in cfa.error_locations:
             error_reached = True
         e_a = state.assumption
@@ -506,7 +517,7 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
     psi = F.f_and(clauses)
     if confirmed_witness is not None:
         verdict = "FALSE"
-    elif not waitlisted and not error_reached and all_assumptions_true:
+    elif not waiting and not error_reached and all_assumptions_true:
         verdict = "TRUE"
     else:
         verdict = "CONDITION"

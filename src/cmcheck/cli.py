@@ -24,9 +24,12 @@ EXIT_INTERNAL_ERROR = 4
 
 def load_program(path: str) -> lang.Cfa:
     text = Path(path).read_text()
-    if path.endswith(".cfa"):
-        return lang.parse_cfa(text)
-    return lang.parse_program(text)
+    try:
+        if path.endswith(".cfa"):
+            return lang.parse_cfa(text)
+        return lang.parse_program(text)
+    except lang.ParseError as exc:
+        raise lang.ParseError(exc.message, exc.line, exc.col, path) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

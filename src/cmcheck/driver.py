@@ -42,7 +42,6 @@ class AnalysisConfig:
     fuel: Optional[int] = None
     pf_atoms: Optional[int] = None
     input_automaton: Optional[str] = None  # file path
-    full_restart: bool = False
     max_refinements: Optional[int] = None
 
     def wants_refinement(self) -> bool:
@@ -144,7 +143,6 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
     report = refine.refine_loop(
         cfa, cpa, config.order, solver, precision, monitor=monitor,
         options=refine.LoopOptions(refinement=config.wants_refinement(),
-                                   full_restart=config.full_restart,
                                    max_refinements=config.max_refinements),
     )
     report.stats.update({

@@ -2,12 +2,14 @@
 
 The loop is the classic one: pop a frontier state, compute abstract
 successors along the CFA edges leaving its location, try to merge each
-successor into same-shape reached states (replacing them in both sets when
-the merge changed something), then add it unless a reached state already
-covers it.  An abstract reachability tree is maintained alongside: every
-expansion creates a child node carrying the CFA edge and the assumption
-attached to that step, and covered successors become leaf nodes pointing
-at their covering node.
+successor into the reached states that hold the same domain state
+(replacing their states in place when the merge changed something), then
+add it unless a reached state already covers it.  The reached set is
+partitioned by location and observer state, as only states that agree on
+both can merge or cover each other.  An abstract reachability tree is
+maintained alongside: every expansion creates a child node carrying the
+CFA edge and the assumption attached to that step, and covered successors
+become leaf nodes pointing at their covering node.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ if TYPE_CHECKING:
     from .assumptions import CompositeCpa
 
 
-@dataclass
+@dataclass(eq=False)
 class ArtNode:
     nid: int
     state: Any
@@ -49,6 +51,27 @@ class ArtNode:
         return nodes, edges
 
 
+class Partition:
+    """The reached nodes at one (location, observer state).
+
+    ``members`` holds them in insertion order, and ``by_domain`` the same
+    nodes bucketed by domain state, each list in insertion order as well.
+    ``RunState.replace_state`` moves a node to the end of both.  The stop
+    checks try candidates in exactly this order, so it decides each
+    covered node's ``covered_by``.  A node never changes partition or
+    bucket: merges and exclusions change only its assumption and condition
+    states.  ``shapes`` holds the explicit store shapes ever reached here,
+    or None before the first; a stale shape costs one empty lookup.
+    """
+
+    __slots__ = ("members", "by_domain", "shapes")
+
+    def __init__(self):
+        self.members: dict[ArtNode, None] = {}
+        self.by_domain: dict[Any, list[ArtNode]] = {}
+        self.shapes: Optional[dict[Any, None]] = None
+
+
 class RunState:
     """Reached set, waitlist, and ART for one analysis run."""
 
@@ -59,16 +82,12 @@ class RunState:
         self.cpa = cpa
         self.order = order
         self.nodes: list[ArtNode] = []
-        self.exact: dict[Any, ArtNode] = {}
-        self.groups: dict[Any, list[ArtNode]] = {}
-        self.merge_groups: dict[Any, list[ArtNode]] = {}
-        # Stop-check key -> the shapes of the states ever indexed there
-        # (see CompositeCpa.shape_key); a stale shape is an empty lookup.
-        self.shapes: dict[Any, dict[Any, None]] = {}
-        self.reached_order: list[ArtNode] = []
+        self.partitions: dict[Any, Partition] = {}
+        self._reached = 0
         # Lazy deletion: entries whose node left the waitlist stay queued
         # and are skipped when popped.
         self.waitlist: deque[ArtNode] = deque()
+        # Cover nid -> the nodes it covers, removed ones included.
         self.covers_index: dict[int, list[ArtNode]] = {}
         init = cpa.initial_state(cfa)
         self.root = self._new_node(init, None, None, F.TRUE)
@@ -84,25 +103,35 @@ class RunState:
             parent.children.append(node)
         return node
 
-    def _index(self, node: ArtNode, record_order: bool = True) -> None:
-        self.exact[node.state] = node
-        self.groups.setdefault(self.cpa.group_key(node.state), []).append(node)
-        self.merge_groups.setdefault(self.cpa.merge_key(node.state), []).append(node)
-        shaped = self.cpa.shape_key(node.state)
-        if shaped is not None:
-            self.shapes.setdefault(shaped[0], {})[shaped[1]] = None
-        if record_order:
-            self.reached_order.append(node)
+    def partition(self, state) -> Partition:
+        """The partition ``state`` belongs to, created empty if new."""
+        key = self.cpa.partition_key(state)
+        part = self.partitions.get(key)
+        if part is None:
+            part = self.partitions[key] = Partition()
+        return part
+
+    def _index(self, node: ArtNode) -> None:
+        state = node.state
+        part = self.partition(state)
+        part.members[node] = None
+        part.by_domain.setdefault(state.domain, []).append(node)
+        shape = self.cpa.shape_of(state)
+        if shape is not None:
+            if part.shapes is None:
+                part.shapes = {}
+            part.shapes[shape] = None
+        self._reached += 1
 
     def _unindex(self, node: ArtNode) -> None:
-        if self.exact.get(node.state) is node:
-            del self.exact[node.state]
-        bucket = self.groups.get(self.cpa.group_key(node.state))
-        if bucket and node in bucket:
-            bucket.remove(node)
-        bucket = self.merge_groups.get(self.cpa.merge_key(node.state))
-        if bucket and node in bucket:
-            bucket.remove(node)
+        state = node.state
+        part = self.partitions[self.cpa.partition_key(state)]
+        del part.members[node]
+        bucket = part.by_domain[state.domain]
+        bucket.remove(node)
+        if not bucket:
+            del part.by_domain[state.domain]
+        self._reached -= 1
 
     def new_reached_node(self, parent, edge, assumption, state) -> ArtNode:
         node = self._new_node(state, parent, edge, assumption)
@@ -117,20 +146,11 @@ class RunState:
 
     # -- views ----------------------------------------------------------------
 
-    def group_bucket(self, key) -> list[ArtNode]:
-        return self.groups.get(key, ())
-
-    def merge_bucket(self, key) -> list[ArtNode]:
-        return self.merge_groups.get(key, ())
-
-    def shape_bucket(self, key) -> dict[Any, None]:
-        return self.shapes.get(key, ())
-
     def reached_nodes(self) -> list[ArtNode]:
-        return [n for n in self.reached_order if not n.removed]
+        return [n for n in self.nodes if n.covered_by is None and not n.removed]
 
     def reached_size(self) -> int:
-        return len(self.exact)
+        return self._reached
 
     def waitlist_nodes(self) -> list[ArtNode]:
         return [n for n in self.waitlist if n.in_waitlist and not n.removed]
@@ -156,11 +176,14 @@ class RunState:
     # -- mutation ----------------------------------------------------------------
 
     def replace_state(self, node: ArtNode, new_state) -> None:
+        """Give a reached node a new state; it moves to the end of its
+        partition's orders (merges and exclusions keep it in the same
+        partition and bucket)."""
         if new_state == node.state:
             return
         self._unindex(node)
         node.state = new_state
-        self._index(node, record_order=False)
+        self._index(node)
 
     def remove_subtree(self, node: ArtNode) -> Optional[ArtNode]:
         """Remove node and its descendants; re-queue covered dependents' parents.
@@ -242,7 +265,9 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
                        succ, assumption: F.Formula) -> Optional[ArtNode]:
     """Merge and stop phases for one successor; returns its node if added."""
     cpa = rs.cpa
-    for other in list(rs.merge_bucket(cpa.merge_key(succ))):
+    part = rs.partition(succ)
+    bucket = part.by_domain.get(succ.domain, ())
+    for other in list(bucket):
         merged = cpa.merge(succ, other.state)
         if merged != other.state:
             rs.replace_state(other, merged)
@@ -251,13 +276,13 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
         if not child.removed and child.edge is not None \
                 and child.edge.id == edge.id and child.state == succ:
             return None  # re-expansion of an already recorded step
-    cover = None
-    exact = rs.exact.get(succ)
-    if exact is not None and cpa.covers(succ, exact.state):
-        cover = exact
-    else:
-        for cand in cpa.stop_candidates(succ, rs):
-            if not cand.removed and cpa.covers(succ, cand.state):
+    # A reached state equal to succ is tried first: the node that took it last.
+    cover = next((n for n in reversed(bucket) if n.state == succ), None)
+    if cover is not None and not cpa.covers(succ, cover.state):
+        cover = None
+    if cover is None:
+        for cand in cpa.stop_candidates(succ, part):
+            if cpa.covers(succ, cand.state):
                 cover = cand
                 break
     if cover is not None:

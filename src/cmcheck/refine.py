@@ -277,7 +277,6 @@ def exclude_path_suffix(rs: engine.RunState, path: AbstractPath, pivot: int) -> 
 @dataclass
 class LoopOptions:
     refinement: bool = True
-    full_restart: bool = False
     max_refinements: Optional[int] = None
 
 
@@ -325,19 +324,16 @@ def refine_loop(cfa: lang.Cfa, cpa: A.CompositeCpa, order: str,
             if changed_locs:
                 refined_signatures.add(signature)
                 refinements += 1
-                if options.full_restart:
-                    rs = engine.RunState(cfa, cpa, order=order)
-                else:
-                    # Re-explore from the first path node whose location got
-                    # new predicates; anything above cannot change.
-                    cut = pivot
-                    for i in range(pivot + 1):
-                        if cpa.location_of(path.nodes[i].state) in changed_locs:
-                            cut = max(1, i)
-                            break
-                    parent = rs.remove_subtree(path.nodes[cut])
-                    if parent is not None:
-                        rs.add_to_waitlist(parent)
+                # Re-explore from the first path node whose location got
+                # new predicates; anything above cannot change.
+                cut = pivot
+                for i in range(pivot + 1):
+                    if cpa.location_of(path.nodes[i].state) in changed_locs:
+                        cut = max(1, i)
+                        break
+                parent = rs.remove_subtree(path.nodes[cut])
+                if parent is not None:
+                    rs.add_to_waitlist(parent)
                 continue
         exclude_path_suffix(rs, path, pivot)
 

@@ -305,6 +305,22 @@ def test_automaton_label_error_points_into_the_file():
     assert str(exc) == f"a.txt:4:{exc.col}: nested deeper than {lang.MAX_NESTING} levels"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("  trans q0 edge=1 assume=true -> T", "4:35: missing ';' at the end of the line"),
+    ("  trans q0 edge=x assume=true -> T;", "4:17: edge id 'x' is not an integer"),
+    ("  transition q0 -> T;", "4:3: unrecognized automaton line: transition q0 -> T;"),
+    ("  state q0;", "4:3: unrecognized automaton line: state q0;"),
+    ("  trans q0 edge=0 assume=false -> U;",
+     "4:3: duplicate transition from q0 along edge 0"),
+    ("  # edges: three", "4:11: edge count 'three' is not an integer"),
+], ids=["semicolon", "edge", "unknown", "state", "duplicate", "header"])
+def test_automaton_syntax_errors_name_file_and_line(line, message):
+    text = "# edges: 3\nstate q0 init;\ntrans q0 edge=0 assume=true -> T;\n" + line + "\n"
+    with pytest.raises(lang.ParseError) as err:
+        A.parse_automaton(text, source="a.txt")
+    assert str(err.value) == "a.txt:" + message
+
+
 def test_automaton_mismatch_detected():
     cfa, report = run_program("int x; x := 0; while (x >= 0) { x := x + 1; }",
                               None, fuel=50)

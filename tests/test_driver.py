@@ -44,6 +44,24 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
         driver.parse_config(pipeline_file=str(f))
 
 
+def test_cli_rejects_full_restart_key(tmp_path, capsys):
+    # Refinement always re-explores lazily; the old restart switch is gone.
+    prog = tmp_path / "p.imp"
+    prog.write_text("int x; x := 0;")
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"stages": [{"domain": "predicate", "full_restart": True}]}))
+    assert cli.main([str(prog), "--pipeline", str(f)]) == 3
+    assert "unknown configuration keys: ['full_restart']" in capsys.readouterr().err
+
+
+def test_cli_names_the_program_file_in_syntax_errors(tmp_path, capsys):
+    f = tmp_path / "bad.imp"
+    f.write_text("int x; x := ;")
+    assert cli.main([str(f), "--config", "explicit"]) == 3
+    assert capsys.readouterr().err == \
+        f"cmcheck: error: {f}:1:13: expected expression, found ';'\n"
+
+
 def test_refinement_requires_predicate_domain():
     cfg = AnalysisConfig(name="x", domain="explicit", refinement=True)
     with pytest.raises(ValueError, match="refinement requires"):

@@ -1,5 +1,6 @@
 """Worklist-engine tests: the algorithm, orders, budgets, and the ART."""
 
+import itertools
 import random
 
 import pytest
@@ -272,6 +273,72 @@ def test_shape_index_agrees_with_full_enumeration(monkeypatch):
     assert weaker_total > 0  # some stop checks found a strictly weaker cover
 
 
+# -- the partitioned reached set ----------------------------------------------
+
+def assert_partitions_consistent(rs: engine.RunState) -> None:
+    """The partitions hold exactly the reached nodes, each once, in order.
+
+    ``rs.stamps`` maps each node to the time it was last indexed.
+    """
+    reached = rs.reached_nodes()
+    assert rs.reached_size() == len(reached)
+    members = [n for part in rs.partitions.values() for n in part.members]
+    bucketed = [n for part in rs.partitions.values()
+                for bucket in part.by_domain.values() for n in bucket]
+    # Each node once across all partitions: no removed or covered node.
+    assert sorted(n.nid for n in members) == [n.nid for n in reached]
+    assert sorted(n.nid for n in bucketed) == [n.nid for n in reached]
+    for node in reached:
+        part = rs.partitions[rs.cpa.partition_key(node.state)]
+        assert node in part.members
+        assert node in part.by_domain[node.state.domain]
+    # Both orders are the order in which the nodes last got their states.
+    for part in rs.partitions.values():
+        for order in (list(part.members), *part.by_domain.values()):
+            stamps = [rs.stamps[n] for n in order]
+            assert stamps == sorted(stamps)
+    for node in rs.nodes:
+        if node.covered_by is not None and not node.removed:
+            assert node in rs.covers_index[node.covered_by.nid]
+
+
+def test_partitions_hold_exactly_the_reached_set(monkeypatch):
+    from cmcheck import driver
+
+    runs = []
+    clock = itertools.count()
+
+    class RecordingRunState(engine.RunState):
+        def __init__(self, *args, **kwargs):
+            self.stamps = {}
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+        def _index(self, node):
+            self.stamps[node] = next(clock)
+            super()._index(node)
+
+    monkeypatch.setattr(engine, "RunState", RecordingRunState)
+    explicit = driver.AnalysisConfig(name="explicit", domain="explicit", repeat_loc=2)
+    predicate = driver.AnalysisConfig(name="predicate", domain="predicate")
+    # The first stage's bound leaves the second stage an observer to run.
+    bounded = driver.AnalysisConfig(name="bounded", domain="explicit", path_length=6)
+    pipelines = [driver.Pipeline(stages=[explicit]), driver.Pipeline(stages=[predicate]),
+                 driver.Pipeline(stages=[bounded, predicate])]
+    rng = random.Random(1101)
+    cfas = [random_cfa(rng, n_vars=rng.randint(1, 3), require_assert=(i % 3 != 0))
+            for i in range(40)]
+    cfas += [lang.parse_program(havoc_heavy_text(rng)) for _ in range(5)]
+    for cfa in cfas:
+        for pipeline in pipelines:
+            driver.run_pipeline(cfa, pipeline)
+    for rs in runs:
+        assert_partitions_consistent(rs)
+    # Refinement removed subtrees, and observer states keyed partitions.
+    assert any(n.removed for rs in runs for n in rs.nodes)
+    assert any(key[1] is not None for rs in runs for key in rs.partitions)
+
+
 def wide_program(n: int) -> str:
     """A 50-iteration loop incrementing n variables; the assertion holds."""
     names = ", ".join(f"v{k}" for k in range(n))
@@ -313,3 +380,30 @@ def test_wide_family_is_true(tmp_path, capsys, n):
     f.write_text(wide_program(n))
     assert cli.main([str(f), "--config", "explicit"]) == 0
     assert capsys.readouterr().out.startswith("TRUE")
+
+
+def test_perfbench_wrappers_find_their_attributes(monkeypatch):
+    # The benchmark wraps cmcheck attributes by name; a rename must fail here.
+    from pathlib import Path
+
+    from cmcheck import driver
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracing
+
+    cfa = lang.parse_program(
+        "int i, x; havoc x; i := 0; while (i < 3) { if (x < 2) { x := 0; } i := i + 1; }"
+        " assert(i == 3);")
+    saved = dict(engine.RunState.__dict__)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for domain in ("explicit", "predicate"):
+            driver.run_analysis(cfa, driver.AnalysisConfig(name=domain, domain=domain))
+    finally:
+        tracer.uninstall()
+    assert dict(engine.RunState.__dict__) == saved
+    for name in ("engine.new_node", "engine.new_covered_node",
+                 "domains.explicit.cover_keys", "assumptions.successors",
+                 "assumptions.covers", "assumptions.merge"):
+        assert tracer.calls[name] > 0, name
