@@ -20,7 +20,7 @@ through to the sink U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from . import domains as D
@@ -64,25 +64,6 @@ class CompositeState:
     observer: Optional[str]
     overflow: Optional[F.Formula]
     domain: Any
-
-
-def strengthen(candidate: CompositeState, exceeded: bool,
-               overflow_phi: Optional[F.Formula]) -> tuple[CompositeState, F.Formula]:
-    """Apply the composite strengthen operator to a fresh successor tuple.
-
-    Returns the adjusted state plus the assumption label for its ART edge:
-    false when the path is excluded, the overflow fact when one was
-    generated, true otherwise.  The fact goes into the assumption only:
-    the domain state stays unstrengthened, so the rendered condition
-    still covers the out-of-range states.
-    """
-    if exceeded:
-        return replace(candidate, assumption=F.FALSE), F.FALSE
-    if overflow_phi is not None and not isinstance(overflow_phi, F.TrueF):
-        strengthened = replace(
-            candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
-        return strengthened, overflow_phi
-    return candidate, F.TRUE
 
 
 class CompositeCpa:
@@ -137,14 +118,34 @@ class CompositeCpa:
         return obs2, conds2
 
     def successors(self, state: CompositeState, edge: lang.Edge):
-        """Abstract successors along one edge, each with its step assumption."""
-        step = self._step_bookkeeping(state, edge)
-        if step is None:
+        """Abstract successors along one edge, each with its step assumption.
+
+        The components step in lockstep; then the strengthen operator sets
+        the successor's assumption, which is also the label of its ART
+        edge: false when a condition component is exceeded (or the
+        abstraction failed), else the overflow fact when there is an
+        overflow component, else true.  The fact goes into the assumption
+        only: the domain state stays unstrengthened, so the rendered
+        condition still covers the out-of-range states.
+        """
+        if edge.source != state.location or isinstance(state.assumption, F.FalseF):
             return []
-        obs2, conds2 = step
-        exceeded = any(c.exceeded(s) for c, s in
-                       zip(self.condition_components, conds2))
-        overflow_phi = self.overflow.transfer(edge) if self.overflow else None
+        observer = self.observer
+        obs2 = None
+        if observer is not None:
+            obs2 = observer.step(state.observer, edge)
+            if obs2 is PRUNED:
+                return []
+        components = self.condition_components
+        if components:
+            conds2 = tuple(c.transfer(s, edge) for c, s in zip(components, state.conds))
+            exceeded = any(c.exceeded(s) for c, s in zip(components, conds2))
+        else:
+            conds2 = ()
+            exceeded = False
+        overflow_phi = None
+        if self.overflow is not None:
+            overflow_phi = self.overflow.transfer(edge)
         premise = state.domain
         if self._is_predicate and state.overflow is not None:
             # Prune under the overflow assumption without rendering it.
@@ -154,19 +155,15 @@ class CompositeCpa:
         except D.AbstractionFailure:
             domain_succs = [self.domain.top()]
             exceeded = True  # absorb the failure into an excluding assumption
-        out = []
-        for d2 in domain_succs:
-            candidate = CompositeState(
-                assumption=F.TRUE,
-                location=edge.target,
-                conds=conds2,
-                observer=obs2,
-                overflow=overflow_phi if self.overflow else None,
-                domain=d2,
-            )
-            strengthened, label = strengthen(candidate, exceeded, overflow_phi)
-            out.append((strengthened, label))
-        return out
+        if exceeded:
+            assumption = F.FALSE
+        elif overflow_phi is not None:
+            assumption = overflow_phi
+        else:
+            assumption = F.TRUE
+        target = edge.target
+        return [(CompositeState(assumption, target, conds2, obs2, overflow_phi, d2), assumption)
+                for d2 in domain_succs]
 
     def excluded_successor(self, state: CompositeState, edge: lang.Edge):
         """Stand-in for a post computation skipped by the busy-edge monitor."""
@@ -273,7 +270,8 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
 
     Each distinct label is parsed once and its formula shared.  A syntax
     error, in a label or around it, raises ParseError at its position in
-    ``text``, naming ``source`` (the file name) when given.
+    ``text``, naming ``source`` (the file name) when given; a missing init
+    state or ``# edges:`` header is reported at 1:1.
     """
     edge_count = -1
     flags: dict[str, set[str]] = {}
@@ -337,9 +335,9 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
         raise lang.ParseError(f"unrecognized automaton line: {line};", lineno, indent + 1,
                               source)
     if initial is None:
-        raise ValueError("automaton has no init state")
+        raise lang.ParseError("automaton has no init state", 1, 1, source)
     if edge_count < 0:
-        raise ValueError("automaton has no '# edges:' header")
+        raise lang.ParseError("automaton has no '# edges:' header", 1, 1, source)
     return AssumptionAutomaton(
         initial=initial,
         flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
@@ -398,20 +396,17 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
     Fully-expanded retained nodes get explicit T-transitions for edges
     whose successor computation produced nothing (proven infeasible).
     """
-    cpa = rs.cpa
     covers_index = rs.covers_index
+    edges_from = rs.cfa.edges_from
 
-    def interesting(node: engine.ArtNode) -> bool:
-        if not isinstance(node.assumption, F.TrueF):
-            return True
-        if node.covered_by is not None:
-            return False
-        return cpa.is_excluded(node.state) or node.in_waitlist
-
-    # Walk back from the interesting nodes: a node's predecessors are its
+    # Walk back from the interesting nodes (a non-true edge assumption, or
+    # an excluded or waiting reached node): a node's predecessors are its
     # parent and the live nodes it covers.
     retained = bytearray(len(rs.nodes))  # by nid
-    stack = [n for n in rs.nodes if not n.removed and interesting(n)]
+    stack = [n for n in rs.nodes if not n.removed and (
+        not isinstance(n.assumption, F.TrueF)
+        or (n.covered_by is None
+            and (isinstance(n.state.assumption, F.FalseF) or n.in_waitlist)))]
     while stack:
         n = stack.pop()
         if retained[n.nid]:
@@ -419,7 +414,9 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
         retained[n.nid] = 1
         if n.parent is not None:
             stack.append(n.parent)
-        stack.extend(c for c in covers_index.get(n.nid, ()) if not c.removed)
+        covered = covers_index.get(n.nid)
+        if covered:
+            stack.extend(c for c in covered if not c.removed)
 
     named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
     qid = {n: f"q{i}" for i, n in enumerate(named)}
@@ -428,40 +425,45 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
         target = node.covered_by if node.covered_by is not None else node
         return qid.get(target, SINK_VERIFIED)
 
-    flags: dict[str, set[str]] = {SINK_VERIFIED: {"T"}, SINK_UNKNOWN: {"U"}}
+    flags: dict[str, tuple[str, ...]] = {SINK_VERIFIED: ("T",), SINK_UNKNOWN: ("U",)}
+    flags.update(dict.fromkeys(qid.values(), ()))
     transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
-    for n in named:
-        sid = qid[n]
-        flags.setdefault(sid, set())
-        if cpa.is_excluded(n.state) or n.in_waitlist:
+    for n, sid in qid.items():
+        if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
             continue  # all matches fall through to U at run time
-        by_edge: dict[int, list[engine.ArtNode]] = {}
-        for c in n.children:
-            if not c.removed:
-                by_edge.setdefault(c.edge.id, []).append(c)
-        for edge_id, kids in by_edge.items():
-            # Re-expansions (after counter merges) can record several
-            # attempts along one edge; fold them into one deterministic
-            # transition.  The genuine successor's target wins, covered
-            # duplicates redirect there anyway, and the labels conjoin.
-            main = next((c for c in kids if c.covered_by is None), None)
-            if main is None:
-                main = min(kids, key=lambda c: c.covered_by.nid)
-            if len(kids) == 1:
-                label = kids[0].assumption  # already canonical
-            else:
-                label = F.f_and(c.assumption for c in kids)
-            transitions[(sid, edge_id)] = (label, resolve(main))
-        loc = cpa.location_of(n.state)
-        for edge in rs.cfa.edges_from(loc):
-            if edge.id not in by_edge:
+        children = n.children
+        if len(children) == 1 and not children[0].removed:
+            c = children[0]
+            expanded = (c.edge.id,)
+            transitions[(sid, c.edge.id)] = (c.assumption, resolve(c))
+        else:
+            expanded = {}
+            for c in children:
+                if not c.removed:
+                    expanded.setdefault(c.edge.id, []).append(c)
+            for edge_id, kids in expanded.items():
+                # Re-expansions (after counter merges) can record several
+                # attempts along one edge; fold them into one deterministic
+                # transition.  The genuine successor's target wins, covered
+                # duplicates redirect there anyway, and the labels conjoin.
+                main = next((c for c in kids if c.covered_by is None), None)
+                if main is None:
+                    main = min(kids, key=lambda c: c.covered_by.nid)
+                if len(kids) == 1:
+                    label = kids[0].assumption  # already canonical
+                else:
+                    label = F.f_and(c.assumption for c in kids)
+                transitions[(sid, edge_id)] = (label, resolve(main))
+        for edge in edges_from(n.state.location):
+            if edge.id not in expanded:
                 transitions[(sid, edge.id)] = (F.TRUE, SINK_VERIFIED)
 
+    # The root resolves to a named state or to T; "init" sorts after "T".
     init_id = resolve(rs.root)
-    flags.setdefault(init_id, set()).add("init")
+    flags[init_id] += ("init",)
     return AssumptionAutomaton(
         initial=init_id,
-        flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
+        flags=flags,
         transitions=transitions,
         edge_count=len(rs.cfa.edges),
     )
@@ -492,13 +494,13 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
     """Assemble the final invariant and verdict from a finished run."""
     cpa = rs.cpa
     cfa = rs.cfa
-    waiting = bool(rs.waitlist_nodes())
+    waiting = any(n.in_waitlist and not n.removed for n in rs.waitlist)
     clauses = []
     all_assumptions_true = True
     error_reached = False
     for node in rs.reached_nodes():
         state = node.state
-        loc = cpa.location_of(state)
+        loc = state.location
         frontier = node.in_waitlist or loc in cfa.error_locations
         if loc in cfa.error_locations:
             error_reached = True

@@ -46,7 +46,7 @@ class ExplicitState:
 
     def shape(self) -> tuple[str, ...]:
         """The variables this store defines, in binding order."""
-        return tuple(v for v, _ in self.bindings)
+        return tuple([v for v, _ in self.bindings])
 
     def with_binding(self, var: str, value: Optional[int]) -> "ExplicitState":
         items = [(v, val) for v, val in self.bindings if v != var]
@@ -105,21 +105,26 @@ class ExplicitDomain:
         the subset mask over ``state.bindings`` (bit i for binding i),
         which is the order of the full 2^n sub-store enumeration.
         """
-        bits = {v: 1 << i for i, (v, _) in enumerate(state.bindings)}
+        bindings = state.bindings
+        values = dict(bindings)
         found = []
         for shape in shapes:
-            mask = 0
             for v in shape:
-                bit = bits.get(v)
-                if bit is None:
+                if v not in values:
                     break
-                mask |= bit
             else:
-                found.append((mask, shape))
-        found.sort(reverse=True)
-        values = dict(state.bindings)
-        for _, shape in found:
-            yield ExplicitState(tuple((v, values[v]) for v in shape))
+                found.append(shape)
+        # Bindings are sorted and distinct, so distinct shapes have distinct
+        # masks, and a shape as long as the store is the store's own.
+        if len(found) > 1:
+            bits = {v: 1 << i for i, (v, _) in enumerate(bindings)}
+            found.sort(key=lambda shape: sum(bits[v] for v in shape), reverse=True)
+        n = len(bindings)
+        for shape in found:
+            if len(shape) == n:
+                yield state
+            else:
+                yield ExplicitState(tuple((v, values[v]) for v in shape))
 
 
 # ---------------------------------------------------------------------------

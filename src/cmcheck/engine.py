@@ -10,6 +10,13 @@ both can merge or cover each other.  An abstract reachability tree is
 maintained alongside: every expansion creates a child node carrying the
 CFA edge and the assumption attached to that step, and covered successors
 become leaf nodes pointing at their covering node.
+
+``RunState._index`` is the only way a node enters the partitions.  The
+benchmark in ``perfbench/`` traces the engine by wrapping attributes by
+name, so the hot loop must keep calling these as attributes, never inline
+them: ``RunState._new_node`` and ``new_covered_node``, the composite CPA's
+``successors``, ``covers`` and ``merge``, ``ExplicitDomain.cover_keys``
+(through ``stop_candidates``) and ``GlobalMonitor.pre_post``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ if TYPE_CHECKING:
     from .assumptions import CompositeCpa
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ArtNode:
     nid: int
     state: Any
@@ -229,7 +236,8 @@ class RunResult:
 def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) -> RunResult:
     """One worklist pass; returns on empty waitlist, monitor halt, or target hit."""
     cpa = rs.cpa
-    cfa = rs.cfa
+    edges_from = rs.cfa.edges_from
+    successors = cpa.successors
     while True:
         if monitor is not None and monitor.should_halt(rs.reached_size()):
             return RunResult("halted")
@@ -237,7 +245,7 @@ def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) ->
         if node is None:
             return RunResult("empty")
         state = node.state
-        for edge in cfa.edges_from(cpa.location_of(state)):
+        for edge in edges_from(state.location):
             if monitor is not None:
                 act = monitor.pre_post(edge.id)
                 if act == "halt":
@@ -248,17 +256,13 @@ def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) ->
                     if skipped is not None:
                         _process_successor(rs, node, edge, skipped, F.FALSE)
                     continue
-            for succ, assumption in cpa.successors(state, edge):
+            for succ, assumption in successors(state, edge):
                 hit = _process_successor(rs, node, edge, succ, assumption)
-                if hit is not None and _is_target(cpa, hit.state, target_locs):
+                # An excluded state is never a target.
+                if hit is not None and succ.location in target_locs \
+                        and not isinstance(succ.assumption, F.FalseF):
                     rs.add_to_waitlist(node)
                     return RunResult("target", hit)
-
-
-def _is_target(cpa: "CompositeCpa", state, target_locs: frozenset) -> bool:
-    if not target_locs or cpa.is_excluded(state):
-        return False
-    return cpa.location_of(state) in target_locs
 
 
 def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
@@ -266,20 +270,27 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
     """Merge and stop phases for one successor; returns its node if added."""
     cpa = rs.cpa
     part = rs.partition(succ)
-    bucket = part.by_domain.get(succ.domain, ())
-    for other in list(bucket):
-        merged = cpa.merge(succ, other.state)
-        if merged != other.state:
-            rs.replace_state(other, merged)
-            rs.add_to_waitlist(other)
+    bucket = part.by_domain.get(succ.domain)
+    if bucket:
+        # replace_state moves a merged node to the end of the bucket.
+        for other in list(bucket):
+            merged = cpa.merge(succ, other.state)
+            if merged != other.state:
+                rs.replace_state(other, merged)
+                rs.add_to_waitlist(other)
+    edge_id = edge.id
     for child in node.children:
         if not child.removed and child.edge is not None \
-                and child.edge.id == edge.id and child.state == succ:
+                and child.edge.id == edge_id and child.state == succ:
             return None  # re-expansion of an already recorded step
     # A reached state equal to succ is tried first: the node that took it last.
-    cover = next((n for n in reversed(bucket) if n.state == succ), None)
-    if cover is not None and not cpa.covers(succ, cover.state):
-        cover = None
+    cover = None
+    if bucket:
+        for other in reversed(bucket):
+            if other.state == succ:
+                if cpa.covers(succ, other.state):
+                    cover = other
+                break
     if cover is None:
         for cand in cpa.stop_candidates(succ, part):
             if cpa.covers(succ, cand.state):
@@ -289,6 +300,6 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
         rs.new_covered_node(node, edge, assumption, succ, cover)
         return None
     child = rs.new_reached_node(node, edge, assumption, succ)
-    if not cpa.is_excluded(succ):
+    if not isinstance(succ.assumption, F.FalseF):  # excluded leaves stay unexpanded
         rs.add_to_waitlist(child)
     return child

@@ -38,6 +38,7 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
+        self.source = source
 
 
 # ---------------------------------------------------------------------------

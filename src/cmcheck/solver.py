@@ -206,6 +206,8 @@ class Solver:
         self.config = config or SolverConfig()
         self._sat_cache: dict[F.Formula, SatResult] = {}
         self._entails_cache: dict[tuple[F.Formula, F.Formula], bool] = {}
+        # Predicate -> (DNF of its negation, DNF of itself), for sat_minterms.
+        self._literal_dnfs: dict[F.Formula, tuple[list, list]] = {}
         self.stats = {"sat_queries": 0, "witness_searches": 0}
 
     # -- satisfiability ----------------------------------------------------
@@ -255,7 +257,8 @@ class Solver:
         """Sorted bit-vectors ``b`` for which ``f & minterm(b)`` is not refuted.
 
         Bit i of ``b`` set means ``preds[i]`` holds, clear means its
-        negation holds.  DNF(f) is computed once; each of its clauses is
+        negation holds.  DNF(f) is computed once, and the DNFs of each
+        predicate and its negation once per solver; each clause of DNF(f) is
         extended one predicate literal at a time, in index order, and a
         prefix that Fourier-Motzkin refutes is dropped with all its
         extensions.  Raises FormulaTooLarge when the clauses of the
@@ -264,7 +267,12 @@ class Solver:
         bound = self.config.dnf_clause_bound
         clauses = to_dnf(f, bound)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
-        literals = [(to_dnf(F.f_not(p), bound), to_dnf(p, bound)) for p in preds]
+        literals = []
+        for p in preds:
+            pair = self._literal_dnfs.get(p)
+            if pair is None:
+                pair = self._literal_dnfs[p] = (to_dnf(F.f_not(p), bound), to_dnf(p, bound))
+            literals.append(pair)
         size = len(clauses)
         for neg, pos in literals:
             size *= max(len(neg), len(pos))

@@ -1,9 +1,17 @@
-"""Shared test machinery: program generator and a naive reference engine."""
+"""Shared test machinery: program generator and naive reference versions.
+
+The reference versions are straightforward copies of earlier shipped code
+(or naive re-implementations of it); tests require the shipped code to
+give the same results.
+"""
 
 from __future__ import annotations
 
 import random
 
+from dataclasses import replace
+
+from cmcheck import assumptions as A
 from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang, oracle, refine
 from cmcheck import solver as S
@@ -148,6 +156,144 @@ def reference_cover_keys(self, state: D.ExplicitState, shapes):
     n = len(items)
     for mask in range((1 << n) - 1, -1, -1):
         yield D.ExplicitState(tuple(items[i] for i in range(n) if (mask >> i) & 1))
+
+
+def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
+    """Collapse the ART into an assumption automaton (reference copy).
+
+    ``assumptions.export_automaton`` before it was tuned: per-state flag
+    sets sorted at the end, and a by-edge table for every node.
+
+    A node is retained iff an excluded node, a waitlist member, or a
+    non-true edge assumption is reachable below it (through covered-node
+    redirects); everything else is verified and collapses into T.
+    Fully-expanded retained nodes get explicit T-transitions for edges
+    whose successor computation produced nothing (proven infeasible).
+    """
+    cpa = rs.cpa
+    covers_index = rs.covers_index
+
+    def interesting(node: engine.ArtNode) -> bool:
+        if not isinstance(node.assumption, F.TrueF):
+            return True
+        if node.covered_by is not None:
+            return False
+        return cpa.is_excluded(node.state) or node.in_waitlist
+
+    # Walk back from the interesting nodes: a node's predecessors are its
+    # parent and the live nodes it covers.
+    retained = bytearray(len(rs.nodes))  # by nid
+    stack = [n for n in rs.nodes if not n.removed and interesting(n)]
+    while stack:
+        n = stack.pop()
+        if retained[n.nid]:
+            continue
+        retained[n.nid] = 1
+        if n.parent is not None:
+            stack.append(n.parent)
+        stack.extend(c for c in covers_index.get(n.nid, ()) if not c.removed)
+
+    named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
+    qid = {n: f"q{i}" for i, n in enumerate(named)}
+
+    def resolve(node: engine.ArtNode) -> str:
+        target = node.covered_by if node.covered_by is not None else node
+        return qid.get(target, A.SINK_VERIFIED)
+
+    flags: dict[str, set[str]] = {A.SINK_VERIFIED: {"T"}, A.SINK_UNKNOWN: {"U"}}
+    transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
+    for n in named:
+        sid = qid[n]
+        flags.setdefault(sid, set())
+        if cpa.is_excluded(n.state) or n.in_waitlist:
+            continue  # all matches fall through to U at run time
+        by_edge: dict[int, list[engine.ArtNode]] = {}
+        for c in n.children:
+            if not c.removed:
+                by_edge.setdefault(c.edge.id, []).append(c)
+        for edge_id, kids in by_edge.items():
+            # Re-expansions (after counter merges) can record several
+            # attempts along one edge; fold them into one deterministic
+            # transition.  The genuine successor's target wins, covered
+            # duplicates redirect there anyway, and the labels conjoin.
+            main = next((c for c in kids if c.covered_by is None), None)
+            if main is None:
+                main = min(kids, key=lambda c: c.covered_by.nid)
+            if len(kids) == 1:
+                label = kids[0].assumption  # already canonical
+            else:
+                label = F.f_and(c.assumption for c in kids)
+            transitions[(sid, edge_id)] = (label, resolve(main))
+        loc = cpa.location_of(n.state)
+        for edge in rs.cfa.edges_from(loc):
+            if edge.id not in by_edge:
+                transitions[(sid, edge.id)] = (F.TRUE, A.SINK_VERIFIED)
+
+    init_id = resolve(rs.root)
+    flags.setdefault(init_id, set()).add("init")
+    return A.AssumptionAutomaton(
+        initial=init_id,
+        flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
+        transitions=transitions,
+        edge_count=len(rs.cfa.edges),
+    )
+
+
+def _reference_strengthen(candidate: A.CompositeState, exceeded: bool, overflow_phi):
+    """The strengthen operator, applied to one fresh successor tuple."""
+    if exceeded:
+        return replace(candidate, assumption=F.FALSE), F.FALSE
+    if overflow_phi is not None and not isinstance(overflow_phi, F.TrueF):
+        strengthened = replace(
+            candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
+        return strengthened, overflow_phi
+    return candidate, F.TRUE
+
+
+def _reference_step_bookkeeping(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
+    """Observer and condition successors, or None if the path stops here."""
+    if edge.source != state.location or cpa.is_excluded(state):
+        return None
+    obs2 = None
+    if cpa.observer is not None:
+        obs2 = cpa.observer.step(state.observer, edge)
+        if obs2 is A.PRUNED:
+            return None
+    conds2 = tuple(c.transfer(s, edge)
+                   for c, s in zip(cpa.condition_components, state.conds))
+    return obs2, conds2
+
+
+def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
+    """``CompositeCpa.successors`` before it was tuned: bookkeeping in a
+    helper, and each successor built, then strengthened, one by one."""
+    step = _reference_step_bookkeeping(cpa, state, edge)
+    if step is None:
+        return []
+    obs2, conds2 = step
+    exceeded = any(c.exceeded(s) for c, s in
+                   zip(cpa.condition_components, conds2))
+    overflow_phi = cpa.overflow.transfer(edge) if cpa.overflow else None
+    premise = state.domain
+    if isinstance(cpa.domain, D.PredicateDomain) and state.overflow is not None:
+        premise = F.f_and([premise, state.overflow])
+    try:
+        domain_succs = cpa.domain.transfer(premise, edge)
+    except D.AbstractionFailure:
+        domain_succs = [cpa.domain.top()]
+        exceeded = True
+    out = []
+    for d2 in domain_succs:
+        candidate = A.CompositeState(
+            assumption=F.TRUE,
+            location=edge.target,
+            conds=conds2,
+            observer=obs2,
+            overflow=overflow_phi if cpa.overflow else None,
+            domain=d2,
+        )
+        out.append(_reference_strengthen(candidate, exceeded, overflow_phi))
+    return out
 
 
 def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:

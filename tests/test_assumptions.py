@@ -78,32 +78,40 @@ def test_overflow_transfer_assignment_bounds(solver):
     assert merged.overflow == F.f_and([a, b])
 
 
-# -- strengthen ------------------------------------------------------------------------
+# -- strengthen (inside successors) ----------------------------------------------------
 
-def comp_state(**kw):
-    base = dict(assumption=F.TRUE, location=1, conds=(), observer=None,
-                overflow=None, domain=F.TRUE)
-    base.update(kw)
-    return A.CompositeState(**base)
+def strengthened(solver, edge, **kw):
+    """The one successor of a fresh predicate state at L0 along ``edge``."""
+    cpa = composite(lang.parse_program("int x, y;"), solver,
+                    domain=D.PredicateDomain(solver, D.Precision()), **kw)
+    overflow = F.TRUE if cpa.overflow is not None else None
+    conds = tuple(c.initial() for c in cpa.condition_components)
+    ((out, label),) = cpa.successors(A.CompositeState(F.TRUE, 0, conds, None, overflow,
+                                                      F.TRUE), edge)
+    return out, label
 
 
-def test_strengthen_exceeded_excludes():
-    out, label = A.strengthen(comp_state(), exceeded=True, overflow_phi=None)
+def test_strengthen_exceeded_excludes(solver):
+    out, label = strengthened(solver, an_edge(),
+                              condition_components=[C.PathStatsComponent(max_length=1)])
     assert out.assumption == F.FALSE and label == F.FALSE
 
 
-def test_strengthen_overflow_feeds_assumption_and_predicate():
+def test_strengthen_overflow_feeds_assumption_and_predicate(solver):
     # The fact becomes the assumption and the edge label; the predicate
     # state stays unstrengthened (the next transfer assumes the fact).
-    phi = F.parse_formula("x <= 100")
-    out, label = A.strengthen(comp_state(), exceeded=False, overflow_phi=phi)
+    out, label = strengthened(solver, an_edge("x := y"),
+                              overflow=A.OverflowComponent(-100, 100))
+    phi = F.parse_formula("x >= -100 & x <= 100")
     assert out.assumption == phi and out.domain == F.TRUE and label == phi
 
 
-def test_strengthen_identity():
-    s = comp_state()
-    out, label = A.strengthen(s, exceeded=False, overflow_phi=F.TRUE)
-    assert out == s and label == F.TRUE
+def test_strengthen_identity(solver):
+    # An edge that assigns nothing yields the overflow fact true: no change.
+    out, label = strengthened(solver, an_edge("assume x < 1"),
+                              overflow=A.OverflowComponent(-100, 100))
+    assert out == A.CompositeState(F.TRUE, 1, (), None, F.TRUE, F.TRUE)
+    assert label == F.TRUE
 
 
 def test_predicate_transfer_assumes_overflow_fact(solver):
@@ -520,3 +528,107 @@ def test_condition_and_automaton_agree_on_verified_regions(nonlinear_square_cfa)
         if rs.cpa.is_excluded(n.state) or n.in_waitlist
     }
     assert set(by_loc) == frontier_locs
+
+
+# -- tuned operators against their reference copies -----------------------------------
+
+def several_live_children_on_one_edge(rs) -> bool:
+    for n in rs.nodes:
+        edges = [c.edge.id for c in n.children if not c.removed]
+        if len(edges) != len(set(edges)):
+            return True
+    return False
+
+
+def test_export_matches_reference_copy():
+    # Every shape of ART the export reads: verified runs, waitlist
+    # frontiers, removed subtrees, repeated steps along one edge, and a
+    # second stage that runs an observer.
+    from cmcheck import driver
+    from helpers import random_cfa, reference_export_automaton
+
+    configs = list(driver.shipped_configurations().values()) + [
+        driver.AnalysisConfig(name="explicit-fuel", domain="explicit", fuel=30),
+        driver.AnalysisConfig(name="predicate-fuel", domain="predicate", fuel=30),
+    ]
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(("frontier", "removed", "repeated-edge", "observer"), 0)
+    for i in range(60):
+        cfa = random_cfa(rng, n_vars=rng.randint(1, 3), require_assert=(i % 2 == 0))
+        reports = [driver.run_analysis(cfa, config) for config in configs]
+        first = reports[-2]  # the explicit stage of an explicit -> predicate pipeline
+        if first.verdict == "CONDITION":
+            carried = A.parse_automaton(A.serialize_automaton(first.automaton))
+            reports.append(driver.run_analysis(
+                cfa, driver.AnalysisConfig(name="predicate", domain="predicate"),
+                input_automaton=carried))
+            seen["observer"] += 1
+        for report in reports:
+            rs = report.run
+            assert A.serialize_automaton(report.automaton) == \
+                A.serialize_automaton(reference_export_automaton(rs))
+            seen["frontier"] += any(n.in_waitlist and not n.removed for n in rs.nodes)
+            seen["removed"] += any(n.removed for n in rs.nodes)
+            seen["repeated-edge"] += several_live_children_on_one_edge(rs)
+    assert all(seen.values()), seen
+
+
+def test_successors_match_reference_copy():
+    from cmcheck import driver
+    from helpers import random_cfa, reference_successors
+
+    def config(name, **kw):
+        return driver.AnalysisConfig(name=name, fuel=400, **kw)
+
+    setups = [
+        config("explicit", domain="explicit"),
+        config("predicate", domain="predicate"),
+        config("repeat-loc", domain="explicit", repeat_loc=2),
+        config("path-length", domain="predicate", path_length=6),
+        config("overflow-explicit", domain="explicit", overflow=True,
+               overflow_min=-2, overflow_max=2),
+        config("overflow-predicate", domain="predicate", overflow=True,
+               overflow_min=-2, overflow_max=2),
+    ]
+    # Its automaton has T, U and labelled (overflow and false) transitions.
+    producer = config("producer", domain="explicit", repeat_loc=2, overflow=True,
+                      overflow_min=-2, overflow_max=2)
+    producer.fuel = 60
+
+    def failing(transfer):
+        def transfer_or_fail(state, edge):
+            if edge.id % 3 == 0:
+                raise D.AbstractionFailure("too large")
+            return transfer(state, edge)
+        return transfer_or_fail
+
+    rng = random.Random(1019)
+    seen = dict.fromkeys(("pruned", "unknown", "labelled", "fired", "failed"), 0)
+    for i in range(25):
+        cfa = random_cfa(rng, n_vars=rng.randint(1, 3), require_assert=(i % 2 == 0))
+        runs = [driver.run_analysis(cfa, c).run for c in setups]
+        automaton = driver.run_analysis(cfa, producer).automaton
+        runs.append(driver.run_analysis(cfa, config("observer", domain="explicit"),
+                                        input_automaton=automaton).run)
+        seen["labelled"] += any(not isinstance(label, (F.TrueF, F.FalseF))
+                                for label, _ in automaton.transitions.values())
+        for rs in runs:
+            cpa = rs.cpa
+            for abstraction_fails in (False, True):
+                if abstraction_fails:
+                    cpa.domain.transfer = failing(cpa.domain.transfer)
+                for n in rs.nodes:
+                    state = n.state
+                    # One edge from elsewhere checks the location test.
+                    for edge in cfa.edges_from(state.location) + cfa.edges[:1]:
+                        got = cpa.successors(state, edge)
+                        assert got == reference_successors(cpa, state, edge)
+                        seen["fired"] += any(not isinstance(label, (F.TrueF, F.FalseF))
+                                             for _, label in got)
+                        seen["failed"] += abstraction_fails and edge.id % 3 == 0 \
+                            and any(isinstance(label, F.FalseF) for _, label in got)
+                        if cpa.observer is not None and edge.source == state.location:
+                            step = cpa.observer.step(state.observer, edge)
+                            seen["pruned"] += step is A.PRUNED
+                            seen["unknown"] += step == A.SINK_UNKNOWN
+    assert all(seen.values()), seen

@@ -277,6 +277,19 @@ def test_cli_deep_automaton_label_is_a_parse_error(tmp_path, capsys, label):
     assert f"{aut}:5:{line.index(label) + inner.value.col}: " in err
 
 
+def test_cli_names_the_automaton_file_in_whole_file_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.imp").write_text("int x; x := 0; assert(x == 0);")
+    (tmp_path / "noinit.txt").write_text("# edges: 3\nstate T T;\nstate U U;\n")
+    assert cli.main(["p.imp", "--config", "explicit", "--input-automaton", "noinit.txt"]) == 3
+    assert capsys.readouterr().err == \
+        "cmcheck: error: noinit.txt:1:1: automaton has no init state\n"
+    (tmp_path / "noedges.txt").write_text("state q0 init;\n")
+    assert cli.main(["p.imp", "--config", "explicit", "--input-automaton", "noedges.txt"]) == 3
+    assert capsys.readouterr().err == \
+        "cmcheck: error: noedges.txt:1:1: automaton has no '# edges:' header\n"
+
+
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):
     # The witness search runs on constants >= 2^63; they must stay exact
     # integers, not overflow a machine word.  x = 3 reaches the error.

@@ -383,9 +383,12 @@ def test_wide_family_is_true(tmp_path, capsys, n):
 
 
 def test_perfbench_wrappers_find_their_attributes(monkeypatch):
-    # The benchmark wraps cmcheck attributes by name; a rename must fail here.
+    # The benchmark wraps cmcheck attributes by name and checks some counts
+    # against the reports; a rename or an inlined call that bypasses a
+    # wrapper must fail here.
     from pathlib import Path
 
+    from cmcheck import assumptions as A
     from cmcheck import driver
 
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
@@ -398,12 +401,24 @@ def test_perfbench_wrappers_find_their_attributes(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for domain in ("explicit", "predicate"):
-            driver.run_analysis(cfa, driver.AnalysisConfig(name=domain, domain=domain))
+        reports = [driver.run_analysis(cfa, driver.AnalysisConfig(name=domain, domain=domain))
+                   for domain in ("explicit", "predicate")]
+        # An explicit -> predicate pipeline, its automaton passed as text.
+        first = driver.run_analysis(cfa, driver.AnalysisConfig(
+            name="explicit", domain="explicit", fuel=5))
+        assert first.verdict == "CONDITION"
+        carried = A.parse_automaton(A.serialize_automaton(first.automaton))
+        reports += [first, driver.run_analysis(
+            cfa, driver.AnalysisConfig(name="predicate", domain="predicate"),
+            input_automaton=carried)]
     finally:
         tracer.uninstall()
     assert dict(engine.RunState.__dict__) == saved
     for name in ("engine.new_node", "engine.new_covered_node",
                  "domains.explicit.cover_keys", "assumptions.successors",
-                 "assumptions.covers", "assumptions.merge"):
+                 "assumptions.covers", "assumptions.merge", "conditions.pre_post",
+                 "assumptions.observer_step", "assumptions.export",
+                 "assumptions.postprocess", "assumptions.serialize", "assumptions.parse"):
         assert tracer.calls[name] > 0, name
+    assert tracer.counts["conditions.posts"] == sum(r.stats["posts"] for r in reports)
+    assert tracer.calls["engine.new_node"] == sum(len(r.run.nodes) for r in reports)

@@ -204,6 +204,27 @@ def test_sat_minterms_matches_per_minterm_queries(solver):
     assert kept > 200 and dropped > 200  # both outcomes are exercised
 
 
+def test_sat_minterms_warm_solver_matches_fresh_across_epochs():
+    # The predicates' DNFs outlive a precision change: a solver that has
+    # answered earlier queries answers each later one as a fresh one does,
+    # while new atoms shift the old ones to other bit positions.
+    from cmcheck import domains as D
+
+    rng = random.Random(1019)
+    names = ("x", "y", "z")
+    formulas = [F.f_or([random_formula(rng), random_formula(rng)]) for _ in range(30)]
+    warm = S.Solver()
+    precision = D.Precision()
+    for _ in range(3):
+        epoch = precision.epoch
+        for p in random_predicates(rng, names, 2):
+            precision.add(None, p)
+        assert precision.epoch > epoch
+        preds = [F.AtomF(p) for p in precision.atoms_at(0)]
+        for f in formulas:
+            assert warm.sat_minterms(f, preds) == S.Solver().sat_minterms(f, preds)
+
+
 def test_fm_record_mentions_only_later_terms():
     rng = random.Random(11)
     records = 0
