@@ -98,25 +98,6 @@ class CompositeCpa:
             domain=self.domain.initial(cfa),
         )
 
-    def location_of(self, state: CompositeState) -> int:
-        return state.location
-
-    def is_excluded(self, state: CompositeState) -> bool:
-        return isinstance(state.assumption, F.FalseF)
-
-    def _step_bookkeeping(self, state: CompositeState, edge: lang.Edge):
-        """Observer and condition successors, or None if the path stops here."""
-        if edge.source != state.location or self.is_excluded(state):
-            return None
-        obs2 = None
-        if self.observer is not None:
-            obs2 = self.observer.step(state.observer, edge)
-            if obs2 is PRUNED:
-                return None
-        conds2 = tuple(c.transfer(s, edge)
-                       for c, s in zip(self.condition_components, state.conds))
-        return obs2, conds2
-
     def successors(self, state: CompositeState, edge: lang.Edge):
         """Abstract successors along one edge, each with its step assumption.
 
@@ -166,15 +147,20 @@ class CompositeCpa:
                 for d2 in domain_succs]
 
     def excluded_successor(self, state: CompositeState, edge: lang.Edge):
-        """Stand-in for a post computation skipped by the busy-edge monitor."""
-        step = self._step_bookkeeping(state, edge)
-        if step is None:
+        """Stand-in for a post computation skipped by the busy-edge monitor;
+        the observer and the condition components still step."""
+        if edge.source != state.location or isinstance(state.assumption, F.FalseF):
             return None
-        obs2, conds2 = step
+        obs2 = None
+        if self.observer is not None:
+            obs2 = self.observer.step(state.observer, edge)
+            if obs2 is PRUNED:
+                return None
         return CompositeState(
             assumption=F.FALSE,
             location=edge.target,
-            conds=conds2,
+            conds=tuple(c.transfer(s, edge)
+                        for c, s in zip(self.condition_components, state.conds)),
             observer=obs2,
             overflow=F.TRUE if self.overflow else None,
             domain=self.domain.top(),
@@ -228,9 +214,6 @@ class CompositeCpa:
                 yield from partition.by_domain.get(weaker, ())
         else:
             yield from partition.members
-
-    def render_domain(self, state: CompositeState) -> F.Formula:
-        return self.domain.render(state.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +492,7 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
             all_assumptions_true = False
         elif not frontier:
             continue  # settled, no assumption: the clause is trivially true
-        rendered = cpa.render_domain(state)
+        rendered = cpa.domain.render(state.domain)
         if frontier:
             clause = F.f_implies(pc_equals(loc), F.f_not(rendered))
         else:

@@ -92,27 +92,15 @@ def shipped_configurations() -> dict[str, AnalysisConfig]:
 # Single-stage analysis
 # ---------------------------------------------------------------------------
 
-def build_monitor(config: AnalysisConfig) -> C.GlobalMonitor:
-    return C.GlobalMonitor(
-        max_fuel=config.fuel,
-        max_reached=config.reached_size,
-        soft_time_seconds=config.soft_time,
-        busy_edge_limit=config.busy_edge,
-        path_formula_atom_limit=config.pf_atoms,
-    )
-
-
 def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
                  input_automaton: Optional[A.AssumptionAutomaton] = None) -> A.ConditionReport:
     """Run one configuration to a condition report."""
     config.validate()
     solver = solver_mod.Solver()
-    precision: Optional[D.Precision] = None
     if config.domain == "explicit":
         domain = D.ExplicitDomain()
     elif config.domain == "predicate":
-        precision = D.Precision()
-        domain = D.PredicateDomain(solver, precision)
+        domain = D.PredicateDomain(solver, D.Precision())
     else:
         domain = D.NoDomain()
 
@@ -138,21 +126,24 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
     cpa = A.CompositeCpa(cfa, domain, solver,
                          condition_components=condition_components,
                          observer=observer, overflow=overflow)
-    monitor = build_monitor(config)
-    started = time.monotonic()
-    report = refine.refine_loop(
-        cfa, cpa, config.order, solver, precision, monitor=monitor,
-        options=refine.LoopOptions(refinement=config.wants_refinement(),
-                                   max_refinements=config.max_refinements),
+    monitor = C.GlobalMonitor(
+        max_fuel=config.fuel,
+        max_reached=config.reached_size,
+        soft_time_seconds=config.soft_time,
+        busy_edge_limit=config.busy_edge,
+        path_formula_atom_limit=config.pf_atoms,
     )
+    started = time.monotonic()
+    report = refine.refine_loop(cpa, config.order, monitor, config.wants_refinement(),
+                                config.max_refinements)
     report.stats.update({
         "config": config.name,
         "posts": monitor.fuel_spent,
         "sat_queries": solver.stats["sat_queries"],
         "wall_seconds": round(time.monotonic() - started, 6),
     })
-    if precision is not None:
-        report.stats["precision_atoms"] = precision.atom_total()
+    if isinstance(domain, D.PredicateDomain):
+        report.stats["precision_atoms"] = domain.precision.atom_total()
     return report
 
 
@@ -254,7 +245,7 @@ def emit_report(final: FinalReport, out_dir: str | Path,
                            f" ({stage.seconds:.3f}s){extra}")
     emit("stats.txt", "\n".join(stats_lines) + "\n")
 
-    if "json" in formats or "json-lines" in formats:
+    if "json" in formats:
         rows = []
         for stage in final.stages:
             row = {"schema": STATS_SCHEMA, "stage": stage.name,

@@ -1,20 +1,22 @@
 """Reachability engine: the worklist algorithm that runs the composite CPA.
 
 The loop is the classic one: pop a frontier state, compute abstract
-successors along the CFA edges leaving its location, try to merge each
-successor into the reached states that hold the same domain state
-(replacing their states in place when the merge changed something), then
-add it unless a reached state already covers it.  The reached set is
+successors along the CFA edges leaving its location as the monitor
+allows, try to merge each successor into the reached states that hold the
+same domain state (replacing their states in place when the merge changed
+something), then add it unless one of the CPA's ``stop_candidates``
+covers it; the first that does becomes its cover.  The reached set is
 partitioned by location and observer state, as only states that agree on
 both can merge or cover each other.  An abstract reachability tree is
 maintained alongside: every expansion creates a child node carrying the
 CFA edge and the assumption attached to that step, and covered successors
 become leaf nodes pointing at their covering node.
 
-``RunState._index`` is the only way a node enters the partitions.  The
-benchmark in ``perfbench/`` traces the engine by wrapping attributes by
-name, so the hot loop must keep calling these as attributes, never inline
-them: ``RunState._new_node`` and ``new_covered_node``, the composite CPA's
+``RunState._index`` is the only way a node enters the partitions, and
+its caller hands it the partition.  The benchmark in ``perfbench/``
+traces the engine by wrapping attributes by name, so the hot loop must
+keep calling these as attributes, never inline them:
+``RunState._new_node`` and ``new_covered_node``, the composite CPA's
 ``successors``, ``covers`` and ``merge``, ``ExplicitDomain.cover_keys``
 (through ``stop_candidates``) and ``GlobalMonitor.pre_post``.
 """
@@ -25,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from . import conditions as C
 from . import formula as F
 from . import lang
 
@@ -64,11 +67,12 @@ class Partition:
     ``members`` holds them in insertion order, and ``by_domain`` the same
     nodes bucketed by domain state, each list in insertion order as well.
     ``RunState.replace_state`` moves a node to the end of both.  The stop
-    checks try candidates in exactly this order, so it decides each
-    covered node's ``covered_by``.  A node never changes partition or
-    bucket: merges and exclusions change only its assumption and condition
-    states.  ``shapes`` holds the explicit store shapes ever reached here,
-    or None before the first; a stale shape costs one empty lookup.
+    check takes the first covering node of ``stop_candidates``, which
+    follows these orders, so they decide each ``covered_by``.  A node never
+    changes partition or bucket: merges and exclusions change only its
+    assumption and condition states.  ``shapes`` holds the explicit store
+    shapes ever reached here, or None before the first; a stale shape
+    costs one empty lookup.
     """
 
     __slots__ = ("members", "by_domain", "shapes")
@@ -98,7 +102,7 @@ class RunState:
         self.covers_index: dict[int, list[ArtNode]] = {}
         init = cpa.initial_state(cfa)
         self.root = self._new_node(init, None, None, F.TRUE)
-        self._index(self.root)
+        self._index(self.root, self.partition(init))
         self.add_to_waitlist(self.root)
 
     # -- construction --------------------------------------------------------
@@ -118,9 +122,8 @@ class RunState:
             part = self.partitions[key] = Partition()
         return part
 
-    def _index(self, node: ArtNode) -> None:
+    def _index(self, node: ArtNode, part: Partition) -> None:
         state = node.state
-        part = self.partition(state)
         part.members[node] = None
         part.by_domain.setdefault(state.domain, []).append(node)
         shape = self.cpa.shape_of(state)
@@ -130,7 +133,7 @@ class RunState:
             part.shapes[shape] = None
         self._reached += 1
 
-    def _unindex(self, node: ArtNode) -> None:
+    def _unindex(self, node: ArtNode) -> Partition:
         state = node.state
         part = self.partitions[self.cpa.partition_key(state)]
         del part.members[node]
@@ -139,10 +142,11 @@ class RunState:
         if not bucket:
             del part.by_domain[state.domain]
         self._reached -= 1
+        return part
 
-    def new_reached_node(self, parent, edge, assumption, state) -> ArtNode:
+    def new_reached_node(self, parent, edge, assumption, state, part: Partition) -> ArtNode:
         node = self._new_node(state, parent, edge, assumption)
-        self._index(node)
+        self._index(node, part)
         return node
 
     def new_covered_node(self, parent, edge, assumption, state, cover: ArtNode) -> ArtNode:
@@ -158,9 +162,6 @@ class RunState:
 
     def reached_size(self) -> int:
         return self._reached
-
-    def waitlist_nodes(self) -> list[ArtNode]:
-        return [n for n in self.waitlist if n.in_waitlist and not n.removed]
 
     # -- waitlist ---------------------------------------------------------------
 
@@ -188,9 +189,9 @@ class RunState:
         partition and bucket)."""
         if new_state == node.state:
             return
-        self._unindex(node)
+        part = self._unindex(node)
         node.state = new_state
-        self._index(node)
+        self._index(node, part)
 
     def remove_subtree(self, node: ArtNode) -> Optional[ArtNode]:
         """Remove node and its descendants; re-queue covered dependents' parents.
@@ -233,29 +234,28 @@ class RunResult:
     target: Optional[ArtNode] = None
 
 
-def run_cpa(rs: RunState, monitor=None, target_locs: frozenset = frozenset()) -> RunResult:
+def run_cpa(rs: RunState, monitor: C.GlobalMonitor, target_locs=frozenset()) -> RunResult:
     """One worklist pass; returns on empty waitlist, monitor halt, or target hit."""
     cpa = rs.cpa
     edges_from = rs.cfa.edges_from
     successors = cpa.successors
     while True:
-        if monitor is not None and monitor.should_halt(rs.reached_size()):
+        if monitor.should_halt(rs.reached_size()):
             return RunResult("halted")
         node = rs.pop_waitlist()
         if node is None:
             return RunResult("empty")
         state = node.state
         for edge in edges_from(state.location):
-            if monitor is not None:
-                act = monitor.pre_post(edge.id)
-                if act == "halt":
-                    rs.add_to_waitlist(node)
-                    return RunResult("halted")
-                if act == "skip":
-                    skipped = cpa.excluded_successor(state, edge)
-                    if skipped is not None:
-                        _process_successor(rs, node, edge, skipped, F.FALSE)
-                    continue
+            act = monitor.pre_post(edge.id)
+            if act == "halt":
+                rs.add_to_waitlist(node)
+                return RunResult("halted")
+            if act == "skip":
+                skipped = cpa.excluded_successor(state, edge)
+                if skipped is not None:
+                    _process_successor(rs, node, edge, skipped, F.FALSE)
+                continue
             for succ, assumption in successors(state, edge):
                 hit = _process_successor(rs, node, edge, succ, assumption)
                 # An excluded state is never a target.
@@ -283,23 +283,11 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
         if not child.removed and child.edge is not None \
                 and child.edge.id == edge_id and child.state == succ:
             return None  # re-expansion of an already recorded step
-    # A reached state equal to succ is tried first: the node that took it last.
-    cover = None
-    if bucket:
-        for other in reversed(bucket):
-            if other.state == succ:
-                if cpa.covers(succ, other.state):
-                    cover = other
-                break
-    if cover is None:
-        for cand in cpa.stop_candidates(succ, part):
-            if cpa.covers(succ, cand.state):
-                cover = cand
-                break
-    if cover is not None:
-        rs.new_covered_node(node, edge, assumption, succ, cover)
-        return None
-    child = rs.new_reached_node(node, edge, assumption, succ)
+    for cand in cpa.stop_candidates(succ, part):
+        if cpa.covers(succ, cand.state):
+            rs.new_covered_node(node, edge, assumption, succ, cand)
+            return None
+    child = rs.new_reached_node(node, edge, assumption, succ, part)
     if not isinstance(succ.assumption, F.FalseF):  # excluded leaves stay unexpanded
         rs.add_to_waitlist(child)
     return child

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import assumptions as A
+from . import conditions as C
 from . import domains as D
 from . import engine, formula as F, lang
 from . import solver as solver_mod
@@ -252,7 +253,7 @@ def mine_predicates(path: AbstractPath, pivot: int,
                 if op.var in vars_of(atom):
                     del current[key]
 
-    locations = {cpa.location_of(path.nodes[i].state) for i in range(pivot + 1)}
+    locations = {path.nodes[i].state.location for i in range(pivot + 1)}
     return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
@@ -262,7 +263,7 @@ def exclude_path_suffix(rs: engine.RunState, path: AbstractPath, pivot: int) -> 
 
     count = 0
     for node in path.nodes[pivot:]:
-        if node.removed or rs.cpa.is_excluded(node.state):
+        if node.removed or isinstance(node.state.assumption, F.FalseF):
             continue
         rs.replace_state(node, dc_replace(node.state, assumption=F.FALSE))
         rs.remove_from_waitlist(node)
@@ -274,48 +275,41 @@ def exclude_path_suffix(rs: engine.RunState, path: AbstractPath, pivot: int) -> 
 # The analysis loop (with or without refinement)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LoopOptions:
-    refinement: bool = True
-    max_refinements: Optional[int] = None
-
-
-def refine_loop(cfa: lang.Cfa, cpa: A.CompositeCpa, order: str,
-                solver: solver_mod.Solver,
-                precision: Optional[D.Precision],
-                monitor=None,
-                options: LoopOptions | None = None) -> A.ConditionReport:
+def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
+                refinement: bool, max_refinements: Optional[int]) -> A.ConditionReport:
     """Explore, confirm or refute error states, refine or exclude, repeat.
 
-    Terminates on a confirmed bug, an empty waitlist, or a monitor halt;
-    always ends in post-processing.
+    Refinement grows the precision of ``cpa``'s predicate domain; other
+    domains exclude every spurious path.  Terminates on a confirmed bug,
+    an empty waitlist, or a monitor halt; always ends in post-processing.
     """
-    options = options or LoopOptions()
+    cfa = cpa.cfa
+    precision = cpa.domain.precision if isinstance(cpa.domain, D.PredicateDomain) else None
     rs = engine.RunState(cfa, cpa, order=order)
     refined_signatures: set[tuple[int, ...]] = set()
     refinements = 0
-    atom_limit = monitor.path_formula_atom_limit if monitor is not None else None
 
     while True:
-        result = engine.run_cpa(rs, monitor=monitor, target_locs=cfa.error_locations)
+        result = engine.run_cpa(rs, monitor, target_locs=cfa.error_locations)
         if result.status in ("empty", "halted"):
             break
         node = result.target
         path = path_of(node)
-        feas = check_feasibility(path, cfa, solver, atom_limit=atom_limit)
+        feas = check_feasibility(path, cfa, cpa.solver,
+                                 atom_limit=monitor.path_formula_atom_limit)
         if isinstance(feas, Feasible):
-            error_loc = cpa.location_of(node.state)
+            error_loc = node.state.location
             return A.postprocess(
                 rs,
                 confirmed_witness=feas.trace,
                 error_description=cfa.error_info.get(error_loc, f"error location L{error_loc}"),
-                stats=_loop_stats(rs, monitor, refinements),
+                stats={"reached": rs.reached_size(), "refinements": refinements},
             )
         pivot = min(feas.pivot, len(path.nodes) - 1)
         signature = tuple(e.id for e in path.edges)
-        if (options.refinement and precision is not None
+        if (refinement and precision is not None
                 and signature not in refined_signatures
-                and (options.max_refinements is None or refinements < options.max_refinements)):
+                and (max_refinements is None or refinements < max_refinements)):
             mined = mine_predicates(path, pivot, cpa)
             changed_locs = set()
             for loc, atom in sorted(mined, key=lambda la: (la[0], F.atom_key(la[1]))):
@@ -328,7 +322,7 @@ def refine_loop(cfa: lang.Cfa, cpa: A.CompositeCpa, order: str,
                 # new predicates; anything above cannot change.
                 cut = pivot
                 for i in range(pivot + 1):
-                    if cpa.location_of(path.nodes[i].state) in changed_locs:
+                    if path.nodes[i].state.location in changed_locs:
                         cut = max(1, i)
                         break
                 parent = rs.remove_subtree(path.nodes[cut])
@@ -337,14 +331,4 @@ def refine_loop(cfa: lang.Cfa, cpa: A.CompositeCpa, order: str,
                 continue
         exclude_path_suffix(rs, path, pivot)
 
-    return A.postprocess(rs, stats=_loop_stats(rs, monitor, refinements))
-
-
-def _loop_stats(rs: engine.RunState, monitor, refinements: int) -> dict:
-    stats = {
-        "reached": rs.reached_size(),
-        "refinements": refinements,
-    }
-    if monitor is not None:
-        stats["posts"] = monitor.fuel_spent
-    return stats
+    return A.postprocess(rs, stats={"reached": rs.reached_size(), "refinements": refinements})

@@ -41,11 +41,6 @@ class SatResult:
     witness: Optional[dict] = None  # Term -> int, only for SAT
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    dnf_clause_bound: int = 4096
-
-
 # Fourier-Motzkin gives up (MaybeSat) once a round derives more constraints.
 FM_CONSTRAINT_BOUND = 4000
 
@@ -202,8 +197,8 @@ def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
 class Solver:
     """Decision procedures with per-instance result caches."""
 
-    def __init__(self, config: SolverConfig | None = None):
-        self.config = config or SolverConfig()
+    def __init__(self, dnf_clause_bound: int = 4096):
+        self.dnf_clause_bound = dnf_clause_bound
         self._sat_cache: dict[F.Formula, SatResult] = {}
         self._entails_cache: dict[tuple[F.Formula, F.Formula], bool] = {}
         # Predicate -> (DNF of its negation, DNF of itself), for sat_minterms.
@@ -227,7 +222,7 @@ class Solver:
         return r
 
     def _check_sat_uncached(self, f: F.Formula) -> SatResult:
-        clauses = to_dnf(f, self.config.dnf_clause_bound)
+        clauses = to_dnf(f, self.dnf_clause_bound)
         saw_maybe = False
         for clause in clauses:
             r = self._clause_sat(clause)
@@ -264,7 +259,7 @@ class Solver:
         extensions.  Raises FormulaTooLarge when the clauses of the
         largest minterm query would exceed ``dnf_clause_bound``.
         """
-        bound = self.config.dnf_clause_bound
+        bound = self.dnf_clause_bound
         clauses = to_dnf(f, bound)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
         literals = []

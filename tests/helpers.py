@@ -12,6 +12,7 @@ import random
 from dataclasses import replace
 
 from cmcheck import assumptions as A
+from cmcheck import conditions as C
 from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang, oracle, refine
 from cmcheck import solver as S
@@ -129,7 +130,7 @@ def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> l
     waitlist = [init]
     while waitlist:
         state = waitlist.pop(-1) if order == "dfs" else waitlist.pop(0)
-        for edge in cfa.edges_from(cpa.location_of(state)):
+        for edge in cfa.edges_from(state.location):
             for succ, _assumption in cpa.successors(state, edge):
                 for old in list(reached):
                     merged = cpa.merge(succ, old)
@@ -178,7 +179,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
             return True
         if node.covered_by is not None:
             return False
-        return cpa.is_excluded(node.state) or node.in_waitlist
+        return isinstance(node.state.assumption, F.FalseF) or node.in_waitlist
 
     # Walk back from the interesting nodes: a node's predecessors are its
     # parent and the live nodes it covers.
@@ -205,7 +206,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
     for n in named:
         sid = qid[n]
         flags.setdefault(sid, set())
-        if cpa.is_excluded(n.state) or n.in_waitlist:
+        if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
             continue  # all matches fall through to U at run time
         by_edge: dict[int, list[engine.ArtNode]] = {}
         for c in n.children:
@@ -224,7 +225,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
             else:
                 label = F.f_and(c.assumption for c in kids)
             transitions[(sid, edge_id)] = (label, resolve(main))
-        loc = cpa.location_of(n.state)
+        loc = n.state.location
         for edge in rs.cfa.edges_from(loc):
             if edge.id not in by_edge:
                 transitions[(sid, edge.id)] = (F.TRUE, A.SINK_VERIFIED)
@@ -252,7 +253,7 @@ def _reference_strengthen(candidate: A.CompositeState, exceeded: bool, overflow_
 
 def _reference_step_bookkeeping(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
     """Observer and condition successors, or None if the path stops here."""
-    if edge.source != state.location or cpa.is_excluded(state):
+    if edge.source != state.location or isinstance(state.assumption, F.FalseF):
         return None
     obs2 = None
     if cpa.observer is not None:
@@ -334,13 +335,13 @@ def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:
                 if op.var in refine._atom_vars(atom):
                     del current[key]
 
-    locations = {cpa.location_of(path.nodes[i].state) for i in range(pivot + 1)}
+    locations = {path.nodes[i].state.location for i in range(pivot + 1)}
     return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
 def engine_reached_states(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:
     rs = engine.RunState(cfa, cpa, order=order)
-    result = engine.run_cpa(rs)
+    result = engine.run_cpa(rs, C.GlobalMonitor())
     assert result.status == "empty"
     return [n.state for n in rs.reached_nodes()], rs
 

@@ -12,6 +12,7 @@ import time
 from collections import Counter
 
 from cmcheck import assumptions as A
+from cmcheck import conditions as C
 from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang, oracle
 from cmcheck import solver as S
@@ -256,13 +257,13 @@ def test_criterion_5_worklist_algorithm_fidelity():
         # location-only: the shipped location configuration's CPA
         loc_cpa = CompositeCpa(cfa, D.NoDomain(), solver)
         rs = engine.RunState(cfa, loc_cpa)
-        assert engine.run_cpa(rs).status == "empty"
+        assert engine.run_cpa(rs, C.GlobalMonitor()).status == "empty"
         got = sorted(n.state.location for n in rs.reached_nodes())
         assert got == sorted(s.location for s in reference_reached(cfa, loc_cpa))
         # explicit composite
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
         rs = engine.RunState(cfa, cpa)
-        assert engine.run_cpa(rs).status == "empty"
+        assert engine.run_cpa(rs, C.GlobalMonitor()).status == "empty"
         reached = [n.state for n in rs.reached_nodes()]
         proj = sorted((s.location, s.domain.bindings) for s in reached)
         ref = sorted((s.location, s.domain.bindings)
@@ -292,7 +293,7 @@ def test_criterion_6_postprocessing_formulas():
                           F.parse_formula("x >= 1")), False),
     ]
     for i, (state, waitlisted) in enumerate(fixture):
-        node = rs.new_reached_node(rs.root, cfa.edges[i], F.TRUE, state)
+        node = rs.new_reached_node(rs.root, cfa.edges[i], F.TRUE, state, rs.partition(state))
         if waitlisted:
             rs.add_to_waitlist(node)
     report = A.postprocess(rs)

@@ -176,7 +176,8 @@ def seeded_run(cfa, solver, states):
     rs = engine.RunState(cfa, cpa)
     rs.pop_waitlist()  # the synthetic fixture drives everything by hand
     for i, (state, waitlisted) in enumerate(states):
-        node = rs.new_reached_node(rs.root, cfa.edges[i % len(cfa.edges)], F.TRUE, state)
+        node = rs.new_reached_node(rs.root, cfa.edges[i % len(cfa.edges)], F.TRUE, state,
+                                   rs.partition(state))
         if waitlisted:
             rs.add_to_waitlist(node)
         else:
@@ -499,7 +500,7 @@ def test_restriction_completeness_on_small_programs():
             rs = report.run
             for n in rs.reached_nodes():
                 s = n.state
-                if only_verified and rs.cpa.is_excluded(s):
+                if only_verified and isinstance(s.assumption, F.FalseF):
                     continue
                 out.add((s.location, s.domain))
             return out
@@ -523,9 +524,9 @@ def test_condition_and_automaton_agree_on_verified_regions(nonlinear_square_cfa)
     assert not general
     rs = report.run
     frontier_locs = {
-        rs.cpa.location_of(n.state)
+        n.state.location
         for n in rs.reached_nodes()
-        if rs.cpa.is_excluded(n.state) or n.in_waitlist
+        if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist
     }
     assert set(by_loc) == frontier_locs
 

@@ -166,7 +166,7 @@ def test_busy_edge_unlimited_equals_unmonitored():
         return sorted((s.location, s.domain.bindings) for s in
                       (n.state for n in rs.reached_nodes()))
 
-    plain = run(None)
+    plain = run(C.GlobalMonitor())
     huge = run(C.GlobalMonitor(busy_edge_limit=10 ** 9))
     assert plain == huge
 
@@ -178,9 +178,39 @@ def test_busy_edge_limit_produces_excluded_successors():
     rs = engine.RunState(cfa, cpa)
     result = engine.run_cpa(rs, monitor=C.GlobalMonitor(busy_edge_limit=5))
     assert result.status == "empty"  # the loop is cut off by skips
-    excluded = [n for n in rs.reached_nodes() if cpa.is_excluded(n.state)]
+    excluded = [n for n in rs.reached_nodes() if isinstance(n.state.assumption, F.FalseF)]
     assert excluded
     assert all(n.state.domain == D.ExplicitState(()) for n in excluded)
+
+
+def test_busy_edge_skip_steps_observer_and_conditions():
+    # A skipped post still steps the observer and the condition components:
+    # an edge the input automaton sends to T yields nothing, and an edge to
+    # a named state yields an excluded stand-in in that state.
+    cfa = lang.parse_cfa(
+        "vars: x;\ninit: L0;\nL0 -> L1: x := x + 1;\nL0 -> L2: x := x + 2;\n")
+    to_t, to_q1 = cfa.edges
+    aut = A.AssumptionAutomaton(
+        initial="q0",
+        flags={"q0": ("init",), "q1": (), "T": ("T",), "U": ("U",)},
+        transitions={("q0", to_t.id): (F.TRUE, "T"), ("q0", to_q1.id): (F.TRUE, "q1")},
+        edge_count=2,
+    )
+    cpa = CompositeCpa(cfa, D.ExplicitDomain(), S.Solver(),
+                       condition_components=[C.RepeatComponent(3)],
+                       observer=A.ObserverComponent(aut, cfa))
+    rs = engine.RunState(cfa, cpa)
+    # A limit of zero skips every post.
+    assert engine.run_cpa(rs, C.GlobalMonitor(busy_edge_limit=0)).status == "empty"
+    [child] = rs.root.children
+    assert child.edge is to_q1
+    assert child.assumption == F.FALSE
+    assert child.state == A.CompositeState(
+        assumption=F.FALSE, location=to_q1.target,
+        conds=(C.RepeatState(((to_q1.target, 1),), False),),
+        observer="q1", overflow=None, domain=D.ExplicitState(()))
+    assert rs.reached_nodes() == [rs.root, child]
+    assert not child.in_waitlist
 
 
 # -- path-shaped restrictions end to end ----------------------------------------
@@ -206,7 +236,7 @@ def test_pathlength_limit_bounds_depth():
     assert rep.verdict == "CONDITION"
     rs = rep.run
     for node in rs.reached_nodes():
-        if not rs.cpa.is_excluded(node.state):
+        if not isinstance(node.state.assumption, F.FalseF):
             depth = len(node.path_from_root()[1]) + 1
             assert depth <= 9
 
@@ -218,12 +248,12 @@ def test_repeat_threshold_bounds_location_visits_per_path():
     rep = run_with(cfa, repeat_loc=k)
     rs = rep.run
     for node in rs.reached_nodes():
-        if rs.cpa.is_excluded(node.state):
+        if isinstance(node.state.assumption, F.FalseF):
             continue
         nodes, _ = node.path_from_root()
         per_loc = {}
         for n in nodes:
-            loc = rs.cpa.location_of(n.state)
+            loc = n.state.location
             per_loc[loc] = per_loc.get(loc, 0) + 1
         assert all(c <= k + 1 for c in per_loc.values()), per_loc
 
@@ -245,7 +275,7 @@ def test_condition_cpas_are_pure_bookkeeping():
             out = set()
             for n in rep.run.reached_nodes():
                 s = n.state
-                if only_included and rep.run.cpa.is_excluded(s):
+                if only_included and isinstance(s.assumption, F.FalseF):
                     continue
                 out.add((s.location, s.domain))
             return out

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cmcheck import assumptions as A
+from cmcheck import conditions as C
 from cmcheck import domains as D
 from cmcheck import formula as F
 from cmcheck import lang, oracle
@@ -189,7 +190,7 @@ def test_predicate_overapproximates_box_post_image(solver):
 
 
 def test_abstraction_failure_raised(solver):
-    tiny = S.Solver(S.SolverConfig(dnf_clause_bound=2))
+    tiny = S.Solver(dnf_clause_bound=2)
     prec = D.Precision()
     prec.add(1, F.parse_formula("x <= 0").atom)
     dom = D.PredicateDomain(tiny, prec)
@@ -210,7 +211,7 @@ def test_explicit_analysis_covers_all_concrete_states(solver):
         cfa = random_cfa(rng, n_vars=2, allow_mult=False)
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
         rs = engine.RunState(cfa, cpa)
-        if engine.run_cpa(rs).status != "empty":
+        if engine.run_cpa(rs, C.GlobalMonitor()).status != "empty":
             continue
         checked_programs += 1
         reached = [n.state for n in rs.reached_nodes()]

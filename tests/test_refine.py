@@ -94,7 +94,6 @@ def mined_atoms(cfa, edge_ids, solver, pivot=None):
     for node, loc in zip(path.nodes, [cfa.initial] + [e.target for e in path.edges]):
         node.state = type("St", (), {"location": loc})()
     cpa = CompositeCpa(cfa, D.NoDomain(), solver)
-    cpa.location_of = lambda s: s.location
     pivot = len(path.nodes) - 1 if pivot is None else pivot
     return refine.mine_predicates(path, pivot, cpa)
 
@@ -223,13 +222,13 @@ def test_excluded_states_render_their_clauses(nonlinear_square_cfa):
     report = run_analysis(nonlinear_square_cfa,
                           AnalysisConfig(name="predicate", domain="predicate"))
     rs = report.run
-    excluded = [n for n in rs.reached_nodes() if rs.cpa.is_excluded(n.state)]
+    excluded = [n for n in rs.reached_nodes() if isinstance(n.state.assumption, F.FalseF)]
     assert len(excluded) == 1
     node = excluded[0]
-    loc = rs.cpa.location_of(node.state)
+    loc = node.state.location
     clause = F.f_implies(
         F.mk_atom(F.lin_var("pc"), F.EQ, loc),
-        F.f_not(rs.cpa.render_domain(node.state)))
+        F.f_not(rs.cpa.domain.render(node.state.domain)))
     assert clause == report.psi
 
 

@@ -50,7 +50,7 @@ def test_opaque_product_is_free(solver):
 
 
 def test_formula_too_large(solver):
-    tiny = S.Solver(S.SolverConfig(dnf_clause_bound=4))
+    tiny = S.Solver(dnf_clause_bound=4)
     parts = [F.parse_formula(f"x = {i} | y = {i}") for i in range(4)]
     with pytest.raises(F.FormulaTooLarge):
         tiny.check_sat(F.f_and(parts))
