@@ -2,13 +2,13 @@
 
 The composite state is the tuple (assumption, location, condition states,
 observer state, overflow state, domain state).  Component transfers run in
-lockstep along each CFA edge; the strengthen operator then folds condition
-violations and overflow facts into the assumption.  A predicate domain's
-next transfer also assumes the state's overflow fact, but the domain state
-itself never carries it, so the rendered condition still covers the
-out-of-range states.  A state whose assumption is false is an excluded
-leaf: it stays in the reached set for post-processing but is never
-expanded.
+lockstep along each CFA edge, and the successor's assumption records what
+they found: false on a condition violation, else the overflow fact.  A
+predicate domain's next transfer also assumes the state's overflow fact,
+but the domain state itself never carries it, so the rendered condition
+still covers the out-of-range states.  A state whose assumption is false
+is an excluded leaf: it stays in the reached set for post-processing but
+is never expanded.
 
 Post-processing turns a finished run into the condition formula: waitlist
 and error-location states contribute ``(pc = l) -> !state``, settled ones
@@ -53,7 +53,7 @@ class OverflowComponent:
 
 
 # ---------------------------------------------------------------------------
-# Composite states and the strengthen operator
+# Composite states and the composite CPA
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -88,21 +88,21 @@ class CompositeCpa:
 
     # -- CPA operators ---------------------------------------------------------
 
-    def initial_state(self, cfa: lang.Cfa) -> CompositeState:
+    def initial_state(self) -> CompositeState:
         return CompositeState(
             assumption=F.TRUE,
-            location=cfa.initial,
+            location=self.cfa.initial,
             conds=tuple(c.initial() for c in self.condition_components),
             observer=self.observer.initial() if self.observer else None,
             overflow=F.TRUE if self.overflow else None,
-            domain=self.domain.initial(cfa),
+            domain=self.domain.initial(self.cfa),
         )
 
     def successors(self, state: CompositeState, edge: lang.Edge):
         """Abstract successors along one edge, each with its step assumption.
 
-        The components step in lockstep; then the strengthen operator sets
-        the successor's assumption, which is also the label of its ART
+        The components step in lockstep, and their results set the
+        successor's assumption, which is also the label of its ART
         edge: false when a condition component is exceeded (or the
         abstraction failed), else the overflow fact when there is an
         overflow component, else true.  The fact goes into the assumption
@@ -120,7 +120,7 @@ class CompositeCpa:
         components = self.condition_components
         if components:
             conds2 = tuple(c.transfer(s, edge) for c, s in zip(components, state.conds))
-            exceeded = any(c.exceeded(s) for c, s in zip(components, conds2))
+            exceeded = any(s.exceeded for s in conds2)
         else:
             conds2 = ()
             exceeded = False
@@ -231,9 +231,6 @@ class AssumptionAutomaton:
     flags: dict[str, tuple[str, ...]]  # state id -> markers among init/T/U
     transitions: dict[tuple[str, int], tuple[F.Formula, str]]
     edge_count: int
-
-    def states(self) -> list[str]:
-        return sorted(self.flags)
 
 
 def serialize_automaton(aut: AssumptionAutomaton) -> str:
@@ -380,7 +377,7 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
     whose successor computation produced nothing (proven infeasible).
     """
     covers_index = rs.covers_index
-    edges_from = rs.cfa.edges_from
+    edges_from = rs.cpa.cfa.edges_from
 
     # Walk back from the interesting nodes (a non-true edge assumption, or
     # an excluded or waiting reached node): a node's predecessors are its
@@ -448,7 +445,7 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
         initial=init_id,
         flags=flags,
         transitions=transitions,
-        edge_count=len(rs.cfa.edges),
+        edge_count=len(rs.cpa.cfa.edges),
     )
 
 
@@ -476,7 +473,7 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
                 stats: Optional[dict] = None) -> ConditionReport:
     """Assemble the final invariant and verdict from a finished run."""
     cpa = rs.cpa
-    cfa = rs.cfa
+    cfa = cpa.cfa
     waiting = any(n.in_waitlist and not n.removed for n in rs.waitlist)
     clauses = []
     all_assumptions_true = True

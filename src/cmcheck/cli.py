@@ -82,6 +82,8 @@ def _run(args) -> int:
             overrides=overrides,
         )
         final = driver.run_pipeline(cfa, pipeline)
+        if args.out_dir:
+            driver.emit_report(final, args.out_dir, formats=["text"] + list(args.emit))
     except AutomatonMismatch as exc:
         print(f"cmcheck: error: automaton {args.input_automaton!r} does not "
               f"belong to program {args.program!r}: {exc}", file=sys.stderr)
@@ -97,9 +99,6 @@ def _run(args) -> int:
             print(f"violated: {last.error_description}")
         for stage in final.stages:
             print(f"  stage {stage.name}: {stage.verdict} ({stage.seconds:.3f}s)")
-    if args.out_dir:
-        formats = ["text"] + list(args.emit)
-        driver.emit_report(final, args.out_dir, formats=formats)
     return EXIT_CODES.get(final.verdict, 3)
 
 

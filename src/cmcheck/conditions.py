@@ -4,8 +4,8 @@ Two kinds: path-shaped component states carried inside composite states
 (repeating locations, path length / assume-edge counters, merged by max
 when paths join), and the global monitor polled by the engine loop (fuel,
 reached-set size, soft wall-clock limit, busy edges).  None of them affect
-coverage; exceeding a threshold makes the strengthen operator exclude the
-current path instead.
+coverage; a component state past its threshold has ``exceeded`` set, and
+the composite CPA excludes the current path instead.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class RepeatComponent:
         items = tuple(sorted((l, c) for l, c in counts.items() if c))
         return RepeatState(items, a.exceeded or b.exceeded)
 
-    def exceeded(self, state) -> bool:
-        return state.exceeded
-
 
 # ---------------------------------------------------------------------------
 # Path length / assume edges in path
@@ -87,9 +84,6 @@ class PathStatsComponent:
         return PathStatsState(max(a.path_length, b.path_length),
                               max(a.assume_edges, b.assume_edges),
                               a.exceeded or b.exceeded)
-
-    def exceeded(self, state) -> bool:
-        return state.exceeded
 
 
 # ---------------------------------------------------------------------------

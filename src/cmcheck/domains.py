@@ -9,7 +9,7 @@ nothing, so the composite over it is the location analysis.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import formula as F, lang, solver as solver_mod
@@ -34,12 +34,6 @@ class ExplicitState:
     """Partial map variable -> value; absent means top (unknown)."""
 
     bindings: tuple[tuple[str, int], ...]
-
-    def get(self, var: str) -> Optional[int]:
-        for v, val in self.bindings:
-            if v == var:
-                return val
-        return None
 
     def store(self) -> dict[str, Optional[int]]:
         return dict(self.bindings)
@@ -131,22 +125,20 @@ class ExplicitDomain:
 # Predicate abstraction domain
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Precision:
-    """Tracked predicates: per-location plus global; grows monotonically."""
+    """Tracked predicates per location; grows monotonically, and ``epoch``
+    counts the additions."""
 
-    per_loc: dict[int, dict[F.Atom, None]] = field(default_factory=dict)
-    global_atoms: dict[F.Atom, None] = field(default_factory=dict)
-    epoch: int = 0
+    def __init__(self):
+        self.per_loc: dict[int, dict[F.Atom, None]] = {}
+        self.epoch = 0
 
     def atoms_at(self, loc: int) -> tuple[F.Atom, ...]:
-        merged: dict = dict(self.global_atoms)
-        merged.update(self.per_loc.get(loc, {}))
-        return tuple(sorted(merged, key=F.atom_key))
+        return tuple(sorted(self.per_loc.get(loc, ()), key=F.atom_key))
 
-    def add(self, loc: Optional[int], atom: F.Atom) -> bool:
+    def add(self, loc: int, atom: F.Atom) -> bool:
         atom = F.positive_form(atom)
-        table = self.global_atoms if loc is None else self.per_loc.setdefault(loc, {})
+        table = self.per_loc.setdefault(loc, {})
         if atom in table:
             return False
         table[atom] = None
@@ -154,7 +146,7 @@ class Precision:
         return True
 
     def atom_total(self) -> int:
-        return len(self.global_atoms) + sum(len(t) for t in self.per_loc.values())
+        return sum(len(t) for t in self.per_loc.values())
 
 
 def reduce_cubes(minterms: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -246,11 +238,11 @@ class PredicateDomain:
         if isinstance(state, F.FalseF):
             return []
         premise = F.rename_vars(state, lambda n: solver_mod.ssa_name(n, 0))
-        pf = solver_mod.extend_path_formula(solver_mod.PathFormula((), {}), edge)
-        sp = F.f_and((premise,) + pf.constraints)
+        ssa: dict[str, int] = {}
+        sp = F.f_and((premise, solver_mod.encode_edge(edge, ssa)))
 
         def at_latest(name: str) -> str:
-            return solver_mod.ssa_name(name, pf.ssa.get(name, 0))
+            return solver_mod.ssa_name(name, ssa.get(name, 0))
 
         pi = self.precision.atoms_at(edge.target)
         try:

@@ -50,6 +50,24 @@ class AnalysisConfig:
         return self.refinement
 
     def validate(self) -> None:
+        # Each field holds a value of its annotated type (an int also serves
+        # as a float), and only the overflow bounds may be negative.
+        accepted = {"str": (str, "a string"), "bool": (bool, "true or false"),
+                    "int": (int, "an integer"), "float": ((int, float), "a number")}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removeprefix("Optional[").removesuffix("]")
+            if value is None and kind != f.type:
+                continue
+            types, expected = accepted[kind]
+            if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+                raise ValueError(f"{f.name} must be {expected}, not {value!r}")
+            if kind in ("int", "float") and not f.name.startswith("overflow_") \
+                    and not value >= 0:
+                raise ValueError(f"{f.name} must be non-negative, not {value!r}")
+        if self.overflow_min > self.overflow_max:
+            raise ValueError(f"overflow_min {self.overflow_min} exceeds "
+                             f"overflow_max {self.overflow_max}")
         if self.domain not in ("explicit", "predicate", "location"):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.order not in ("dfs", "bfs"):

@@ -12,6 +12,10 @@ maintained alongside: every expansion creates a child node carrying the
 CFA edge and the assumption attached to that step, and covered successors
 become leaf nodes pointing at their covering node.
 
+``run_cpa`` returns the node of the first target state it reaches, or
+None when the waitlist empties or the monitor halts the run, which
+``monitor.halted`` tells apart.  ``RunState`` reads the CFA from its CPA.
+
 ``RunState._index`` is the only way a node enters the partitions, and
 its caller hands it the partition.  The benchmark in ``perfbench/``
 traces the engine by wrapping attributes by name, so the hot loop must
@@ -86,10 +90,9 @@ class Partition:
 class RunState:
     """Reached set, waitlist, and ART for one analysis run."""
 
-    def __init__(self, cfa: lang.Cfa, cpa: "CompositeCpa", order: str = "dfs"):
+    def __init__(self, cpa: "CompositeCpa", order: str = "dfs"):
         if order not in ("dfs", "bfs"):
             raise ValueError(f"unknown order {order!r}")
-        self.cfa = cfa
         self.cpa = cpa
         self.order = order
         self.nodes: list[ArtNode] = []
@@ -100,7 +103,7 @@ class RunState:
         self.waitlist: deque[ArtNode] = deque()
         # Cover nid -> the nodes it covers, removed ones included.
         self.covers_index: dict[int, list[ArtNode]] = {}
-        init = cpa.initial_state(cfa)
+        init = cpa.initial_state()
         self.root = self._new_node(init, None, None, F.TRUE)
         self._index(self.root, self.partition(init))
         self.add_to_waitlist(self.root)
@@ -170,9 +173,6 @@ class RunState:
             node.in_waitlist = True
             self.waitlist.append(node)
 
-    def remove_from_waitlist(self, node: ArtNode) -> None:
-        node.in_waitlist = False
-
     def pop_waitlist(self) -> Optional[ArtNode]:
         while self.waitlist:
             node = self.waitlist.pop() if self.order == "dfs" else self.waitlist.popleft()
@@ -228,29 +228,25 @@ class RunState:
         return parent
 
 
-@dataclass
-class RunResult:
-    status: str  # 'empty' | 'halted' | 'target'
-    target: Optional[ArtNode] = None
-
-
-def run_cpa(rs: RunState, monitor: C.GlobalMonitor, target_locs=frozenset()) -> RunResult:
-    """One worklist pass; returns on empty waitlist, monitor halt, or target hit."""
+def run_cpa(rs: RunState, monitor: C.GlobalMonitor,
+            target_locs=frozenset()) -> Optional[ArtNode]:
+    """One worklist pass: the node of the first target state reached, or
+    None on an empty waitlist or a monitor halt (``monitor.halted``)."""
     cpa = rs.cpa
-    edges_from = rs.cfa.edges_from
+    edges_from = cpa.cfa.edges_from
     successors = cpa.successors
     while True:
         if monitor.should_halt(rs.reached_size()):
-            return RunResult("halted")
+            return None
         node = rs.pop_waitlist()
         if node is None:
-            return RunResult("empty")
+            return None
         state = node.state
         for edge in edges_from(state.location):
             act = monitor.pre_post(edge.id)
             if act == "halt":
                 rs.add_to_waitlist(node)
-                return RunResult("halted")
+                return None
             if act == "skip":
                 skipped = cpa.excluded_successor(state, edge)
                 if skipped is not None:
@@ -262,7 +258,7 @@ def run_cpa(rs: RunState, monitor: C.GlobalMonitor, target_locs=frozenset()) -> 
                 if hit is not None and succ.location in target_locs \
                         and not isinstance(succ.assumption, F.FalseF):
                     rs.add_to_waitlist(node)
-                    return RunResult("target", hit)
+                    return hit
 
 
 def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,

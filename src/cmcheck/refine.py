@@ -1,5 +1,9 @@
 """Counterexample analysis: feasibility, predicate mining, refinement.
 
+An error path is the target node's ``path_from_root()``: its nodes, root
+first, and the edges between them.  Feasibility reads the edges, mining
+both, and exclusion the nodes.
+
 Feasibility walks the abstract error path forward, folding constant
 assignments eagerly (so loop-counter contradictions surface without the
 solver) and keeping everything else as SSA residual constraints.
@@ -16,7 +20,7 @@ excluded states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import assumptions as A
@@ -24,17 +28,6 @@ from . import conditions as C
 from . import domains as D
 from . import engine, formula as F, lang
 from . import solver as solver_mod
-
-
-@dataclass
-class AbstractPath:
-    nodes: list[engine.ArtNode]
-    edges: list[lang.Edge]
-
-
-def path_of(node: engine.ArtNode) -> AbstractPath:
-    nodes, edges = node.path_from_root()
-    return AbstractPath(nodes, edges)
 
 
 @dataclass
@@ -57,13 +50,15 @@ class Unconfirmed:
 FeasibilityResult = Union[Feasible, Infeasible, Unconfirmed]
 
 
-def check_feasibility(path: AbstractPath, cfa: lang.Cfa,
+def check_feasibility(edges: list[lang.Edge], cfa: lang.Cfa,
                       solver: solver_mod.Solver,
                       atom_limit: Optional[int] = None) -> FeasibilityResult:
-    """Decide concrete executability of an abstract error path.
+    """Decide concrete executability of an abstract error path's edges.
 
-    Executions start from the all-zeros store, so ``v@0 = 0`` is part of
-    the encoding (as constant bindings, not residual atoms).
+    A pivot indexes the path's states, the root being 0, so the error
+    state's is ``len(edges)``.  Executions start from the all-zeros store,
+    so ``v@0 = 0`` is part of the encoding (as constant bindings, not
+    residual atoms).
     """
     consts: dict[str, int] = {solver_mod.ssa_name(v, 0): 0 for v in cfa.variables}
     idx: dict[str, int] = {}
@@ -75,7 +70,7 @@ def check_feasibility(path: AbstractPath, cfa: lang.Cfa,
             return F.lin_const(consts[ssa])
         return F.lin_var(ssa)
 
-    for i, edge in enumerate(path.edges):
+    for i, edge in enumerate(edges):
         op = edge.op
         if isinstance(op, lang.Assign):
             rhs = F.linearize(op.expr, var_fn)
@@ -104,7 +99,7 @@ def check_feasibility(path: AbstractPath, cfa: lang.Cfa,
             assert isinstance(op, lang.Havoc)
             idx[op.var] = idx.get(op.var, 0) + 1
 
-    last = len(path.nodes) - 1
+    last = len(edges)
     total_atoms = sum(F.atom_count(f) for _, f in residuals)
     if atom_limit is not None and total_atoms > atom_limit:
         return Unconfirmed(pivot=last, reason=f"path formula has {total_atoms} atoms")
@@ -117,7 +112,7 @@ def check_feasibility(path: AbstractPath, cfa: lang.Cfa,
     if result.kind == solver_mod.UNSAT:
         return Infeasible(pivot=_localize_pivot(residuals, solver))
     if result.kind == solver_mod.SAT:
-        replayed = _replay(path, cfa, result.witness or {})
+        replayed = _replay(edges, cfa, result.witness or {})
         if replayed is not None:
             assignment = dict(consts)
             for term, value in (result.witness or {}).items():
@@ -145,12 +140,12 @@ def _localize_pivot(residuals, solver: solver_mod.Solver) -> int:
     return residuals[lo][0] + 1
 
 
-def _replay(path: AbstractPath, cfa: lang.Cfa, witness: dict):
+def _replay(edges: list[lang.Edge], cfa: lang.Cfa, witness: dict):
     """Execute the path concretely, drawing havoc values from the witness."""
     store = {v: 0 for v in cfa.variables}
     idx: dict[str, int] = {}
     trace: list[tuple[lang.Edge, dict[str, int]]] = []
-    for edge in path.edges:
+    for edge in edges:
         op = edge.op
         if isinstance(op, lang.Assign):
             idx[op.var] = idx.get(op.var, 0) + 1
@@ -163,7 +158,7 @@ def _replay(path: AbstractPath, cfa: lang.Cfa, witness: dict):
             term = F.VarTerm(solver_mod.ssa_name(op.var, idx[op.var]))
             store[op.var] = witness.get(term, 0)
         trace.append((edge, dict(store)))
-    last_loc = path.edges[-1].target if path.edges else cfa.initial
+    last_loc = edges[-1].target if edges else cfa.initial
     if last_loc not in cfa.error_locations:
         return None
     return trace
@@ -191,8 +186,8 @@ def _atom_vars(atom: F.Atom) -> set[str]:
 MAX_WP_DEPTH = 3  # substitution steps per atom; longer chains diverge anyway
 
 
-def mine_predicates(path: AbstractPath, pivot: int,
-                    cpa: A.CompositeCpa) -> set[tuple[int, F.Atom]]:
+def mine_predicates(nodes: list[engine.ArtNode], edges: list[lang.Edge],
+                    pivot: int) -> set[tuple[int, F.Atom]]:
     """Candidate predicates from the path's assume edges.
 
     Walks backward collecting assume-edge atoms, substituting them through
@@ -225,7 +220,7 @@ def mine_predicates(path: AbstractPath, pivot: int,
         current[key] = (pos, depth)
         collected[key] = pos
 
-    for edge in reversed(path.edges):
+    for edge in reversed(edges):
         op = edge.op
         if isinstance(op, lang.Assume):
             atoms = assume_atoms.get(edge.id)
@@ -253,22 +248,17 @@ def mine_predicates(path: AbstractPath, pivot: int,
                 if op.var in vars_of(atom):
                     del current[key]
 
-    locations = {path.nodes[i].state.location for i in range(pivot + 1)}
+    locations = {nodes[i].state.location for i in range(pivot + 1)}
     return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
-def exclude_path_suffix(rs: engine.RunState, path: AbstractPath, pivot: int) -> int:
+def exclude_path_suffix(rs: engine.RunState, nodes: list[engine.ArtNode], pivot: int) -> None:
     """Set the assumption to false on the path states from pivot to the end."""
-    from dataclasses import replace as dc_replace
-
-    count = 0
-    for node in path.nodes[pivot:]:
+    for node in nodes[pivot:]:
         if node.removed or isinstance(node.state.assumption, F.FalseF):
             continue
-        rs.replace_state(node, dc_replace(node.state, assumption=F.FALSE))
-        rs.remove_from_waitlist(node)
-        count += 1
-    return count
+        rs.replace_state(node, replace(node.state, assumption=F.FALSE))
+        node.in_waitlist = False
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +275,16 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
     """
     cfa = cpa.cfa
     precision = cpa.domain.precision if isinstance(cpa.domain, D.PredicateDomain) else None
-    rs = engine.RunState(cfa, cpa, order=order)
+    rs = engine.RunState(cpa, order=order)
     refined_signatures: set[tuple[int, ...]] = set()
     refinements = 0
 
     while True:
-        result = engine.run_cpa(rs, monitor, target_locs=cfa.error_locations)
-        if result.status in ("empty", "halted"):
+        node = engine.run_cpa(rs, monitor, target_locs=cfa.error_locations)
+        if node is None:
             break
-        node = result.target
-        path = path_of(node)
-        feas = check_feasibility(path, cfa, cpa.solver,
+        nodes, edges = node.path_from_root()
+        feas = check_feasibility(edges, cfa, cpa.solver,
                                  atom_limit=monitor.path_formula_atom_limit)
         if isinstance(feas, Feasible):
             error_loc = node.state.location
@@ -305,12 +294,12 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
                 error_description=cfa.error_info.get(error_loc, f"error location L{error_loc}"),
                 stats={"reached": rs.reached_size(), "refinements": refinements},
             )
-        pivot = min(feas.pivot, len(path.nodes) - 1)
-        signature = tuple(e.id for e in path.edges)
+        pivot = min(feas.pivot, len(edges))
+        signature = tuple(e.id for e in edges)
         if (refinement and precision is not None
                 and signature not in refined_signatures
                 and (max_refinements is None or refinements < max_refinements)):
-            mined = mine_predicates(path, pivot, cpa)
+            mined = mine_predicates(nodes, edges, pivot)
             changed_locs = set()
             for loc, atom in sorted(mined, key=lambda la: (la[0], F.atom_key(la[1]))):
                 if precision.add(loc, atom):
@@ -322,13 +311,13 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
                 # new predicates; anything above cannot change.
                 cut = pivot
                 for i in range(pivot + 1):
-                    if path.nodes[i].state.location in changed_locs:
+                    if nodes[i].state.location in changed_locs:
                         cut = max(1, i)
                         break
-                parent = rs.remove_subtree(path.nodes[cut])
+                parent = rs.remove_subtree(nodes[cut])
                 if parent is not None:
                     rs.add_to_waitlist(parent)
                 continue
-        exclude_path_suffix(rs, path, pivot)
+        exclude_path_suffix(rs, nodes, pivot)
 
     return A.postprocess(rs, stats={"reached": rs.reached_size(), "refinements": refinements})

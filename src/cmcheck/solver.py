@@ -1,4 +1,4 @@
-"""Three-valued satisfiability, entailment, and SSA path formulas.
+"""Three-valued satisfiability, entailment, and the SSA encoding of an edge.
 
 The decision procedure is deliberately self-contained: normalize to DNF
 (bounded), then per conjunct run integer Fourier-Motzkin elimination
@@ -43,6 +43,8 @@ class SatResult:
 
 # Fourier-Motzkin gives up (MaybeSat) once a round derives more constraints.
 FM_CONSTRAINT_BOUND = 4000
+# Queries whose DNF would exceed this many clauses raise FormulaTooLarge.
+DNF_CLAUSE_BOUND = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,7 @@ def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
 class Solver:
     """Decision procedures with per-instance result caches."""
 
-    def __init__(self, dnf_clause_bound: int = 4096):
-        self.dnf_clause_bound = dnf_clause_bound
+    def __init__(self):
         self._sat_cache: dict[F.Formula, SatResult] = {}
         self._entails_cache: dict[tuple[F.Formula, F.Formula], bool] = {}
         # Predicate -> (DNF of its negation, DNF of itself), for sat_minterms.
@@ -222,7 +223,7 @@ class Solver:
         return r
 
     def _check_sat_uncached(self, f: F.Formula) -> SatResult:
-        clauses = to_dnf(f, self.dnf_clause_bound)
+        clauses = to_dnf(f, DNF_CLAUSE_BOUND)
         saw_maybe = False
         for clause in clauses:
             r = self._clause_sat(clause)
@@ -257,9 +258,9 @@ class Solver:
         extended one predicate literal at a time, in index order, and a
         prefix that Fourier-Motzkin refutes is dropped with all its
         extensions.  Raises FormulaTooLarge when the clauses of the
-        largest minterm query would exceed ``dnf_clause_bound``.
+        largest minterm query would exceed ``DNF_CLAUSE_BOUND``.
         """
-        bound = self.dnf_clause_bound
+        bound = DNF_CLAUSE_BOUND
         clauses = to_dnf(f, bound)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
         literals = []
@@ -309,42 +310,30 @@ class Solver:
 
 
 # ---------------------------------------------------------------------------
-# SSA path formulas
+# SSA encoding
 # ---------------------------------------------------------------------------
 
 def ssa_name(var: str, idx: int) -> str:
     return f"{var}@{idx}"
 
 
-@dataclass
-class PathFormula:
-    """Strongest-postcondition encoding of an edge sequence."""
+def encode_edge(edge: lang.Edge, idx: dict[str, int]) -> F.Formula:
+    """Strongest-postcondition constraint of one edge in SSA form.
 
-    constraints: tuple[F.Formula, ...]
-    ssa: dict[str, int]
-
-    @property
-    def formula(self) -> F.Formula:
-        return F.f_and(self.constraints)
-
-
-def extend_path_formula(pf: PathFormula, edge: lang.Edge) -> PathFormula:
-    idx = dict(pf.ssa)
-
+    Variables are read at their index in ``idx`` (0 when absent); an
+    assigned or havocked variable moves to its next index, in ``idx``.
+    A havoc constrains nothing.
+    """
     def var_fn(name: str) -> F.LinExpr:
         return F.lin_var(ssa_name(name, idx.get(name, 0)))
 
     op = edge.op
-    constraints = pf.constraints
+    if isinstance(op, lang.Assume):
+        return F.bexpr_to_formula(op.expr, var_fn)
     if isinstance(op, lang.Assign):
         rhs = F.linearize(op.expr, var_fn)
-        k = idx.get(op.var, 0) + 1
-        idx[op.var] = k
-        lhs = F.lin_var(ssa_name(op.var, k))
-        constraints = constraints + (F.mk_atom(F.lin_sub(lhs, rhs), F.EQ, 0),)
-    elif isinstance(op, lang.Assume):
-        constraints = constraints + (F.bexpr_to_formula(op.expr, var_fn),)
-    else:
-        assert isinstance(op, lang.Havoc)
-        idx[op.var] = idx.get(op.var, 0) + 1
-    return PathFormula(constraints, idx)
+        k = idx[op.var] = idx.get(op.var, 0) + 1
+        return F.mk_atom(F.lin_sub(F.lin_var(ssa_name(op.var, k)), rhs), F.EQ, 0)
+    assert isinstance(op, lang.Havoc)
+    idx[op.var] = idx.get(op.var, 0) + 1
+    return F.TRUE

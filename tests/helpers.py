@@ -8,8 +8,8 @@ give the same results.
 from __future__ import annotations
 
 import random
-
 from dataclasses import replace
+from types import SimpleNamespace
 
 from cmcheck import assumptions as A
 from cmcheck import conditions as C
@@ -125,7 +125,7 @@ def random_cfa(rng: random.Random, n_vars: int = 3, max_locations: int = 20,
 
 def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:
     """Naive list-based worklist run: no ART, no indexes, no shortcuts."""
-    init = cpa.initial_state(cfa)
+    init = cpa.initial_state()
     reached = [init]
     waitlist = [init]
     while waitlist:
@@ -226,7 +226,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
                 label = F.f_and(c.assumption for c in kids)
             transitions[(sid, edge_id)] = (label, resolve(main))
         loc = n.state.location
-        for edge in rs.cfa.edges_from(loc):
+        for edge in cpa.cfa.edges_from(loc):
             if edge.id not in by_edge:
                 transitions[(sid, edge.id)] = (F.TRUE, A.SINK_VERIFIED)
 
@@ -236,7 +236,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
         initial=init_id,
         flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
         transitions=transitions,
-        edge_count=len(rs.cfa.edges),
+        edge_count=len(cpa.cfa.edges),
     )
 
 
@@ -272,8 +272,7 @@ def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.
     if step is None:
         return []
     obs2, conds2 = step
-    exceeded = any(c.exceeded(s) for c, s in
-                   zip(cpa.condition_components, conds2))
+    exceeded = any(s.exceeded for s in conds2)
     overflow_phi = cpa.overflow.transfer(edge) if cpa.overflow else None
     premise = state.domain
     if isinstance(cpa.domain, D.PredicateDomain) and state.overflow is not None:
@@ -297,7 +296,7 @@ def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.
     return out
 
 
-def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:
+def reference_mine_predicates(nodes, edges, pivot: int) -> set:
     """``refine.mine_predicates`` without its per-call tables.
 
     Re-converts, re-linearizes and re-substitutes on every edge visit; the
@@ -314,7 +313,7 @@ def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:
         current[key] = (pos, depth)
         collected[key] = pos
 
-    for edge in reversed(path.edges):
+    for edge in reversed(edges):
         op = edge.op
         if isinstance(op, lang.Assume):
             for atom in F.atoms_of(F.bexpr_to_formula(op.expr)):
@@ -335,14 +334,14 @@ def reference_mine_predicates(path, pivot: int, cpa: CompositeCpa) -> set:
                 if op.var in refine._atom_vars(atom):
                     del current[key]
 
-    locations = {path.nodes[i].state.location for i in range(pivot + 1)}
+    locations = {nodes[i].state.location for i in range(pivot + 1)}
     return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
-def engine_reached_states(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> list:
-    rs = engine.RunState(cfa, cpa, order=order)
-    result = engine.run_cpa(rs, C.GlobalMonitor())
-    assert result.status == "empty"
+def engine_reached_states(cpa: CompositeCpa, order: str = "dfs") -> list:
+    rs = engine.RunState(cpa, order=order)
+    monitor = C.GlobalMonitor()
+    assert engine.run_cpa(rs, monitor) is None and not monitor.halted
     return [n.state for n in rs.reached_nodes()], rs
 
 
@@ -364,9 +363,9 @@ def replay_witness(cfa: lang.Cfa, witness) -> bool:
     return state[0] in cfa.error_locations
 
 
-def path_formula(edges) -> S.PathFormula:
-    """SSA path formula of an edge sequence, one shipped step per edge."""
-    pf = S.PathFormula((), {})
-    for e in edges:
-        pf = S.extend_path_formula(pf, e)
-    return pf
+def path_formula(edges) -> SimpleNamespace:
+    """SSA path formula of an edge sequence: its ``formula``, and in ``ssa``
+    each written variable's last index; one shipped step per edge."""
+    ssa: dict[str, int] = {}
+    constraints = [S.encode_edge(e, ssa) for e in edges]
+    return SimpleNamespace(formula=F.f_and(constraints), ssa=ssa)

@@ -256,14 +256,16 @@ def test_criterion_5_worklist_algorithm_fidelity():
         cfa = random_cfa(rng, n_vars=rng.randint(1, 3))
         # location-only: the shipped location configuration's CPA
         loc_cpa = CompositeCpa(cfa, D.NoDomain(), solver)
-        rs = engine.RunState(cfa, loc_cpa)
-        assert engine.run_cpa(rs, C.GlobalMonitor()).status == "empty"
+        rs = engine.RunState(loc_cpa)
+        monitor = C.GlobalMonitor()
+        assert engine.run_cpa(rs, monitor) is None and not monitor.halted
         got = sorted(n.state.location for n in rs.reached_nodes())
         assert got == sorted(s.location for s in reference_reached(cfa, loc_cpa))
         # explicit composite
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        rs = engine.RunState(cfa, cpa)
-        assert engine.run_cpa(rs, C.GlobalMonitor()).status == "empty"
+        rs = engine.RunState(cpa)
+        monitor = C.GlobalMonitor()
+        assert engine.run_cpa(rs, monitor) is None and not monitor.halted
         reached = [n.state for n in rs.reached_nodes()]
         proj = sorted((s.location, s.domain.bindings) for s in reached)
         ref = sorted((s.location, s.domain.bindings)
@@ -284,7 +286,7 @@ def test_criterion_6_postprocessing_formulas():
         "vars: x;\ninit: L0;\nerror: L9;\n"
         "L0 -> L1: x := x + 1;\nL1 -> L5: assume x >= 1;\nL1 -> L9: assume x < 1;\n")
     cpa = CompositeCpa(cfa, D.PredicateDomain(solver, D.Precision()), solver)
-    rs = engine.RunState(cfa, cpa)
+    rs = engine.RunState(cpa)
     rs.pop_waitlist()
     fixture = [
         (A.CompositeState(F.TRUE, 5, (), None, None, F.parse_formula("x >= 1")), True),

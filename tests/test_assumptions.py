@@ -120,7 +120,7 @@ def test_predicate_transfer_assumes_overflow_fact(solver):
     cfa = lang.parse_program("int x, y; havoc x; y := x; assert(y <= 3);")
     cpa = composite(cfa, solver, domain=D.PredicateDomain(solver, D.Precision()),
                     overflow=A.OverflowComponent(-3, 3))
-    state = cpa.initial_state(cfa)
+    state = cpa.initial_state()
     for edge in cfa.edges[:2]:
         ((state, _),) = cpa.successors(state, edge)
     assert state.domain == F.TRUE
@@ -173,7 +173,7 @@ def test_composite_stop_is_conjunction(solver):
 def seeded_run(cfa, solver, states):
     """Build a RunState whose reached set is exactly the given states."""
     cpa = composite(cfa, solver, domain=D.PredicateDomain(solver, D.Precision()))
-    rs = engine.RunState(cfa, cpa)
+    rs = engine.RunState(cpa)
     rs.pop_waitlist()  # the synthetic fixture drives everything by hand
     for i, (state, waitlisted) in enumerate(states):
         node = rs.new_reached_node(rs.root, cfa.edges[i % len(cfa.edges)], F.TRUE, state,
@@ -181,7 +181,7 @@ def seeded_run(cfa, solver, states):
         if waitlisted:
             rs.add_to_waitlist(node)
         else:
-            rs.remove_from_waitlist(node)
+            node.in_waitlist = False
     return rs
 
 

@@ -76,7 +76,7 @@ def test_composite_stop_still_requires_domain_coverage():
     solver = S.Solver()
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver,
                        condition_components=[C.RepeatComponent(50)])
-    states, rs = engine_reached_states(cfa, cpa)
+    states, rs = engine_reached_states(cpa)
     assert len({(s.location, s.domain) for s in states}) == len(states)
 
 
@@ -129,10 +129,10 @@ def test_monitor_fuel_is_deterministic():
     counts = []
     for _ in range(2):
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        rs = engine.RunState(cfa, cpa)
+        rs = engine.RunState(cpa)
         m = C.GlobalMonitor(max_fuel=500)
-        result = engine.run_cpa(rs, monitor=m)
-        assert result.status == "halted"
+        assert engine.run_cpa(rs, monitor=m) is None
+        assert m.halted
         counts.append((m.fuel_spent, rs.reached_size()))
     assert counts[0] == counts[1]
     assert counts[0][0] == 500
@@ -161,7 +161,7 @@ def test_busy_edge_unlimited_equals_unmonitored():
 
     def run(monitor):
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        rs = engine.RunState(cfa, cpa)
+        rs = engine.RunState(cpa)
         engine.run_cpa(rs, monitor=monitor)
         return sorted((s.location, s.domain.bindings) for s in
                       (n.state for n in rs.reached_nodes()))
@@ -175,9 +175,10 @@ def test_busy_edge_limit_produces_excluded_successors():
     cfa = lang.parse_program("int x; x := 0; while (x >= 0) { x := x + 1; }")
     solver = S.Solver()
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-    rs = engine.RunState(cfa, cpa)
-    result = engine.run_cpa(rs, monitor=C.GlobalMonitor(busy_edge_limit=5))
-    assert result.status == "empty"  # the loop is cut off by skips
+    rs = engine.RunState(cpa)
+    monitor = C.GlobalMonitor(busy_edge_limit=5)
+    assert engine.run_cpa(rs, monitor=monitor) is None
+    assert not monitor.halted  # the loop is cut off by skips
     excluded = [n for n in rs.reached_nodes() if isinstance(n.state.assumption, F.FalseF)]
     assert excluded
     assert all(n.state.domain == D.ExplicitState(()) for n in excluded)
@@ -199,9 +200,10 @@ def test_busy_edge_skip_steps_observer_and_conditions():
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), S.Solver(),
                        condition_components=[C.RepeatComponent(3)],
                        observer=A.ObserverComponent(aut, cfa))
-    rs = engine.RunState(cfa, cpa)
+    rs = engine.RunState(cpa)
     # A limit of zero skips every post.
-    assert engine.run_cpa(rs, C.GlobalMonitor(busy_edge_limit=0)).status == "empty"
+    monitor = C.GlobalMonitor(busy_edge_limit=0)
+    assert engine.run_cpa(rs, monitor) is None and not monitor.halted
     [child] = rs.root.children
     assert child.edge is to_q1
     assert child.assumption == F.FALSE

@@ -30,7 +30,7 @@ def test_location_transfer(solver):
     # The location analysis is the composite CPA over NoDomain.
     cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: x := x + 1;\n")
     cpa = A.CompositeCpa(cfa, D.NoDomain(), solver)
-    at0 = cpa.initial_state(cfa)
+    at0 = cpa.initial_state()
     e01 = edge("L0 -> L1: x := x + 1;")
     assert [s.location for s, _ in cpa.successors(at0, e01)] == [1]
     e23 = edge("L2 -> L3: havoc x;")
@@ -164,10 +164,12 @@ def test_predicate_overapproximates_box_post_image(solver):
     names = ("x", "y")
     for _ in range(30):
         cfa = random_cfa(rng, n_vars=2)
+        atoms = [F.parse_formula(f"{rng.choice(names)} <= {rng.randint(-3, 3)}").atom
+                 for _ in range(3)]
         prec = D.Precision()
-        for _ in range(3):
-            prec.add(None, F.parse_formula(
-                f"{rng.choice(names)} <= {rng.randint(-3, 3)}").atom)
+        for e in cfa.edges[:4]:
+            for atom in atoms:
+                prec.add(e.target, atom)
         dom = D.PredicateDomain(solver, prec)
         for e in cfa.edges[:4]:
             if isinstance(e.op, lang.Assign) and isinstance(e.op.expr, lang.BinOp) \
@@ -189,8 +191,9 @@ def test_predicate_overapproximates_box_post_image(solver):
                     assert F.evaluate(out[0], store)
 
 
-def test_abstraction_failure_raised(solver):
-    tiny = S.Solver(dnf_clause_bound=2)
+def test_abstraction_failure_raised(monkeypatch):
+    monkeypatch.setattr(S, "DNF_CLAUSE_BOUND", 2)
+    tiny = S.Solver()
     prec = D.Precision()
     prec.add(1, F.parse_formula("x <= 0").atom)
     dom = D.PredicateDomain(tiny, prec)
@@ -210,8 +213,9 @@ def test_explicit_analysis_covers_all_concrete_states(solver):
     while checked_programs < 15:
         cfa = random_cfa(rng, n_vars=2, allow_mult=False)
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        rs = engine.RunState(cfa, cpa)
-        if engine.run_cpa(rs, C.GlobalMonitor()).status != "empty":
+        rs = engine.RunState(cpa)
+        monitor = C.GlobalMonitor()
+        if engine.run_cpa(rs, monitor) is not None or monitor.halted:
             continue
         checked_programs += 1
         reached = [n.state for n in rs.reached_nodes()]

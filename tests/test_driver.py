@@ -68,6 +68,50 @@ def test_refinement_requires_predicate_domain():
         cfg.validate()
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"fuel": "abc"}, "fuel must be an integer, not 'abc'"),
+    ({"repeat_loc": "3"}, "repeat_loc must be an integer, not '3'"),
+    ({"path_length": True}, "path_length must be an integer, not True"),
+    ({"fuel": -5}, "fuel must be non-negative, not -5"),
+    ({"max_refinements": -1}, "max_refinements must be non-negative, not -1"),
+    ({"overflow_min": 1.5}, "overflow_min must be an integer, not 1.5"),
+    ({"soft_time": "1s"}, "soft_time must be a number, not '1s'"),
+    ({"soft_time": -0.5}, "soft_time must be non-negative, not -0.5"),
+    ({"overflow_min": 5, "overflow_max": 4}, "overflow_min 5 exceeds overflow_max 4"),
+    ({"overflow_max": None}, "overflow_max must be an integer, not None"),
+    ({"overflow": "no"}, "overflow must be true or false, not 'no'"),
+    ({"refinement": "false"}, "refinement must be true or false, not 'false'"),
+    ({"input_automaton": 5}, "input_automaton must be a string, not 5"),
+], ids=["fuel-text", "repeat-text", "bool", "fuel-negative", "refinements-negative",
+        "overflow-float", "soft-time-text", "soft-time-negative", "overflow-order",
+        "overflow-bound-null", "overflow-text", "refinement-text", "automaton-number"])
+def test_cli_rejects_bad_pipeline_values(tmp_path, capsys, values, message):
+    prog = tmp_path / "p.imp"
+    prog.write_text("int x; x := 1; assert(x == 1);")
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"stages": [dict(domain="explicit", **values)]}))
+    assert cli.main([str(prog), "--pipeline", str(f)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"cmcheck: error: {message}\n")
+
+
+def test_config_accepts_numbers_in_range():
+    AnalysisConfig(domain="explicit", fuel=0, soft_time=2, overflow_min=-3,
+                   overflow_max=-3).validate()
+    AnalysisConfig(domain="explicit", soft_time=0.5, repeat_loc=1).validate()
+
+
+def test_cli_bad_out_dir_exits_before_any_verdict(tmp_path, capsys):
+    prog = tmp_path / "p.imp"
+    prog.write_text("int x; x := 1; assert(x == 1);")
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "out"
+    assert cli.main([str(prog), "--config", "explicit", "--out-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cmcheck: error: ") and "Not a directory" in err
+
+
 def test_pipeline_file(tmp_path, programs_dir):
     p = driver.parse_config(pipeline_file=str(programs_dir / "two_stage.json"))
     assert [s.domain for s in p.stages] == ["predicate", "explicit"]

@@ -20,7 +20,7 @@ def location_cpa(cfa):
 
 
 def location_run(cfa, order="dfs"):
-    states, rs = engine_reached_states(cfa, location_cpa(cfa), order=order)
+    states, rs = engine_reached_states(location_cpa(cfa), order=order)
     return [s.location for s in states], rs
 
 
@@ -52,16 +52,16 @@ def test_explicit_loop_enumerates_values():
     cfa = lang.parse_program("int x; x := 0; while (x < 3) { x := x + 1; }")
     solver = S.Solver()
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-    states, _ = engine_reached_states(cfa, cpa)
+    states, _ = engine_reached_states(cpa)
     head = cfa.edges[1].source
-    vals = sorted(s.domain.get("x") for s in states if s.location == head)
+    vals = sorted(s.domain.store()["x"] for s in states if s.location == head)
     assert vals == [0, 1, 2, 3]
 
 
 def empty_waitlist(order):
     """A run state whose waitlist is drained, for driving it by hand."""
     cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: x := x + 1;\n")
-    rs = engine.RunState(cfa, location_cpa(cfa), order=order)
+    rs = engine.RunState(location_cpa(cfa), order=order)
     assert rs.pop_waitlist() is rs.root
     return rs
 
@@ -103,7 +103,7 @@ def test_waitlist_skips_lazily_deleted_entries():
     for order in ("dfs", "bfs"):
         rs = empty_waitlist(order)
         a, b, c = (queued(rs, v) for v in "abc")
-        rs.remove_from_waitlist(b)
+        b.in_waitlist = False
         c.removed = True
         rs.add_to_waitlist(a)  # already queued: not queued twice
         assert rs.pop_waitlist() is a
@@ -116,10 +116,10 @@ def test_fuel_budget_is_exact():
     solver = S.Solver()
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
     for fuel in (17, 100, 500):
-        rs = engine.RunState(cfa, cpa)
+        rs = engine.RunState(cpa)
         monitor = C.GlobalMonitor(max_fuel=fuel)
-        result = engine.run_cpa(rs, monitor=monitor)
-        assert result.status == "halted"
+        assert engine.run_cpa(rs, monitor=monitor) is None
+        assert monitor.halted
         assert monitor.fuel_spent == fuel
         # The residual frontier is returned, not dropped.
         assert any(n.in_waitlist and not n.removed for n in rs.waitlist)
@@ -133,7 +133,7 @@ def test_merge_replaces_in_reached_and_waitlist():
     solver = S.Solver()
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver,
                        condition_components=[C.PathStatsComponent(max_length=50)])
-    states, rs = engine_reached_states(cfa, cpa)
+    states, rs = engine_reached_states(cpa)
     by_key = {}
     for s in states:
         by_key.setdefault((s.location, s.domain), []).append(s)
@@ -147,7 +147,7 @@ def test_art_parent_chain_replays_states():
     for _ in range(10):
         cfa = random_cfa(rng, n_vars=2)
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        states, rs = engine_reached_states(cfa, cpa)
+        states, rs = engine_reached_states(cpa)
         for node in rs.reached_nodes():
             if node.parent is None:
                 continue
@@ -167,7 +167,7 @@ def test_transfer_closure_on_random_programs():
     for _ in range(12):
         cfa = random_cfa(rng, n_vars=2)
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        states, rs = engine_reached_states(cfa, cpa)
+        states, rs = engine_reached_states(cpa)
         reached = [n.state for n in rs.reached_nodes()]
         for state in reached:
             if isinstance(state.assumption, F.FalseF):
@@ -193,7 +193,7 @@ def test_engine_matches_reference_explicit_composite():
     for _ in range(12):
         cfa = random_cfa(rng, n_vars=2)
         cpa = CompositeCpa(cfa, D.ExplicitDomain(), solver)
-        states, _ = engine_reached_states(cfa, cpa)
+        states, _ = engine_reached_states(cpa)
         ref = reference_reached(cfa, cpa)
         proj = sorted((s.location, s.domain.bindings) for s in states)
         proj_ref = sorted((s.location, s.domain.bindings) for s in ref)

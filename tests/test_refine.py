@@ -5,10 +5,8 @@ import random
 import pytest
 
 from cmcheck import assumptions as A
-from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang, refine
 from cmcheck import solver as S
-from cmcheck.assumptions import CompositeCpa
 from cmcheck.driver import AnalysisConfig, run_analysis
 
 from helpers import random_cfa, reference_mine_predicates, replay_witness
@@ -20,21 +18,23 @@ def solver():
 
 
 def fake_path(cfa, edge_ids):
-    """AbstractPath scaffolding: states are unused by feasibility."""
+    """Path scaffolding, ART nodes and the edges between them; states are
+    unused by feasibility."""
     nodes = [engine.ArtNode(0, None, None, None, F.TRUE)]
     edges = []
     for i, eid in enumerate(edge_ids):
         e = cfa.edges[eid]
         edges.append(e)
         nodes.append(engine.ArtNode(i + 1, None, nodes[-1], e, F.TRUE))
-    return refine.AbstractPath(nodes, edges)
+    return nodes, edges
 
 
 def test_feasibility_constant_contradiction(solver):
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nerror: L2;\n"
         "L0 -> L1: x := 0;\nL1 -> L2: assume x >= 1;\n")
-    res = refine.check_feasibility(fake_path(cfa, [0, 1]), cfa, solver)
+    _, edges = fake_path(cfa, [0, 1])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Infeasible)
     assert res.pivot == 2  # the state after the failing assume
 
@@ -43,7 +43,8 @@ def test_feasibility_havoc_witness(solver):
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nerror: L2;\n"
         "L0 -> L1: havoc x;\nL1 -> L2: assume x >= 1;\n")
-    res = refine.check_feasibility(fake_path(cfa, [0, 1]), cfa, solver)
+    _, edges = fake_path(cfa, [0, 1])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Feasible)
     assert res.trace[-1][1]["x"] >= 1
 
@@ -51,7 +52,8 @@ def test_feasibility_havoc_witness(solver):
 def test_feasibility_straight_line_bug(solver):
     cfa = lang.parse_program("int x; x := 0; assert(x == 1);")
     err_edge = next(e for e in cfa.edges if e.target in cfa.error_locations)
-    res = refine.check_feasibility(fake_path(cfa, [0, err_edge.id]), cfa, solver)
+    _, edges = fake_path(cfa, [0, err_edge.id])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Feasible)
     assert res.assignment.get("x@1") == 0
 
@@ -61,7 +63,8 @@ def test_feasibility_unreplayable_witness_is_unconfirmed(solver):
     # the path formula, so a spurious witness exists and replay rejects it.
     cfa = lang.parse_program("int x; int r; havoc x; r := x * x; assert(r >= x);")
     err_edge = next(e for e in cfa.edges if e.target in cfa.error_locations)
-    res = refine.check_feasibility(fake_path(cfa, [0, 1, err_edge.id]), cfa, solver)
+    _, edges = fake_path(cfa, [0, 1, err_edge.id])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Unconfirmed)
     assert res.pivot == 3  # the error state itself
     assert "replay" in res.reason
@@ -71,7 +74,8 @@ def test_feasibility_respects_atom_limit(solver):
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nerror: L2;\n"
         "L0 -> L1: havoc x;\nL1 -> L2: assume x >= 1;\n")
-    res = refine.check_feasibility(fake_path(cfa, [0, 1]), cfa, solver, atom_limit=0)
+    _, edges = fake_path(cfa, [0, 1])
+    res = refine.check_feasibility(edges, cfa, solver, atom_limit=0)
     assert isinstance(res, refine.Unconfirmed)
 
 
@@ -82,64 +86,64 @@ def test_pivot_localization_via_solver(solver):
         "L1 -> L2: assume x >= 5;\n"
         "L2 -> L3: assume x <= 3;\n"
         "L3 -> L4: havoc y;\n")
-    res = refine.check_feasibility(fake_path(cfa, [0, 1, 2, 3]), cfa, solver)
+    _, edges = fake_path(cfa, [0, 1, 2, 3])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Infeasible)
     assert res.pivot == 3  # first state whose prefix is unsatisfiable
 
 
 # -- mining ----------------------------------------------------------------------
 
-def mined_atoms(cfa, edge_ids, solver, pivot=None):
-    path = fake_path(cfa, edge_ids)
-    for node, loc in zip(path.nodes, [cfa.initial] + [e.target for e in path.edges]):
+def mined_atoms(cfa, edge_ids, pivot=None):
+    nodes, edges = fake_path(cfa, edge_ids)
+    for node, loc in zip(nodes, [cfa.initial] + [e.target for e in edges]):
         node.state = type("St", (), {"location": loc})()
-    cpa = CompositeCpa(cfa, D.NoDomain(), solver)
-    pivot = len(path.nodes) - 1 if pivot is None else pivot
-    return refine.mine_predicates(path, pivot, cpa)
+    pivot = len(edges) if pivot is None else pivot
+    return refine.mine_predicates(nodes, edges, pivot)
 
 
-def test_mining_collects_assume_atoms(solver):
+def test_mining_collects_assume_atoms():
     cfa = lang.parse_program(
         "int i; i := 0; while (i < 1000000) { i := i + 1; } assert(i >= 1000000);")
     enter = next(e for e in cfa.edges
                  if isinstance(e.op, lang.Assume) and "<" in lang.render_expr(e.op.expr))
-    mined = mined_atoms(cfa, [0, enter.id], solver)
+    mined = mined_atoms(cfa, [0, enter.id])
     atoms = {F.render_atom(a) for _, a in mined}
     assert "i <= 999999" in atoms
 
 
-def test_mining_substitutes_through_assignment(solver):
+def test_mining_substitutes_through_assignment():
     cfa = lang.parse_cfa(
         "vars: x, y;\ninit: L0;\nerror: L2;\n"
         "L0 -> L1: x := y + 1;\nL1 -> L2: assume x >= 3;\n")
-    mined = mined_atoms(cfa, [0, 1], solver)
+    mined = mined_atoms(cfa, [0, 1])
     atoms = {F.render_atom(a) for _, a in mined}
     # predicates are stored as complement-pair representatives
     assert F.render_atom(F.positive_form(F.parse_formula("y >= 2").atom)) in atoms
     assert F.render_atom(F.positive_form(F.parse_formula("x >= 3").atom)) in atoms
 
 
-def test_mining_no_assumes_yields_nothing(solver):
+def test_mining_no_assumes_yields_nothing():
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nerror: L2;\nL0 -> L1: x := 1;\nL1 -> L2: havoc x;\n")
-    assert mined_atoms(cfa, [0, 1], solver) == set()
+    assert mined_atoms(cfa, [0, 1]) == set()
 
 
-def test_mining_drops_product_atoms(solver):
+def test_mining_drops_product_atoms():
     cfa = lang.parse_program("int x; int r; havoc x; r := x * x; assert(r >= x);")
     err_edge = next(e for e in cfa.edges if e.target in cfa.error_locations)
-    mined = mined_atoms(cfa, [0, 1, err_edge.id], solver)
+    mined = mined_atoms(cfa, [0, 1, err_edge.id])
     assert all(not any(isinstance(t, F.ProdTerm) for t, _ in a.terms)
                for _, a in mined)
     want = F.positive_form(F.parse_formula("r >= x").atom)
     assert {a for _, a in mined} == {want}
 
 
-def test_mining_drops_atoms_at_havoc(solver):
+def test_mining_drops_atoms_at_havoc():
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nerror: L3;\n"
         "L0 -> L1: assume x >= 3;\nL1 -> L2: havoc x;\nL2 -> L3: assume x <= 0;\n")
-    mined = mined_atoms(cfa, [0, 1, 2], solver)
+    mined = mined_atoms(cfa, [0, 1, 2])
     # x >= 3 is collected at its own edge but cannot cross the havoc
     want = {F.positive_form(F.parse_formula(t).atom) for t in ("x >= 3", "x <= 0")}
     assert {a for _, a in mined} == want
@@ -191,9 +195,9 @@ def test_same_path_never_refined_twice():
     seen = []
     orig = refine.mine_predicates
 
-    def spy(path, pivot, cpa):
-        seen.append(tuple(e.id for e in path.edges))
-        return orig(path, pivot, cpa)
+    def spy(nodes, edges, pivot):
+        seen.append(tuple(e.id for e in edges))
+        return orig(nodes, edges, pivot)
 
     refine.mine_predicates = spy
     try:
@@ -241,7 +245,8 @@ def test_pivot_prefers_earliest_unsat_prefix(solver):
         "L2 -> L3: assume x <= 3;\n"
         "L3 -> L4: y := 0;\n"
         "L4 -> L5: assume y >= 1;\n")
-    res = refine.check_feasibility(fake_path(cfa, [0, 1, 2, 3, 4]), cfa, solver)
+    _, edges = fake_path(cfa, [0, 1, 2, 3, 4])
+    res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Infeasible)
     assert res.pivot == 3
 
@@ -253,10 +258,10 @@ def check_mining_against_reference(monkeypatch) -> list:
     paths = []
     shipped = refine.mine_predicates
 
-    def compared(path, pivot, cpa):
-        got = shipped(path, pivot, cpa)
-        assert got == reference_mine_predicates(path, pivot, cpa)
-        paths.append(path)
+    def compared(nodes, edges, pivot):
+        got = shipped(nodes, edges, pivot)
+        assert got == reference_mine_predicates(nodes, edges, pivot)
+        paths.append(edges)
         return got
 
     monkeypatch.setattr(refine, "mine_predicates", compared)
@@ -287,9 +292,9 @@ def test_mining_memo_on_the_two_stage_path(monkeypatch, nonlinear_square_cfa,
     # refines on a counterexample of about 100,000 edges.
     shipped = refine.mine_predicates
     convert = F.bexpr_to_formula
-    runs = []  # (path, top-level conversions while mining it)
+    runs = []  # (path edges, top-level conversions while mining them)
 
-    def counted(path, pivot, cpa):
+    def counted(nodes, edges, pivot):
         calls = [0, 0]  # top-level calls, current nesting
 
         def counting(e, *args):
@@ -302,9 +307,9 @@ def test_mining_memo_on_the_two_stage_path(monkeypatch, nonlinear_square_cfa,
 
         with monkeypatch.context() as m:
             m.setattr(F, "bexpr_to_formula", counting)
-            got = shipped(path, pivot, cpa)
-        assert got == reference_mine_predicates(path, pivot, cpa)
-        runs.append((path, calls[0]))
+            got = shipped(nodes, edges, pivot)
+        assert got == reference_mine_predicates(nodes, edges, pivot)
+        runs.append((edges, calls[0]))
         return got
 
     monkeypatch.setattr(refine, "mine_predicates", counted)
@@ -312,7 +317,7 @@ def test_mining_memo_on_the_two_stage_path(monkeypatch, nonlinear_square_cfa,
         nonlinear_square_cfa, AnalysisConfig(name="predicate", domain="predicate"),
         input_automaton=A.parse_automaton(nonlinear_square_explicit_automaton))
     assert report.verdict == "TRUE"
-    assert any(len(path.edges) > 50000 for path, _ in runs)
-    for path, conversions in runs:
-        assumes = {e.id for e in path.edges if isinstance(e.op, lang.Assume)}
+    assert any(len(edges) > 50000 for edges, _ in runs)
+    for edges, conversions in runs:
+        assumes = {e.id for e in edges if isinstance(e.op, lang.Assume)}
         assert conversions <= len(assumes)

@@ -49,8 +49,9 @@ def test_opaque_product_is_free(solver):
     assert sat_kind(solver, "x * x <= x - 1") != S.UNSAT
 
 
-def test_formula_too_large(solver):
-    tiny = S.Solver(dnf_clause_bound=4)
+def test_formula_too_large(monkeypatch):
+    monkeypatch.setattr(S, "DNF_CLAUSE_BOUND", 4)
+    tiny = S.Solver()
     parts = [F.parse_formula(f"x = {i} | y = {i}") for i in range(4)]
     with pytest.raises(F.FormulaTooLarge):
         tiny.check_sat(F.f_and(parts))
@@ -218,7 +219,7 @@ def test_sat_minterms_warm_solver_matches_fresh_across_epochs():
     for _ in range(3):
         epoch = precision.epoch
         for p in random_predicates(rng, names, 2):
-            precision.add(None, p)
+            precision.add(0, p)
         assert precision.epoch > epoch
         preds = [F.AtomF(p) for p in precision.atoms_at(0)]
         for f in formulas:
