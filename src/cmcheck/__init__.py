@@ -6,26 +6,4 @@ conditions from one run can restrict the next, so complementary analyses
 combine.
 """
 
-from .lang import Cfa, parse_cfa, parse_program, serialize_cfa
-from .driver import (
-    AnalysisConfig,
-    Pipeline,
-    parse_config,
-    run_analysis,
-    run_pipeline,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisConfig",
-    "Cfa",
-    "Pipeline",
-    "parse_cfa",
-    "parse_program",
-    "parse_config",
-    "run_analysis",
-    "run_pipeline",
-    "serialize_cfa",
-    "__version__",
-]

@@ -1,14 +1,15 @@
 """Assumption tracking, the composite CPA, and condition output.
 
 The composite state is the tuple (assumption, location, condition states,
-observer state, overflow state, domain state).  Component transfers run in
-lockstep along each CFA edge, and the successor's assumption records what
-they found: false on a condition violation, else the overflow fact.  A
-predicate domain's next transfer also assumes the state's overflow fact,
-but the domain state itself never carries it, so the rendered condition
-still covers the out-of-range states.  A state whose assumption is false
-is an excluded leaf: it stays in the reached set for post-processing but
-is never expanded.
+observer state, domain state).  Component transfers run in lockstep along
+each CFA edge, and the successor's assumption records what they found:
+false on a condition violation, a post the busy-edge monitor skipped or
+a failed abstraction, else the overflow fact.  The assumption is the
+state's only record of that fact: a predicate domain's next transfer
+assumes it, but the domain state itself never carries it, so the
+rendered condition still covers the out-of-range states.  A state whose
+assumption is false is an excluded leaf: it stays in the reached set for
+post-processing but is never expanded.
 
 Post-processing turns a finished run into the condition formula: waitlist
 and error-location states contribute ``(pc = l) -> !state``, settled ones
@@ -62,12 +63,11 @@ class CompositeState:
     location: int
     conds: tuple
     observer: Optional[str]
-    overflow: Optional[F.Formula]
     domain: Any
 
 
 class CompositeCpa:
-    """Assumption x location x conditions x observer x overflow x domain.
+    """Assumption x location x conditions x observer x domain.
 
     The one CPA the engine runs; with ``NoDomain`` it is the location
     analysis.
@@ -94,20 +94,24 @@ class CompositeCpa:
             location=self.cfa.initial,
             conds=tuple(c.initial() for c in self.condition_components),
             observer=self.observer.initial() if self.observer else None,
-            overflow=F.TRUE if self.overflow else None,
             domain=self.domain.initial(self.cfa),
         )
 
-    def successors(self, state: CompositeState, edge: lang.Edge):
-        """Abstract successors along one edge, each with its step assumption.
+    def successors(self, state: CompositeState, edge: lang.Edge,
+                   skip: bool = False) -> list[CompositeState]:
+        """Abstract successors along one edge.
 
         The components step in lockstep, and their results set the
         successor's assumption, which is also the label of its ART
-        edge: false when a condition component is exceeded (or the
-        abstraction failed), else the overflow fact when there is an
-        overflow component, else true.  The fact goes into the assumption
-        only: the domain state stays unstrengthened, so the rendered
-        condition still covers the out-of-range states.
+        edge: false when a condition component is exceeded, else the
+        overflow fact when there is an overflow component, else true.
+        The fact goes into the assumption only: the domain state stays
+        unstrengthened, so the rendered condition still covers the
+        out-of-range states.  With ``skip`` (the busy-edge monitor
+        skipped this post), or when the abstraction fails, the one
+        successor is the excluded stand-in: domain ``top()`` under the
+        assumption false, with the observer and the condition
+        components stepped all the same.
         """
         if edge.source != state.location or isinstance(state.assumption, F.FalseF):
             return []
@@ -120,51 +124,30 @@ class CompositeCpa:
         components = self.condition_components
         if components:
             conds2 = tuple(c.transfer(s, edge) for c, s in zip(components, state.conds))
-            exceeded = any(s.exceeded for s in conds2)
+            exceeded = skip or any(s.exceeded for s in conds2)
         else:
             conds2 = ()
-            exceeded = False
-        overflow_phi = None
-        if self.overflow is not None:
-            overflow_phi = self.overflow.transfer(edge)
-        premise = state.domain
-        if self._is_predicate and state.overflow is not None:
-            # Prune under the overflow assumption without rendering it.
-            premise = F.f_and([premise, state.overflow])
-        try:
-            domain_succs = self.domain.transfer(premise, edge)
-        except D.AbstractionFailure:
+            exceeded = skip
+        if skip:
             domain_succs = [self.domain.top()]
-            exceeded = True  # absorb the failure into an excluding assumption
+        else:
+            premise = state.domain
+            if self._is_predicate and self.overflow is not None:
+                # Prune under the overflow assumption without rendering it.
+                premise = F.f_and([premise, state.assumption])
+            try:
+                domain_succs = self.domain.transfer(premise, edge)
+            except D.AbstractionFailure:
+                domain_succs = [self.domain.top()]
+                exceeded = True  # absorb the failure into an excluding assumption
         if exceeded:
             assumption = F.FALSE
-        elif overflow_phi is not None:
-            assumption = overflow_phi
+        elif self.overflow is not None:
+            assumption = self.overflow.transfer(edge)
         else:
             assumption = F.TRUE
         target = edge.target
-        return [(CompositeState(assumption, target, conds2, obs2, overflow_phi, d2), assumption)
-                for d2 in domain_succs]
-
-    def excluded_successor(self, state: CompositeState, edge: lang.Edge):
-        """Stand-in for a post computation skipped by the busy-edge monitor;
-        the observer and the condition components still step."""
-        if edge.source != state.location or isinstance(state.assumption, F.FalseF):
-            return None
-        obs2 = None
-        if self.observer is not None:
-            obs2 = self.observer.step(state.observer, edge)
-            if obs2 is PRUNED:
-                return None
-        return CompositeState(
-            assumption=F.FALSE,
-            location=edge.target,
-            conds=tuple(c.transfer(s, edge)
-                        for c, s in zip(self.condition_components, state.conds)),
-            observer=obs2,
-            overflow=F.TRUE if self.overflow else None,
-            domain=self.domain.top(),
-        )
+        return [CompositeState(assumption, target, conds2, obs2, d2) for d2 in domain_succs]
 
     def covers(self, state: CompositeState, candidate: CompositeState) -> bool:
         """Is state subsumed by candidate?  A stricter assumption covers."""
@@ -181,15 +164,11 @@ class CompositeCpa:
         assumption = F.f_and([new_state.assumption, old_state.assumption])
         conds = tuple(c.merge(a, b) for c, a, b in
                       zip(self.condition_components, new_state.conds, old_state.conds))
-        overflow = old_state.overflow
-        if self.overflow is not None:
-            overflow = F.f_and([new_state.overflow, old_state.overflow])
         merged = CompositeState(
             assumption=assumption,
             location=old_state.location,
             conds=conds,
             observer=old_state.observer,
-            overflow=overflow,
             domain=old_state.domain,
         )
         return old_state if merged == old_state else merged

@@ -19,6 +19,9 @@ log = logging.getLogger("cmcheck")
 # Explicit values beyond this magnitude are demoted to top to keep bigint
 # growth bounded; the concrete oracle keeps exact arithmetic.
 VALUE_LIMIT = 2 ** 63
+# Up to this many predicates at a location, predicate abstraction is
+# boolean; above it, cartesian.
+MINTERM_BOUND = 8
 
 
 class AbstractionFailure(Exception):
@@ -198,18 +201,16 @@ class PredicateDomain:
 
     Successor abstraction is the strongest boolean combination of the
     target location's predicates implied by the strongest postcondition:
-    up to ``minterm_bound`` predicates, the disjunction of the minterms the
+    up to ``MINTERM_BOUND`` predicates, the disjunction of the minterms the
     solver does not refute (``Solver.sat_minterms``, one pruned enumeration
     per transfer); above it, the (weaker but sound) cartesian abstraction.
     """
 
     name = "predicate"
 
-    def __init__(self, solver: solver_mod.Solver, precision: Precision,
-                 minterm_bound: int = 8):
+    def __init__(self, solver: solver_mod.Solver, precision: Precision):
         self.solver = solver
         self.precision = precision
-        self.minterm_bound = minterm_bound
         self._cache: dict = {}
 
     def initial(self, cfa: lang.Cfa) -> F.Formula:
@@ -246,7 +247,7 @@ class PredicateDomain:
 
         pi = self.precision.atoms_at(edge.target)
         try:
-            if len(pi) <= self.minterm_bound:
+            if len(pi) <= MINTERM_BOUND:
                 return self._boolean_abstraction(sp, pi, at_latest)
             return self._cartesian_abstraction(sp, pi, at_latest)
         except F.FormulaTooLarge as exc:

@@ -1,16 +1,18 @@
 """Reachability engine: the worklist algorithm that runs the composite CPA.
 
 The loop is the classic one: pop a frontier state, compute abstract
-successors along the CFA edges leaving its location as the monitor
-allows, try to merge each successor into the reached states that hold the
-same domain state (replacing their states in place when the merge changed
-something), then add it unless one of the CPA's ``stop_candidates``
-covers it; the first that does becomes its cover.  The reached set is
-partitioned by location and observer state, as only states that agree on
-both can merge or cover each other.  An abstract reachability tree is
-maintained alongside: every expansion creates a child node carrying the
-CFA edge and the assumption attached to that step, and covered successors
-become leaf nodes pointing at their covering node.
+successors along the CFA edges leaving its location (a post the monitor
+skips yields the CPA's excluded stand-in), try to merge each successor
+into the reached states that hold the same domain state (replacing their
+states in place when the merge changed something, and re-queueing them
+unless the merge excluded them), then add it unless one of the CPA's
+``stop_candidates`` covers it; the first that does becomes its cover.
+The reached set is partitioned by location and observer state, as only
+states that agree on both can merge or cover each other.  An abstract
+reachability tree is maintained alongside: every expansion creates a
+child node carrying the CFA edge and, as the label of that step, the
+successor's assumption; covered successors become leaf nodes pointing
+at their covering node.
 
 ``run_cpa`` returns the node of the first target state it reaches, or
 None when the waitlist empties or the monitor halts the run, which
@@ -247,13 +249,8 @@ def run_cpa(rs: RunState, monitor: C.GlobalMonitor,
             if act == "halt":
                 rs.add_to_waitlist(node)
                 return None
-            if act == "skip":
-                skipped = cpa.excluded_successor(state, edge)
-                if skipped is not None:
-                    _process_successor(rs, node, edge, skipped, F.FALSE)
-                continue
-            for succ, assumption in successors(state, edge):
-                hit = _process_successor(rs, node, edge, succ, assumption)
+            for succ in successors(state, edge, act == "skip"):
+                hit = _process_successor(rs, node, edge, succ)
                 # An excluded state is never a target.
                 if hit is not None and succ.location in target_locs \
                         and not isinstance(succ.assumption, F.FalseF):
@@ -262,8 +259,13 @@ def run_cpa(rs: RunState, monitor: C.GlobalMonitor,
 
 
 def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
-                       succ, assumption: F.Formula) -> Optional[ArtNode]:
-    """Merge and stop phases for one successor; returns its node if added."""
+                       succ) -> Optional[ArtNode]:
+    """Merge and stop phases for one successor; returns its node if added.
+
+    The successor's assumption labels its ART edge.  A merge that
+    excludes a reached node (its assumption becomes false) does not
+    re-queue it.
+    """
     cpa = rs.cpa
     part = rs.partition(succ)
     bucket = part.by_domain.get(succ.domain)
@@ -273,17 +275,19 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
             merged = cpa.merge(succ, other.state)
             if merged != other.state:
                 rs.replace_state(other, merged)
-                rs.add_to_waitlist(other)
+                if not isinstance(merged.assumption, F.FalseF):
+                    rs.add_to_waitlist(other)
     edge_id = edge.id
     for child in node.children:
         if not child.removed and child.edge is not None \
                 and child.edge.id == edge_id and child.state == succ:
             return None  # re-expansion of an already recorded step
+    assumption = succ.assumption
     for cand in cpa.stop_candidates(succ, part):
         if cpa.covers(succ, cand.state):
             rs.new_covered_node(node, edge, assumption, succ, cand)
             return None
     child = rs.new_reached_node(node, edge, assumption, succ, part)
-    if not isinstance(succ.assumption, F.FalseF):  # excluded leaves stay unexpanded
+    if not isinstance(assumption, F.FalseF):
         rs.add_to_waitlist(child)
     return child

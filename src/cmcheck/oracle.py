@@ -8,10 +8,9 @@ oracle at desk scale (document the bounds whenever it backs a claim).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import formula as F
 from . import lang
@@ -185,84 +184,3 @@ def condition_avoids_error(cfa: lang.Cfa, psi: F.Formula,
                 seen.add(nxt)
                 frontier.append(nxt)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Brute-force box sweeps (independent of the solver)
-# ---------------------------------------------------------------------------
-
-def box_model(f: F.Formula, var_names: Sequence[str],
-              box: int = 8) -> Optional[dict[str, int]]:
-    """The first point of [-box, box]^n where f holds, or None.
-
-    Points are visited in ``itertools.product`` order; products are
-    evaluated exactly.
-    """
-    for point in itertools.product(range(-box, box + 1), repeat=len(var_names)):
-        store = dict(zip(var_names, point))
-        if F.evaluate(f, store):
-            return store
-    return None
-
-
-def box_minterms(sp: F.Formula, pi: Sequence[F.Atom], var_names: Sequence[str],
-                 box: int = 8) -> set[int]:
-    """The predicate minterms that hold together with sp at some box point.
-
-    One pass over [-box, box]^n: every point where sp holds contributes
-    its minterm, the bit-vector with bit i set iff pi[i] holds there.
-    Products are evaluated exactly; independent of the solver.
-    """
-    if len(pi) > 6:
-        raise ValueError("oracle limited to 6 predicates")
-    preds = [F.AtomF(p) for p in pi]
-    seen: set[int] = set()
-    for point in itertools.product(range(-box, box + 1), repeat=len(var_names)):
-        store = dict(zip(var_names, point))
-        if F.evaluate(sp, store):
-            seen.add(sum(1 << i for i, p in enumerate(preds) if F.evaluate(p, store)))
-    return seen
-
-
-def brute_force_boolean_abstraction(sp: F.Formula, pi: Sequence[F.Atom],
-                                    var_names: Sequence[str], box: int = 8) -> F.Formula:
-    """Disjunction of the predicate minterms satisfiable with sp on the box."""
-    kept = []
-    for bits in sorted(box_minterms(sp, pi, var_names, box)):
-        kept.append(F.f_and(F.AtomF(p) if (bits >> i) & 1 else F.f_not(F.AtomF(p))
-                            for i, p in enumerate(pi)))
-    return F.f_or(kept)
-
-
-def abstraction_minterms(f: F.Formula, pi: Sequence[F.Atom]) -> set[int]:
-    """The bit-vectors over pi at which f holds, read propositionally.
-
-    Bit i stands for pi[i].  An atom of f is read as bit i when it is
-    pi[i] and as its negation when it is the complement of pi[i] (same
-    positive form); any other atom raises ValueError.  Equal sets mean
-    equivalent boolean combinations of pi, whatever the atoms mean
-    arithmetically.
-    """
-    index = {F.positive_form(p): i for i, p in enumerate(pi)}
-
-    def bit(a: F.Atom) -> tuple[int, bool]:
-        i = index.get(F.positive_form(a))
-        if i is None:
-            raise ValueError(f"atom {F.render_atom(a)} is not in the precision")
-        return i, a == pi[i]
-
-    def holds(g: F.Formula, bits: int) -> bool:
-        if isinstance(g, F.TrueF):
-            return True
-        if isinstance(g, F.FalseF):
-            return False
-        if isinstance(g, F.AtomF):
-            i, positive = bit(g.atom)
-            return bool((bits >> i) & 1) == positive
-        if isinstance(g, F.NotF):
-            return not holds(g.arg, bits)
-        if isinstance(g, F.AndF):
-            return all(holds(a, bits) for a in g.args)
-        return any(holds(a, bits) for a in g.args)
-
-    return {bits for bits in range(1 << len(pi)) if holds(f, bits)}

@@ -60,8 +60,9 @@ def _neq_clauses(atom: F.Atom) -> tuple[F.Atom, F.Atom]:
     return low.atom, high.atom
 
 
-def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
-    """Disjunctive normal form as atom tuples; raises FormulaTooLarge."""
+def to_dnf(f: F.Formula) -> list[tuple[F.Atom, ...]]:
+    """Disjunctive normal form as atom tuples; raises FormulaTooLarge past
+    ``DNF_CLAUSE_BOUND`` clauses."""
 
     def walk(g: F.Formula) -> list[tuple[F.Atom, ...]]:
         if isinstance(g, F.TrueF):
@@ -80,8 +81,8 @@ def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
             out: list[tuple[F.Atom, ...]] = []
             for a in g.args:
                 out.extend(walk(a))
-                if len(out) > clause_bound:
-                    raise F.FormulaTooLarge(f"DNF exceeds {clause_bound} clauses")
+                if len(out) > DNF_CLAUSE_BOUND:
+                    raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
             return out
         assert isinstance(g, F.AndF)
         acc: list[tuple[F.Atom, ...]] = [()]
@@ -93,8 +94,8 @@ def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
                     merged = dict.fromkeys(left)
                     merged.update(dict.fromkeys(right))
                     nxt.append(tuple(merged))
-                    if len(nxt) > clause_bound:
-                        raise F.FormulaTooLarge(f"DNF exceeds {clause_bound} clauses")
+                    if len(nxt) > DNF_CLAUSE_BOUND:
+                        raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
             acc = nxt
         return acc
 
@@ -105,11 +106,11 @@ def to_dnf(f: F.Formula, clause_bound: int) -> list[tuple[F.Atom, ...]]:
 # Conjunct decision: Fourier-Motzkin, then a witness by back-substitution
 # ---------------------------------------------------------------------------
 
-def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
+def _fm_eliminate(atoms: Sequence[F.Atom]):
     """Integer Fourier-Motzkin projection of one conjunct, with its record.
 
     Returns True when integer-unsat is proven, None when a round derives
-    more than ``max_constraints`` constraints, and otherwise the steps
+    more than ``FM_CONSTRAINT_BOUND`` constraints, and otherwise the steps
     ``(term, constraints)`` in elimination order.  Each step holds the
     constraints that mentioned its term when it was eliminated; they
     mention only terms that come later in the list.  Terms that drop out
@@ -187,7 +188,7 @@ def _fm_eliminate(atoms: Sequence[F.Atom], max_constraints: int):
                     comb = {v: c // g for v, c in comb.items()}
                     bound //= g  # floor: integer tightening on derived bounds
                 nxt.append((comb, bound))
-                if len(nxt) > max_constraints:
+                if len(nxt) > FM_CONSTRAINT_BOUND:
                     return None
         live = nxt
     steps.extend((v, []) for v in sorted(remaining))
@@ -223,7 +224,7 @@ class Solver:
         return r
 
     def _check_sat_uncached(self, f: F.Formula) -> SatResult:
-        clauses = to_dnf(f, DNF_CLAUSE_BOUND)
+        clauses = to_dnf(f)
         saw_maybe = False
         for clause in clauses:
             r = self._clause_sat(clause)
@@ -236,7 +237,7 @@ class Solver:
     def _clause_sat(self, atoms: tuple[F.Atom, ...]) -> SatResult:
         if not atoms:
             return SatResult(SAT, {})
-        steps = _fm_eliminate(atoms, FM_CONSTRAINT_BOUND)
+        steps = _fm_eliminate(atoms)
         if steps is True:
             return SatResult(UNSAT)
         if steps is None:
@@ -260,24 +261,23 @@ class Solver:
         extensions.  Raises FormulaTooLarge when the clauses of the
         largest minterm query would exceed ``DNF_CLAUSE_BOUND``.
         """
-        bound = DNF_CLAUSE_BOUND
-        clauses = to_dnf(f, bound)
+        clauses = to_dnf(f)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
         literals = []
         for p in preds:
             pair = self._literal_dnfs.get(p)
             if pair is None:
-                pair = self._literal_dnfs[p] = (to_dnf(F.f_not(p), bound), to_dnf(p, bound))
+                pair = self._literal_dnfs[p] = (to_dnf(F.f_not(p)), to_dnf(p))
             literals.append(pair)
         size = len(clauses)
         for neg, pos in literals:
             size *= max(len(neg), len(pos))
-        if size > bound:
-            raise F.FormulaTooLarge(f"minterm queries exceed {bound} clauses")
+        if size > DNF_CLAUSE_BOUND:
+            raise F.FormulaTooLarge(f"minterm queries exceed {DNF_CLAUSE_BOUND} clauses")
         found: set[int] = set()
 
         def extend(prefix: dict, i: int, bits: int, grew: bool) -> None:
-            if grew and _fm_eliminate(tuple(prefix), FM_CONSTRAINT_BOUND) is True:
+            if grew and _fm_eliminate(tuple(prefix)) is True:
                 return
             if i == len(literals):
                 found.add(bits)

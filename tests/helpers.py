@@ -7,9 +7,11 @@ give the same results.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from types import SimpleNamespace
+from typing import Optional, Sequence
 
 from cmcheck import assumptions as A
 from cmcheck import conditions as C
@@ -131,7 +133,7 @@ def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> l
     while waitlist:
         state = waitlist.pop(-1) if order == "dfs" else waitlist.pop(0)
         for edge in cfa.edges_from(state.location):
-            for succ, _assumption in cpa.successors(state, edge):
+            for succ in cpa.successors(state, edge):
                 for old in list(reached):
                     merged = cpa.merge(succ, old)
                     if merged != old:
@@ -243,12 +245,10 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
 def _reference_strengthen(candidate: A.CompositeState, exceeded: bool, overflow_phi):
     """The strengthen operator, applied to one fresh successor tuple."""
     if exceeded:
-        return replace(candidate, assumption=F.FALSE), F.FALSE
+        return replace(candidate, assumption=F.FALSE)
     if overflow_phi is not None and not isinstance(overflow_phi, F.TrueF):
-        strengthened = replace(
-            candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
-        return strengthened, overflow_phi
-    return candidate, F.TRUE
+        return replace(candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
+    return candidate
 
 
 def _reference_step_bookkeeping(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
@@ -275,8 +275,8 @@ def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.
     exceeded = any(s.exceeded for s in conds2)
     overflow_phi = cpa.overflow.transfer(edge) if cpa.overflow else None
     premise = state.domain
-    if isinstance(cpa.domain, D.PredicateDomain) and state.overflow is not None:
-        premise = F.f_and([premise, state.overflow])
+    if isinstance(cpa.domain, D.PredicateDomain) and cpa.overflow is not None:
+        premise = F.f_and([premise, state.assumption])
     try:
         domain_succs = cpa.domain.transfer(premise, edge)
     except D.AbstractionFailure:
@@ -289,7 +289,6 @@ def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.
             location=edge.target,
             conds=conds2,
             observer=obs2,
-            overflow=overflow_phi if cpa.overflow else None,
             domain=d2,
         )
         out.append(_reference_strengthen(candidate, exceeded, overflow_phi))
@@ -369,3 +368,84 @@ def path_formula(edges) -> SimpleNamespace:
     ssa: dict[str, int] = {}
     constraints = [S.encode_edge(e, ssa) for e in edges]
     return SimpleNamespace(formula=F.f_and(constraints), ssa=ssa)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force box sweeps (independent of the solver)
+# ---------------------------------------------------------------------------
+
+def box_model(f: F.Formula, var_names: Sequence[str],
+              box: int = 8) -> Optional[dict[str, int]]:
+    """The first point of [-box, box]^n where f holds, or None.
+
+    Points are visited in ``itertools.product`` order; products are
+    evaluated exactly.
+    """
+    for point in itertools.product(range(-box, box + 1), repeat=len(var_names)):
+        store = dict(zip(var_names, point))
+        if F.evaluate(f, store):
+            return store
+    return None
+
+
+def box_minterms(sp: F.Formula, pi: Sequence[F.Atom], var_names: Sequence[str],
+                 box: int = 8) -> set[int]:
+    """The predicate minterms that hold together with sp at some box point.
+
+    One pass over [-box, box]^n: every point where sp holds contributes
+    its minterm, the bit-vector with bit i set iff pi[i] holds there.
+    Products are evaluated exactly; independent of the solver.
+    """
+    if len(pi) > 6:
+        raise ValueError("oracle limited to 6 predicates")
+    preds = [F.AtomF(p) for p in pi]
+    seen: set[int] = set()
+    for point in itertools.product(range(-box, box + 1), repeat=len(var_names)):
+        store = dict(zip(var_names, point))
+        if F.evaluate(sp, store):
+            seen.add(sum(1 << i for i, p in enumerate(preds) if F.evaluate(p, store)))
+    return seen
+
+
+def brute_force_boolean_abstraction(sp: F.Formula, pi: Sequence[F.Atom],
+                                    var_names: Sequence[str], box: int = 8) -> F.Formula:
+    """Disjunction of the predicate minterms satisfiable with sp on the box."""
+    kept = []
+    for bits in sorted(box_minterms(sp, pi, var_names, box)):
+        kept.append(F.f_and(F.AtomF(p) if (bits >> i) & 1 else F.f_not(F.AtomF(p))
+                            for i, p in enumerate(pi)))
+    return F.f_or(kept)
+
+
+def abstraction_minterms(f: F.Formula, pi: Sequence[F.Atom]) -> set[int]:
+    """The bit-vectors over pi at which f holds, read propositionally.
+
+    Bit i stands for pi[i].  An atom of f is read as bit i when it is
+    pi[i] and as its negation when it is the complement of pi[i] (same
+    positive form); any other atom raises ValueError.  Equal sets mean
+    equivalent boolean combinations of pi, whatever the atoms mean
+    arithmetically.
+    """
+    index = {F.positive_form(p): i for i, p in enumerate(pi)}
+
+    def bit(a: F.Atom) -> tuple[int, bool]:
+        i = index.get(F.positive_form(a))
+        if i is None:
+            raise ValueError(f"atom {F.render_atom(a)} is not in the precision")
+        return i, a == pi[i]
+
+    def holds(g: F.Formula, bits: int) -> bool:
+        if isinstance(g, F.TrueF):
+            return True
+        if isinstance(g, F.FalseF):
+            return False
+        if isinstance(g, F.AtomF):
+            i, positive = bit(g.atom)
+            return bool((bits >> i) & 1) == positive
+        if isinstance(g, F.NotF):
+            return not holds(g.arg, bits)
+        if isinstance(g, F.AndF):
+            return all(holds(a, bits) for a in g.args)
+        return any(holds(a, bits) for a in g.args)
+
+    return {bits for bits in range(1 << len(pi)) if holds(f, bits)}

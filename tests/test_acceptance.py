@@ -19,7 +19,8 @@ from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 from cmcheck.driver import AnalysisConfig, Pipeline, run_analysis, run_pipeline
 
-from helpers import random_cfa, reference_reached, replay_witness
+from helpers import (abstraction_minterms, box_minterms, random_cfa, reference_reached,
+                     replay_witness)
 
 
 def _report(n: int, desc: str) -> None:
@@ -214,7 +215,7 @@ def test_criterion_4_predicate_abstraction_exactness():
         # skip pairs whose satisfiability leaks outside the [-8,8]^3 box,
         # where solver Sat and box-model existence legitimately diverge.
         # One sweep of the box yields the minterms with a box model.
-        on_box = oracle.box_minterms(sp, pi, names)
+        on_box = box_minterms(sp, pi, names)
         leaky = False
         for bits in range(1 << len(pi)):
             m = F.f_and([F.AtomF(p) if (bits >> i) & 1 else F.f_not(F.AtomF(p))
@@ -234,13 +235,13 @@ def test_criterion_4_predicate_abstraction_exactness():
         prec = D.Precision()
         for p in pi:
             prec.add(1, p)
-        dom = D.PredicateDomain(solver, prec, minterm_bound=8)
+        dom = D.PredicateDomain(solver, prec)
         out = dom.transfer(sp, edge)
         engine_abs = out[0] if out else F.FALSE
         # The oracle's abstraction is the disjunction of the on_box
         # minterms, so equal minterm sets make the two abstractions
         # equivalent everywhere, not only on the box.
-        got = oracle.abstraction_minterms(engine_abs, pi)
+        got = abstraction_minterms(engine_abs, pi)
         assert got == on_box, (
             f"abstractions disagree on minterms {sorted(got ^ on_box)} for "
             f"sp={F.render_formula(sp)} pi={[F.render_atom(p) for p in pi]}")
@@ -274,7 +275,7 @@ def test_criterion_5_worklist_algorithm_fidelity():
         # transfer closure modulo coverage
         for state in reached:
             for e in cfa.edges_from(state.location):
-                for succ, _ in cpa.successors(state, e):
+                for succ in cpa.successors(state, e):
                     assert any(cpa.covers(succ, r) for r in reached)
     _report(5, "50 random programs: engine reached sets match the naive "
                "reference and are transfer-closed")
@@ -289,9 +290,9 @@ def test_criterion_6_postprocessing_formulas():
     rs = engine.RunState(cpa)
     rs.pop_waitlist()
     fixture = [
-        (A.CompositeState(F.TRUE, 5, (), None, None, F.parse_formula("x >= 1")), True),
-        (A.CompositeState(F.TRUE, 9, (), None, None, F.parse_formula("x <= 0")), False),
-        (A.CompositeState(F.parse_formula("x <= 7"), 1, (), None, None,
+        (A.CompositeState(F.TRUE, 5, (), None, F.parse_formula("x >= 1")), True),
+        (A.CompositeState(F.TRUE, 9, (), None, F.parse_formula("x <= 0")), False),
+        (A.CompositeState(F.parse_formula("x <= 7"), 1, (), None,
                           F.parse_formula("x >= 1")), False),
     ]
     for i, (state, waitlisted) in enumerate(fixture):

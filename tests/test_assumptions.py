@@ -23,9 +23,9 @@ def an_edge(op="havoc x", src=0, dst=1, eid=0) -> lang.Edge:
 
 # -- assumption component ---------------------------------------------------------
 
-def assumed(phi, overflow=None):
+def assumed(phi):
     """A location-only composite state at L0 carrying assumption phi."""
-    return A.CompositeState(phi, 0, (), None, overflow, None)
+    return A.CompositeState(phi, 0, (), None, None)
 
 
 def test_assumption_transfer(solver):
@@ -33,7 +33,7 @@ def test_assumption_transfer(solver):
     cpa = composite(lang.parse_program("int x;"), solver)
 
     def succ_assumptions(phi):
-        return [s.assumption for s, _ in cpa.successors(assumed(phi), an_edge())]
+        return [s.assumption for s in cpa.successors(assumed(phi), an_edge())]
 
     assert succ_assumptions(F.TRUE) == [F.TRUE]
     assert succ_assumptions(F.parse_formula("x >= 1")) == [F.TRUE]
@@ -74,8 +74,8 @@ def test_overflow_transfer_assignment_bounds(solver):
     a = F.parse_formula("x <= 5")
     b = F.parse_formula("y <= 5")
     cpa = composite(lang.parse_program("int x, y;"), solver, overflow=overflow)
-    merged = cpa.merge(assumed(F.TRUE, overflow=a), assumed(F.TRUE, overflow=b))
-    assert merged.overflow == F.f_and([a, b])
+    merged = cpa.merge(assumed(a), assumed(b))
+    assert merged.assumption == F.f_and([a, b])
 
 
 # -- strengthen (inside successors) ----------------------------------------------------
@@ -84,11 +84,9 @@ def strengthened(solver, edge, **kw):
     """The one successor of a fresh predicate state at L0 along ``edge``."""
     cpa = composite(lang.parse_program("int x, y;"), solver,
                     domain=D.PredicateDomain(solver, D.Precision()), **kw)
-    overflow = F.TRUE if cpa.overflow is not None else None
     conds = tuple(c.initial() for c in cpa.condition_components)
-    ((out, label),) = cpa.successors(A.CompositeState(F.TRUE, 0, conds, None, overflow,
-                                                      F.TRUE), edge)
-    return out, label
+    (out,) = cpa.successors(A.CompositeState(F.TRUE, 0, conds, None, F.TRUE), edge)
+    return out, out.assumption
 
 
 def test_strengthen_exceeded_excludes(solver):
@@ -110,7 +108,7 @@ def test_strengthen_identity(solver):
     # An edge that assigns nothing yields the overflow fact true: no change.
     out, label = strengthened(solver, an_edge("assume x < 1"),
                               overflow=A.OverflowComponent(-100, 100))
-    assert out == A.CompositeState(F.TRUE, 1, (), None, F.TRUE, F.TRUE)
+    assert out == A.CompositeState(F.TRUE, 1, (), None, F.TRUE)
     assert label == F.TRUE
 
 
@@ -122,7 +120,7 @@ def test_predicate_transfer_assumes_overflow_fact(solver):
                     overflow=A.OverflowComponent(-3, 3))
     state = cpa.initial_state()
     for edge in cfa.edges[:2]:
-        ((state, _),) = cpa.successors(state, edge)
+        (state,) = cpa.successors(state, edge)
     assert state.domain == F.TRUE
     assert state.assumption == F.parse_formula("y >= -3 & y <= 3")
     failing = next(e for e in cfa.edges_from(state.location)
@@ -140,14 +138,14 @@ def test_composite_merge_requires_equal_location_and_domain(solver):
     cfa = lang.parse_program("int x; x := 0;")
     cpa = composite(cfa, solver, domain=D.PredicateDomain(solver, D.Precision()),
                     condition_components=[C.RepeatComponent(5)])
-    a = A.CompositeState(F.TRUE, 1, (C.RepeatState(((1, 2),), False),), None, None, F.TRUE)
+    a = A.CompositeState(F.TRUE, 1, (C.RepeatState(((1, 2),), False),), None, F.TRUE)
     b = A.CompositeState(F.parse_formula("x >= 1"), 1,
-                         (C.RepeatState(((1, 4),), False),), None, None, F.TRUE)
+                         (C.RepeatState(((1, 4),), False),), None, F.TRUE)
     merged = cpa.merge(a, b)
     assert merged.assumption == F.parse_formula("x >= 1")
     assert merged.conds[0] == C.RepeatState(((1, 4),), False)
     # differing domain parts do not merge
-    c = A.CompositeState(F.TRUE, 1, (C.RepeatState((), False),), None, None,
+    c = A.CompositeState(F.TRUE, 1, (C.RepeatState((), False),), None,
                          F.parse_formula("x >= 1"))
     assert cpa.merge(c, b) is b
 
@@ -155,14 +153,14 @@ def test_composite_merge_requires_equal_location_and_domain(solver):
 def test_composite_stop_is_conjunction(solver):
     cfa = lang.parse_program("int x; x := 0;")
     cpa = composite(cfa, solver, domain=D.PredicateDomain(solver, D.Precision()))
-    strong = A.CompositeState(F.TRUE, 1, (), None, None, F.parse_formula("x >= 5"))
-    weak = A.CompositeState(F.TRUE, 1, (), None, None, F.parse_formula("x >= 1"))
+    strong = A.CompositeState(F.TRUE, 1, (), None, F.parse_formula("x >= 5"))
+    weak = A.CompositeState(F.TRUE, 1, (), None, F.parse_formula("x >= 1"))
     assert cpa.covers(strong, weak)
     assert not cpa.covers(weak, strong)
-    elsewhere = A.CompositeState(F.TRUE, 2, (), None, None, F.parse_formula("x >= 1"))
+    elsewhere = A.CompositeState(F.TRUE, 2, (), None, F.parse_formula("x >= 1"))
     assert not cpa.covers(strong, elsewhere)
     # a reached state with a stricter assumption covers a weaker one
-    stricter = A.CompositeState(F.parse_formula("x >= 9"), 1, (), None, None,
+    stricter = A.CompositeState(F.parse_formula("x >= 9"), 1, (), None,
                                 F.parse_formula("x >= 1"))
     assert cpa.covers(weak, stricter)
     assert any(cpa.covers(strong, r) for r in [elsewhere, weak])
@@ -198,7 +196,7 @@ L1 -> L9: assume x < 1;
 def test_postprocess_trivial_true(solver):
     cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: x := 1;\n")
     rs = seeded_run(cfa, solver, [])
-    rs.replace_state(rs.root, A.CompositeState(F.TRUE, 0, (), None, None, F.TRUE))
+    rs.replace_state(rs.root, A.CompositeState(F.TRUE, 0, (), None, F.TRUE))
     report = A.postprocess(rs)
     assert report.verdict == "TRUE"
     assert report.psi == F.TRUE
@@ -206,11 +204,11 @@ def test_postprocess_trivial_true(solver):
 
 def test_postprocess_three_node_fixture_golden(solver):
     cfa = lang.parse_cfa(FIXTURE_CFA)
-    waitlist_state = A.CompositeState(F.TRUE, 5, (), None, None,
+    waitlist_state = A.CompositeState(F.TRUE, 5, (), None,
                                       F.parse_formula("x >= 1"))
-    error_state = A.CompositeState(F.TRUE, 9, (), None, None,
+    error_state = A.CompositeState(F.TRUE, 9, (), None,
                                    F.parse_formula("x <= 0"))
-    settled_state = A.CompositeState(F.parse_formula("x <= 7"), 1, (), None, None,
+    settled_state = A.CompositeState(F.parse_formula("x <= 7"), 1, (), None,
                                      F.parse_formula("x >= 1"))
     rs = seeded_run(cfa, solver, [
         (waitlist_state, True),
@@ -232,7 +230,7 @@ def test_postprocess_three_node_fixture_golden(solver):
 
 def test_postprocess_waitlist_clause(solver):
     cfa = lang.parse_cfa(FIXTURE_CFA)
-    state = A.CompositeState(F.TRUE, 5, (), None, None, F.parse_formula("x >= 1"))
+    state = A.CompositeState(F.TRUE, 5, (), None, F.parse_formula("x >= 1"))
     rs = seeded_run(cfa, solver, [(state, True)])
     report = A.postprocess(rs)
     clause = F.f_implies(A.pc_equals(5), F.f_not(F.parse_formula("x >= 1")))
@@ -241,7 +239,7 @@ def test_postprocess_waitlist_clause(solver):
 
 def test_verdict_true_iff_psi_true(solver):
     cfa = lang.parse_cfa(FIXTURE_CFA)
-    state = A.CompositeState(F.FALSE, 1, (), None, None, F.TRUE)
+    state = A.CompositeState(F.FALSE, 1, (), None, F.TRUE)
     rs = seeded_run(cfa, solver, [(state, False)])
     report = A.postprocess(rs)
     assert report.verdict == "CONDITION"
@@ -417,7 +415,7 @@ def test_overflow_analysis_reports_condition_with_bounds():
     text = A.serialize_condition(report.psi)
     assert str(2 ** 31 - 1) in text
     rs = report.run
-    assert any(s.overflow is not None for s in
+    assert any(not isinstance(s.assumption, (F.TrueF, F.FalseF)) for s in
                (n.state for n in rs.reached_nodes()))
 
 
@@ -624,10 +622,10 @@ def test_successors_match_reference_copy():
                     for edge in cfa.edges_from(state.location) + cfa.edges[:1]:
                         got = cpa.successors(state, edge)
                         assert got == reference_successors(cpa, state, edge)
-                        seen["fired"] += any(not isinstance(label, (F.TrueF, F.FalseF))
-                                             for _, label in got)
+                        seen["fired"] += any(not isinstance(s.assumption, (F.TrueF, F.FalseF))
+                                             for s in got)
                         seen["failed"] += abstraction_fails and edge.id % 3 == 0 \
-                            and any(isinstance(label, F.FalseF) for _, label in got)
+                            and any(isinstance(s.assumption, F.FalseF) for s in got)
                         if cpa.observer is not None and edge.source == state.location:
                             step = cpa.observer.step(state.observer, edge)
                             seen["pruned"] += step is A.PRUNED

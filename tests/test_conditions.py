@@ -63,7 +63,7 @@ def test_repeat_stop_always_true():
                        condition_components=[C.RepeatComponent(3)])
 
     def at(repeat):
-        return A.CompositeState(F.TRUE, 1, (repeat,), None, None, None)
+        return A.CompositeState(F.TRUE, 1, (repeat,), None, None)
 
     assert cpa.covers(at(rstate({})), at(rstate({})))
     assert cpa.covers(at(rstate({1: 9}, exceeded=True)), at(rstate({})))
@@ -210,7 +210,7 @@ def test_busy_edge_skip_steps_observer_and_conditions():
     assert child.state == A.CompositeState(
         assumption=F.FALSE, location=to_q1.target,
         conds=(C.RepeatState(((to_q1.target, 1),), False),),
-        observer="q1", overflow=None, domain=D.ExplicitState(()))
+        observer="q1", domain=D.ExplicitState(()))
     assert rs.reached_nodes() == [rs.root, child]
     assert not child.in_waitlist
 

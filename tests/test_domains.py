@@ -11,7 +11,7 @@ from cmcheck import formula as F
 from cmcheck import lang, oracle
 from cmcheck import solver as S
 
-from helpers import random_cfa
+from helpers import box_model, brute_force_boolean_abstraction, random_cfa
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def test_location_transfer(solver):
     cpa = A.CompositeCpa(cfa, D.NoDomain(), solver)
     at0 = cpa.initial_state()
     e01 = edge("L0 -> L1: x := x + 1;")
-    assert [s.location for s, _ in cpa.successors(at0, e01)] == [1]
+    assert [s.location for s in cpa.successors(at0, e01)] == [1]
     e23 = edge("L2 -> L3: havoc x;")
     assert cpa.successors(at0, e23) == []
 
@@ -95,12 +95,19 @@ def test_precision_dedups_complement_pairs():
 
 # -- predicate abstraction ------------------------------------------------------------
 
-def pred_domain(solver, mapping, minterm_bound=8):
+def pred_domain(solver, mapping):
     prec = D.Precision()
     for loc, texts in mapping.items():
         for t in texts:
             prec.add(loc, F.parse_formula(t).atom)
-    return D.PredicateDomain(solver, prec, minterm_bound)
+    return D.PredicateDomain(solver, prec)
+
+
+def transfer_with_minterm_bound(monkeypatch, dom, state, e, bound):
+    """``dom.transfer`` with ``MINTERM_BOUND`` set to ``bound``."""
+    with monkeypatch.context() as m:
+        m.setattr(D, "MINTERM_BOUND", bound)
+        return dom.transfer(state, e)
 
 
 def test_predicate_transfer_tracks_loop_bound(solver):
@@ -120,17 +127,17 @@ def test_predicate_transfer_minterm_enumeration_matches_oracle(solver):
     out = dom.transfer(F.TRUE, edge("L0 -> L1: x := 5;"))
     assert out == [F.f_and([F.parse_formula("x >= 3"), F.parse_formula("x >= 4")])]
     pi = [F.parse_formula("x >= 3").atom, F.parse_formula("x <= 3").atom]
-    want = oracle.brute_force_boolean_abstraction(F.parse_formula("x = 5"), pi, ["x"])
+    want = brute_force_boolean_abstraction(F.parse_formula("x = 5"), pi, ["x"])
     assert S.Solver().entails(out[0], want) and S.Solver().entails(want, out[0])
 
 
-def test_predicate_transfer_cartesian_fallback_is_weaker(solver):
+def test_predicate_transfer_cartesian_fallback_is_weaker(solver, monkeypatch):
     texts = ["x >= 0", "x >= 1", "x >= 2", "x >= 3"]
-    exact = pred_domain(solver, {1: texts}, minterm_bound=8)
-    cart = pred_domain(solver, {1: texts}, minterm_bound=2)
+    exact = pred_domain(solver, {1: texts})
+    cart = pred_domain(solver, {1: texts})
     e = edge("L0 -> L1: x := 2;")
     strong = exact.transfer(F.TRUE, e)[0]
-    weak = cart.transfer(F.TRUE, e)[0]
+    weak = transfer_with_minterm_bound(monkeypatch, cart, F.TRUE, e, 2)[0]
     assert solver.entails(strong, weak)
     assert weak == F.f_and([F.parse_formula("x >= 0"), F.parse_formula("x >= 1"),
                             F.parse_formula("x >= 2"), F.f_not(F.parse_formula("x >= 3"))])
@@ -155,7 +162,7 @@ def test_predicate_stop_implies_box_subset(solver):
         s, r = rand_f(), rand_f()
         if dom.covers(s, r):
             hits += 1
-            assert oracle.box_model(F.f_and([s, F.f_not(r)]), names) is None
+            assert box_model(F.f_and([s, F.f_not(r)]), names) is None
     assert hits > 5
 
 
@@ -230,7 +237,7 @@ def test_explicit_analysis_covers_all_concrete_states(solver):
             ), f"concrete state {pc}:{concrete} not represented"
 
 
-def test_cartesian_weaker_than_boolean_on_random_pairs(solver):
+def test_cartesian_weaker_than_boolean_on_random_pairs(solver, monkeypatch):
     rng = random.Random(606)
     e = lang.parse_cfa("vars: x, y;\ninit: L0;\nL0 -> L1: assume true;\n").edges[0]
     compared = 0
@@ -240,10 +247,10 @@ def test_cartesian_weaker_than_boolean_on_random_pairs(solver):
         sp = F.parse_formula(" & ".join(
             f"{rng.choice(['x', 'y'])} {rng.choice(['<=', '>=', '='])} {rng.randint(-4, 4)}"
             for _ in range(rng.randint(1, 2))))
-        exact = pred_domain(solver, {1: texts}, minterm_bound=8)
-        cart = pred_domain(solver, {1: texts}, minterm_bound=0)
+        exact = pred_domain(solver, {1: texts})
+        cart = pred_domain(solver, {1: texts})
         strong = exact.transfer(sp, e)
-        weak = cart.transfer(sp, e)
+        weak = transfer_with_minterm_bound(monkeypatch, cart, sp, e, 0)
         if not strong:
             assert not weak or weak == [F.FALSE] or solver.entails(F.FALSE, weak[0])
             continue

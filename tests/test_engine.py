@@ -1,5 +1,6 @@
 """Worklist-engine tests: the algorithm, orders, budgets, and the ART."""
 
+import dataclasses
 import itertools
 import random
 
@@ -141,6 +142,34 @@ def test_merge_replaces_in_reached_and_waitlist():
         assert len(group) == 1, f"duplicate states for {key}"
 
 
+def test_merge_never_requeues_an_excluded_node(monkeypatch):
+    # A merge that conjoins false into a reached node's assumption excludes
+    # it; it must not go back on the waitlist, where it would only be
+    # popped to spend posts on no successors.
+    from cmcheck import driver
+
+    popped = []
+    pop = engine.RunState.pop_waitlist
+
+    def spy(rs):
+        node = pop(rs)
+        if node is not None:
+            popped.append(node.state.assumption)
+        return node
+
+    monkeypatch.setattr(engine.RunState, "pop_waitlist", spy)
+    configs = [driver.shipped_configurations()[name]
+               for name in ("explicit-pathlen40", "explicit-repeat3")]
+    rng = random.Random(20110901)
+    for i in range(30):
+        cfa = random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                         require_assert=(i % 2 == 0))
+        for config in configs:
+            driver.run_analysis(cfa, dataclasses.replace(config, fuel=1500))
+    assert popped
+    assert not any(isinstance(a, F.FalseF) for a in popped)
+
+
 def test_art_parent_chain_replays_states():
     rng = random.Random(12)
     solver = S.Solver()
@@ -155,7 +184,7 @@ def test_art_parent_chain_replays_states():
             assert nodes[0] is rs.root
             state = rs.root.state
             for e, n in zip(edges, nodes[1:]):
-                succs = [s for s, _ in cpa.successors(state, e)]
+                succs = cpa.successors(state, e)
                 assert n.state in succs or any(
                     cpa.covers(n.state, s) and cpa.covers(s, n.state) for s in succs)
                 state = n.state
@@ -173,7 +202,7 @@ def test_transfer_closure_on_random_programs():
             if isinstance(state.assumption, F.FalseF):
                 continue
             for edge in cfa.edges_from(state.location):
-                for succ, _ in cpa.successors(state, edge):
+                for succ in cpa.successors(state, edge):
                     assert any(cpa.covers(succ, r) for r in reached), \
                         f"successor of {state} along {edge} escapes the reached set"
 

@@ -8,7 +8,8 @@ from cmcheck import domains as D
 from cmcheck import formula as F
 from cmcheck import lang, oracle
 
-from helpers import random_cfa
+from helpers import (abstraction_minterms, box_minterms, box_model,
+                     brute_force_boolean_abstraction, random_cfa)
 
 
 def test_step_assign():
@@ -102,51 +103,51 @@ def test_enumerate_order_independent():
 def test_bfa_single_predicate():
     sp = F.parse_formula("x = 5")
     pi = [F.parse_formula("x >= 3").atom]
-    out = oracle.brute_force_boolean_abstraction(sp, pi, ["x"])
+    out = brute_force_boolean_abstraction(sp, pi, ["x"])
     assert out == F.AtomF(pi[0])
 
 
 def test_bfa_free_predicate_gives_true():
     pi = [F.parse_formula("x >= 0").atom]
-    out = oracle.brute_force_boolean_abstraction(F.TRUE, pi, ["x"])
+    out = brute_force_boolean_abstraction(F.TRUE, pi, ["x"])
     assert out == F.f_or([F.AtomF(pi[0]), F.f_not(F.AtomF(pi[0]))])
-    assert oracle.brute_force_boolean_abstraction(F.FALSE, pi, ["x"]) == F.FALSE
+    assert brute_force_boolean_abstraction(F.FALSE, pi, ["x"]) == F.FALSE
 
 
 def test_bfa_exact_products():
     # x*x >= x holds on every box point, so its negation dies.
     sp = F.parse_formula("x * x <= x - 1")
     pi = [F.parse_formula("x >= 0").atom]
-    assert oracle.brute_force_boolean_abstraction(sp, pi, ["x"]) == F.FALSE
+    assert brute_force_boolean_abstraction(sp, pi, ["x"]) == F.FALSE
 
 
 def test_box_model_first_point_in_product_order():
-    assert oracle.box_model(F.parse_formula("x >= 7"), ["x"]) == {"x": 7}
+    assert box_model(F.parse_formula("x >= 7"), ["x"]) == {"x": 7}
     f = F.parse_formula("x + y = 3 & x >= 8")
-    assert oracle.box_model(f, ["x", "y"]) == {"x": 8, "y": -5}
+    assert box_model(f, ["x", "y"]) == {"x": 8, "y": -5}
     # x*x >= x on every integer: products are evaluated exactly.
-    assert oracle.box_model(F.parse_formula("x * x <= x - 1"), ["x"]) is None
+    assert box_model(F.parse_formula("x * x <= x - 1"), ["x"]) is None
 
 
 def test_abstraction_minterms_reads_literals():
     pi = [F.parse_formula("x >= 3").atom, F.parse_formula("y = 1").atom]
     p0, p1 = F.AtomF(pi[0]), F.AtomF(pi[1])
-    assert oracle.abstraction_minterms(p0, pi) == {0b01, 0b11}
-    assert oracle.abstraction_minterms(F.f_not(p0), pi) == {0b00, 0b10}
-    assert oracle.abstraction_minterms(F.f_not(p1), pi) == {0b00, 0b01}
-    assert oracle.abstraction_minterms(F.f_or([p0, p1]), pi) == {0b01, 0b10, 0b11}
-    assert oracle.abstraction_minterms(F.TRUE, pi) == {0, 1, 2, 3}
-    assert oracle.abstraction_minterms(F.FALSE, pi) == set()
+    assert abstraction_minterms(p0, pi) == {0b01, 0b11}
+    assert abstraction_minterms(F.f_not(p0), pi) == {0b00, 0b10}
+    assert abstraction_minterms(F.f_not(p1), pi) == {0b00, 0b01}
+    assert abstraction_minterms(F.f_or([p0, p1]), pi) == {0b01, 0b10, 0b11}
+    assert abstraction_minterms(F.TRUE, pi) == {0, 1, 2, 3}
+    assert abstraction_minterms(F.FALSE, pi) == set()
     with pytest.raises(ValueError, match="not in the precision"):
-        oracle.abstraction_minterms(F.parse_formula("x >= 4"), pi)
+        abstraction_minterms(F.parse_formula("x >= 4"), pi)
 
 
 def test_abstraction_minterms_inverts_bfa():
     sp = F.parse_formula("x + y <= 2 & x >= -1")
     pi = [F.parse_formula(t).atom for t in ("x >= 1", "y <= 0", "x = y")]
     names = ["x", "y"]
-    bfa = oracle.brute_force_boolean_abstraction(sp, pi, names)
-    assert oracle.abstraction_minterms(bfa, pi) == oracle.box_minterms(sp, pi, names)
+    bfa = brute_force_boolean_abstraction(sp, pi, names)
+    assert abstraction_minterms(bfa, pi) == box_minterms(sp, pi, names)
 
 
 # -- condition soundness helpers ------------------------------------------------

@@ -9,7 +9,7 @@ from cmcheck import formula as F
 from cmcheck import lang, oracle
 from cmcheck import solver as S
 
-from helpers import path_formula, random_cfa
+from helpers import abstraction_minterms, box_minterms, box_model, path_formula, random_cfa
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_unsat_soundness_1000_random(solver):
             continue
         if kind == S.UNSAT:
             checked += 1
-            assert oracle.box_model(f, names) is None, F.render_formula(f)
+            assert box_model(f, names) is None, F.render_formula(f)
     assert checked > 50  # the sample actually exercised the unsat path
 
 
@@ -107,7 +107,7 @@ def test_box_completeness(solver):
             v = rng.choice(names)
             parts.append(f"{rng.choice([-2,-1,1,2])}*{v} {rng.choice(['<=', '>=', '='])} {rng.randint(-6, 6)}")
         f = F.parse_formula(" & ".join(parts))
-        model = oracle.box_model(f, names)
+        model = box_model(f, names)
         if model is not None:
             exercised += 1
             assert solver.check_sat(f).kind == S.SAT
@@ -155,7 +155,7 @@ def test_back_substitution_witnesses(solver):
             store = dict.fromkeys(names, 0)
             store.update((t.name, v) for t, v in r.witness.items())
             assert F.evaluate(f, store), F.render_formula(f)
-        if oracle.box_model(f, names, box=4) is not None:
+        if box_model(f, names, box=4) is not None:
             boxed += 1
             assert r.kind == S.SAT, F.render_formula(f)
     assert boxed > 100 and sat > boxed + 100  # both kinds of witness are exercised
@@ -199,7 +199,7 @@ def test_sat_minterms_matches_per_minterm_queries(solver):
             kinds[bits] = solver.check_sat(F.f_and([sp] + literals)).kind
         assert set(got) <= {b for b, k in kinds.items() if k != S.UNSAT}
         assert set(got) >= {b for b, k in kinds.items() if k == S.SAT}
-        assert set(got) >= oracle.box_minterms(sp, pi, names, box=6)
+        assert set(got) >= box_minterms(sp, pi, names, box=6)
         kept += len(got)
         dropped += len(kinds) - len(got)
     assert kept > 200 and dropped > 200  # both outcomes are exercised
@@ -231,8 +231,8 @@ def test_fm_record_mentions_only_later_terms():
     records = 0
     for _ in range(400):
         f = random_conjunction(rng, ("w", "x", "y", "z", "x*y"))
-        for clause in S.to_dnf(f, 4096):
-            steps = S._fm_eliminate(clause, S.FM_CONSTRAINT_BOUND)
+        for clause in S.to_dnf(f):
+            steps = S._fm_eliminate(clause)
             if steps is True or steps is None:
                 continue
             records += 1
@@ -264,7 +264,7 @@ def test_minterm_queries_limited_up_front(disjuncts, fails):
     else:
         out, = dom.transfer(state, step)
         # y takes at most one of the eight values
-        assert oracle.abstraction_minterms(out, prec.atoms_at(1)) == \
+        assert abstraction_minterms(out, prec.atoms_at(1)) == \
             {0} | {1 << i for i in range(8)}
 
 
