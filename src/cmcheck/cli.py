@@ -19,6 +19,7 @@ from . import driver, lang
 from .assumptions import AutomatonMismatch
 
 EXIT_CODES = {"TRUE": 0, "FALSE": 1, "CONDITION": 2}
+EXIT_USAGE = 3
 EXIT_INTERNAL_ERROR = 4
 
 
@@ -32,8 +33,16 @@ def load_program(path: str) -> lang.Cfa:
         raise lang.ParseError(exc.message, exc.line, exc.col, path) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which would read as CONDITION."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cmcheck",
         description="Conditional model checker: always reports a condition "
                     "under which the program is safe.")
@@ -50,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overflow", action="store_true",
                    help="enable the overflow-monitoring analysis")
     p.add_argument("--out-dir", metavar="D", help="directory for result files")
-    p.add_argument("--emit", action="append", default=[], choices=["text", "json"],
-                   help="additional report formats")
+    p.add_argument("--emit", action="append", default=[], choices=["json"],
+                   help="also write stats.jsonl")
     return p
 
 
@@ -83,14 +92,14 @@ def _run(args) -> int:
         )
         final = driver.run_pipeline(cfa, pipeline)
         if args.out_dir:
-            driver.emit_report(final, args.out_dir, formats=["text"] + list(args.emit))
+            driver.emit_report(final, args.out_dir, json_stats="json" in args.emit)
     except AutomatonMismatch as exc:
         print(f"cmcheck: error: automaton {args.input_automaton!r} does not "
               f"belong to program {args.program!r}: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_USAGE
     except (lang.ParseError, ValueError, OSError) as exc:
         print(f"cmcheck: error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_USAGE
 
     print(final.verdict)
     last = final.last_report

@@ -5,7 +5,9 @@ Two kinds: path-shaped component states carried inside composite states
 when paths join), and the global monitor polled by the engine loop (fuel,
 reached-set size, soft wall-clock limit, busy edges).  None of them affect
 coverage; a component state past its threshold has ``exceeded`` set, and
-the composite CPA excludes the current path instead.
+the composite CPA excludes the current path instead.  The ``pf-atoms``
+condition is neither: it limits the path formulas that counterexample
+analysis decides, and reaches ``refine.refine_loop`` as ``atom_limit``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class GlobalMonitor:
     max_reached: Optional[int] = None
     soft_time_seconds: Optional[float] = None
     busy_edge_limit: Optional[int] = None
-    path_formula_atom_limit: Optional[int] = None
 
     fuel_spent: int = 0
     edge_posts: dict[int, int] = field(default_factory=dict)

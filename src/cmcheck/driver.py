@@ -149,11 +149,10 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
         max_reached=config.reached_size,
         soft_time_seconds=config.soft_time,
         busy_edge_limit=config.busy_edge,
-        path_formula_atom_limit=config.pf_atoms,
     )
     started = time.monotonic()
     report = refine.refine_loop(cpa, config.order, monitor, config.wants_refinement(),
-                                config.max_refinements)
+                                config.max_refinements, config.pf_atoms)
     report.stats.update({
         "config": config.name,
         "posts": monitor.fuel_spent,
@@ -231,8 +230,9 @@ def render_witness(witness: list) -> str:
 
 
 def emit_report(final: FinalReport, out_dir: str | Path,
-                formats: Sequence[str] = ("text",)) -> dict[str, Path]:
-    """Write verdict, psi, automaton, witness, and stats files."""
+                json_stats: bool = False) -> dict[str, Path]:
+    """Write verdict, psi, automaton, witness, and stats files; with
+    ``json_stats``, also ``stats.jsonl``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -263,7 +263,7 @@ def emit_report(final: FinalReport, out_dir: str | Path,
                            f" ({stage.seconds:.3f}s){extra}")
     emit("stats.txt", "\n".join(stats_lines) + "\n")
 
-    if "json" in formats:
+    if json_stats:
         rows = []
         for stage in final.stages:
             row = {"schema": STATS_SCHEMA, "stage": stage.name,
@@ -285,16 +285,9 @@ def emit_report(final: FinalReport, out_dir: str | Path,
 # Configuration parsing
 # ---------------------------------------------------------------------------
 
-_CONDITION_KEYS = {
-    "path-length": ("path_length", int),
-    "repeat-loc": ("repeat_loc", int),
-    "assume-edges": ("assume_edges", int),
-    "busy-edge": ("busy_edge", int),
-    "reached-size": ("reached_size", int),
-    "soft-time": ("soft_time", None),
-    "fuel": ("fuel", int),
-    "pf-atoms": ("pf_atoms", int),
-}
+# Each key sets the configuration field of the same name, with '_' for '-'.
+_CONDITION_KEYS = ("path-length", "repeat-loc", "assume-edges", "busy-edge",
+                   "reached-size", "soft-time", "fuel", "pf-atoms")
 
 
 def parse_condition_flag(text: str) -> tuple[str, object]:
@@ -302,11 +295,10 @@ def parse_condition_flag(text: str) -> tuple[str, object]:
     if not sep or key not in _CONDITION_KEYS:
         known = ", ".join(sorted(_CONDITION_KEYS))
         raise ValueError(f"bad condition {text!r}; expected one of {known} with =VALUE")
-    attr, conv = _CONDITION_KEYS[key]
+    attr = key.replace("-", "_")
     if key == "soft-time":
-        v = value[:-1] if value.endswith("s") else value
-        return attr, float(v)
-    return attr, conv(value)
+        return attr, float(value.removesuffix("s"))
+    return attr, int(value)
 
 
 _CONFIG_FIELDS = {f.name for f in fields(AnalysisConfig)}

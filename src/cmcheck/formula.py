@@ -392,18 +392,22 @@ def lin_rename(lin: LinExpr, fn: Callable[[str], str]) -> LinExpr:
     return make_lin(acc, lin.const)
 
 
-def rename_vars(f: Formula, fn: Callable[[str], str]) -> Formula:
+def _map_atoms(f: Formula, lin_fn: Callable[[LinExpr], LinExpr]) -> Formula:
+    """``f`` with each atom's left-hand side rewritten by ``lin_fn``."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, AtomF):
         a = f.atom
-        lin = lin_rename(LinExpr(a.terms, 0), fn)
-        return mk_atom(lin, a.op, a.bound)
+        return mk_atom(lin_fn(LinExpr(a.terms, 0)), a.op, a.bound)
     if isinstance(f, NotF):
-        return f_not(rename_vars(f.arg, fn))
+        return f_not(_map_atoms(f.arg, lin_fn))
     if isinstance(f, AndF):
-        return f_and(rename_vars(g, fn) for g in f.args)
-    return f_or(rename_vars(g, fn) for g in f.args)
+        return f_and(_map_atoms(g, lin_fn) for g in f.args)
+    return f_or(_map_atoms(g, lin_fn) for g in f.args)
+
+
+def rename_vars(f: Formula, fn: Callable[[str], str]) -> Formula:
+    return _map_atoms(f, lambda lin: lin_rename(lin, fn))
 
 
 def lin_substitute(lin: LinExpr, name: str, repl: LinExpr) -> LinExpr:
@@ -420,17 +424,7 @@ def lin_substitute(lin: LinExpr, name: str, repl: LinExpr) -> LinExpr:
 
 
 def substitute(f: Formula, name: str, repl: LinExpr) -> Formula:
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, AtomF):
-        a = f.atom
-        lin = lin_substitute(LinExpr(a.terms, 0), name, repl)
-        return mk_atom(lin, a.op, a.bound)
-    if isinstance(f, NotF):
-        return f_not(substitute(f.arg, name, repl))
-    if isinstance(f, AndF):
-        return f_and(substitute(g, name, repl) for g in f.args)
-    return f_or(substitute(g, name, repl) for g in f.args)
+    return _map_atoms(f, lambda lin: lin_substitute(lin, name, repl))
 
 
 def eval_lin(lin: LinExpr, store: Mapping[str, int]) -> int:

@@ -96,11 +96,6 @@ BoolExpr = Union[Cmp, And, Or, Not, BoolConst]
 Expr = Union[ArithExpr, BoolExpr]
 
 
-def negate(e: BoolExpr) -> BoolExpr:
-    """Structural negation; branches carry complementary conditions."""
-    return Not(e)
-
-
 def expr_height(e: Expr) -> int:
     """Levels of the expression tree (a leaf is 1), computed without recursion."""
     height = 0
@@ -528,8 +523,7 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 class _CfaBuilder:
-    def __init__(self, variables: list[str]):
-        self.variables = variables
+    def __init__(self):
         self.n_locs = 0
         self.edges: list[Edge] = []
         self.error_locations: set[LocationId] = set()
@@ -561,7 +555,7 @@ class _ProgramParser(_Parser):
                 if not self.accept(","):
                     break
             self.expect(";")
-        b = _CfaBuilder(self.declared)
+        b = _CfaBuilder()
         entry = b.fresh()
         exit_loc = self.stmt_seq(b, entry, stop_tokens=("", ))
         t = self.peek()
@@ -622,13 +616,13 @@ class _ProgramParser(_Parser):
             if self.peek().text == "else":
                 self.next()
                 else_start = b.fresh()
-                b.edge(loc, else_start, Assume(negate(cond)))
+                b.edge(loc, else_start, Assume(Not(cond)))
                 else_end = self.stmt(b, else_start)
                 join = b.fresh()
                 b.edge(then_end, join, Assume(BoolConst(True)))
                 b.edge(else_end, join, Assume(BoolConst(True)))
                 return join
-            b.edge(loc, then_end, Assume(negate(cond)))
+            b.edge(loc, then_end, Assume(Not(cond)))
             return then_end
         if t.text == "while":
             self.next()
@@ -639,7 +633,7 @@ class _ProgramParser(_Parser):
             body_start = b.fresh()
             b.edge(loc, body_start, Assume(cond))
             after = b.fresh()
-            b.edge(loc, after, Assume(negate(cond)))
+            b.edge(loc, after, Assume(Not(cond)))
             body_end = self.stmt(b, body_start)
             b.edge(body_end, loc, Assume(BoolConst(True)))
             return after
@@ -653,7 +647,7 @@ class _ProgramParser(_Parser):
             err = b.fresh()
             b.error_locations.add(err)
             b.error_info[err] = f"assert({render_expr(cond)}) at line {t.line}"
-            b.edge(loc, err, Assume(negate(cond)))
+            b.edge(loc, err, Assume(Not(cond)))
             nxt = b.fresh()
             b.edge(loc, nxt, Assume(cond))
             return nxt

@@ -32,7 +32,6 @@ from . import solver as solver_mod
 
 @dataclass
 class Feasible:
-    assignment: dict[str, int]  # SSA name -> value
     trace: list[tuple[lang.Edge, dict[str, int]]]  # edge, store after it
 
 
@@ -55,49 +54,23 @@ def check_feasibility(edges: list[lang.Edge], cfa: lang.Cfa,
                       atom_limit: Optional[int] = None) -> FeasibilityResult:
     """Decide concrete executability of an abstract error path's edges.
 
-    A pivot indexes the path's states, the root being 0, so the error
-    state's is ``len(edges)``.  Executions start from the all-zeros store,
-    so ``v@0 = 0`` is part of the encoding (as constant bindings, not
-    residual atoms).
+    Each edge is encoded by ``solver.encode_edge`` with a constant
+    environment: constant assignments fold into it, and whatever else an
+    edge constrains is a residual.  A pivot indexes the path's states, the
+    root being 0, so the error state's is ``len(edges)``.  Executions start
+    from the all-zeros store, so ``v@0 = 0`` seeds the constants.  An
+    assume that folds to false ends the walk as the last residual, and the
+    pivot search over the residual prefixes places the pivot.
     """
     consts: dict[str, int] = {solver_mod.ssa_name(v, 0): 0 for v in cfa.variables}
     idx: dict[str, int] = {}
     residuals: list[tuple[int, F.Formula]] = []
-
-    def var_fn(name: str) -> F.LinExpr:
-        ssa = solver_mod.ssa_name(name, idx.get(name, 0))
-        if ssa in consts:
-            return F.lin_const(consts[ssa])
-        return F.lin_var(ssa)
-
     for i, edge in enumerate(edges):
-        op = edge.op
-        if isinstance(op, lang.Assign):
-            rhs = F.linearize(op.expr, var_fn)
-            k = idx.get(op.var, 0) + 1
-            idx[op.var] = k
-            new = solver_mod.ssa_name(op.var, k)
-            if rhs.is_const():
-                consts[new] = rhs.const
-            else:
-                residuals.append((i, F.mk_atom(F.lin_sub(F.lin_var(new), rhs), F.EQ, 0)))
-        elif isinstance(op, lang.Assume):
-            f = F.bexpr_to_formula(op.expr, var_fn)
-            if isinstance(f, F.FalseF):
-                # Ground contradiction; an earlier residual prefix may
-                # already be unsatisfiable, which would own the pivot.
-                try:
-                    earlier = solver.check_sat(F.f_and(g for _, g in residuals))
-                    if earlier.kind == solver_mod.UNSAT:
-                        return Infeasible(pivot=_localize_pivot(residuals, solver))
-                except F.FormulaTooLarge:
-                    pass
-                return Infeasible(pivot=i + 1)
-            if not isinstance(f, F.TrueF):
-                residuals.append((i, f))
-        else:
-            assert isinstance(op, lang.Havoc)
-            idx[op.var] = idx.get(op.var, 0) + 1
+        f = solver_mod.encode_edge(edge, idx, consts)
+        if not isinstance(f, F.TrueF):
+            residuals.append((i, f))
+        if isinstance(f, F.FalseF):
+            return Infeasible(pivot=_localize_pivot(residuals, solver))
 
     last = len(edges)
     total_atoms = sum(F.atom_count(f) for _, f in residuals)
@@ -114,11 +87,7 @@ def check_feasibility(edges: list[lang.Edge], cfa: lang.Cfa,
     if result.kind == solver_mod.SAT:
         replayed = _replay(edges, cfa, result.witness or {})
         if replayed is not None:
-            assignment = dict(consts)
-            for term, value in (result.witness or {}).items():
-                if isinstance(term, F.VarTerm):
-                    assignment[term.name] = value
-            return Feasible(assignment=assignment, trace=replayed)
+            return Feasible(trace=replayed)
         return Unconfirmed(pivot=last, reason="witness does not replay")
     return Unconfirmed(pivot=last, reason="path formula undecided")
 
@@ -168,21 +137,6 @@ def _replay(edges: list[lang.Edge], cfa: lang.Cfa, witness: dict):
 # Predicate mining
 # ---------------------------------------------------------------------------
 
-def _atom_vars(atom: F.Atom) -> set[str]:
-    out: set[str] = set()
-
-    def lin_vars(lin: F.LinExpr):
-        for t, _ in lin.terms:
-            if isinstance(t, F.VarTerm):
-                out.add(t.name)
-            else:
-                lin_vars(t.left)
-                lin_vars(t.right)
-
-    lin_vars(F.LinExpr(atom.terms, 0))
-    return out
-
-
 MAX_WP_DEPTH = 3  # substitution steps per atom; longer chains diverge anyway
 
 
@@ -209,7 +163,7 @@ def mine_predicates(nodes: list[engine.ArtNode], edges: list[lang.Edge],
     def vars_of(atom: F.Atom) -> set[str]:
         names = atom_vars.get(atom)
         if names is None:
-            names = atom_vars[atom] = _atom_vars(atom)
+            names = atom_vars[atom] = {t.name for t, _ in atom.terms}
         return names
 
     def note(atom: F.Atom, depth: int):
@@ -266,11 +220,13 @@ def exclude_path_suffix(rs: engine.RunState, nodes: list[engine.ArtNode], pivot:
 # ---------------------------------------------------------------------------
 
 def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
-                refinement: bool, max_refinements: Optional[int]) -> A.ConditionReport:
+                refinement: bool, max_refinements: Optional[int],
+                atom_limit: Optional[int]) -> A.ConditionReport:
     """Explore, confirm or refute error states, refine or exclude, repeat.
 
     Refinement grows the precision of ``cpa``'s predicate domain; other
-    domains exclude every spurious path.  Terminates on a confirmed bug,
+    domains exclude every spurious path.  A path formula of more than
+    ``atom_limit`` atoms is not decided.  Terminates on a confirmed bug,
     an empty waitlist, or a monitor halt; always ends in post-processing.
     """
     cfa = cpa.cfa
@@ -278,22 +234,19 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
     rs = engine.RunState(cpa, order=order)
     refined_signatures: set[tuple[int, ...]] = set()
     refinements = 0
+    witness = description = None
 
     while True:
         node = engine.run_cpa(rs, monitor, target_locs=cfa.error_locations)
         if node is None:
             break
         nodes, edges = node.path_from_root()
-        feas = check_feasibility(edges, cfa, cpa.solver,
-                                 atom_limit=monitor.path_formula_atom_limit)
+        feas = check_feasibility(edges, cfa, cpa.solver, atom_limit)
         if isinstance(feas, Feasible):
             error_loc = node.state.location
-            return A.postprocess(
-                rs,
-                confirmed_witness=feas.trace,
-                error_description=cfa.error_info.get(error_loc, f"error location L{error_loc}"),
-                stats={"reached": rs.reached_size(), "refinements": refinements},
-            )
+            witness = feas.trace
+            description = cfa.error_info.get(error_loc, f"error location L{error_loc}")
+            break
         pivot = min(feas.pivot, len(edges))
         signature = tuple(e.id for e in edges)
         if (refinement and precision is not None
@@ -320,4 +273,5 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
                 continue
         exclude_path_suffix(rs, nodes, pivot)
 
-    return A.postprocess(rs, stats={"reached": rs.reached_size(), "refinements": refinements})
+    return A.postprocess(rs, confirmed_witness=witness, error_description=description,
+                         stats={"reached": rs.reached_size(), "refinements": refinements})

@@ -317,15 +317,21 @@ def ssa_name(var: str, idx: int) -> str:
     return f"{var}@{idx}"
 
 
-def encode_edge(edge: lang.Edge, idx: dict[str, int]) -> F.Formula:
+def encode_edge(edge: lang.Edge, idx: dict[str, int],
+                consts: Optional[dict[str, int]] = None) -> F.Formula:
     """Strongest-postcondition constraint of one edge in SSA form.
 
     Variables are read at their index in ``idx`` (0 when absent); an
     assigned or havocked variable moves to its next index, in ``idx``.
-    A havoc constrains nothing.
+    A havoc constrains nothing.  With ``consts`` (SSA name -> value), a
+    read of a known constant is that constant, and an assignment of a
+    constant is recorded there and constrains nothing.
     """
     def var_fn(name: str) -> F.LinExpr:
-        return F.lin_var(ssa_name(name, idx.get(name, 0)))
+        ssa = ssa_name(name, idx.get(name, 0))
+        if consts is not None and ssa in consts:
+            return F.lin_const(consts[ssa])
+        return F.lin_var(ssa)
 
     op = edge.op
     if isinstance(op, lang.Assume):
@@ -333,6 +339,9 @@ def encode_edge(edge: lang.Edge, idx: dict[str, int]) -> F.Formula:
     if isinstance(op, lang.Assign):
         rhs = F.linearize(op.expr, var_fn)
         k = idx[op.var] = idx.get(op.var, 0) + 1
+        if consts is not None and rhs.is_const():
+            consts[ssa_name(op.var, k)] = rhs.const
+            return F.TRUE
         return F.mk_atom(F.lin_sub(F.lin_var(ssa_name(op.var, k)), rhs), F.EQ, 0)
     assert isinstance(op, lang.Havoc)
     idx[op.var] = idx.get(op.var, 0) + 1

@@ -320,7 +320,7 @@ def reference_mine_predicates(nodes, edges, pivot: int) -> set:
         elif isinstance(op, lang.Assign):
             repl = F.linearize(op.expr)
             for key, (atom, depth) in list(current.items()):
-                if op.var not in refine._atom_vars(atom):
+                if op.var not in {t.name for t, _ in atom.terms}:
                     continue
                 del current[key]
                 if depth >= refine.MAX_WP_DEPTH:
@@ -330,7 +330,7 @@ def reference_mine_predicates(nodes, edges, pivot: int) -> set:
                     note(sub.atom, depth + 1)
         else:
             for key, (atom, _) in list(current.items()):
-                if op.var in refine._atom_vars(atom):
+                if op.var in {t.name for t, _ in atom.terms}:
                     del current[key]
 
     locations = {nodes[i].state.location for i in range(pivot + 1)}

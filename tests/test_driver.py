@@ -1,8 +1,10 @@
 """Driver, pipeline, report emission, and CLI tests."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +163,7 @@ def test_emit_report_files(tmp_path):
     cfa = lang.parse_program("int x; x := 0; assert(x == 1);")
     final = driver.run_pipeline(cfa, Pipeline(stages=[
         AnalysisConfig(name="explicit", domain="explicit")]))
-    written = driver.emit_report(final, tmp_path, formats=("text", "json"))
+    written = driver.emit_report(final, tmp_path, json_stats=True)
     assert (tmp_path / "verdict.txt").read_text() == "FALSE\n"
     assert (tmp_path / "psi.txt").read_text().startswith("# psi")
     assert "witness.txt" in written
@@ -240,6 +242,24 @@ def test_cli_usage_error(tmp_path, capsys):
     f2 = tmp_path / "ok.imp"
     f2.write_text("int x; x := 0;")
     assert cli.main([str(f2), "--config", "nope"]) == 3
+
+
+@pytest.mark.parametrize("args", [["--bogus"], None, ["--order", "xyz"],
+                                  ["--emit", "text"]])
+def test_cli_usage_errors_exit_3(programs_dir, capsys, args):
+    # argparse's own exit code 2 would read as CONDITION.
+    argv = [] if args is None else [str(programs_dir / "nonlinear_square.imp"), *args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert "usage: cmcheck" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: cmcheck" in capsys.readouterr().out
 
 
 def test_cli_crash_exits_with_internal_error(tmp_path, capsys, monkeypatch):
@@ -379,10 +399,13 @@ def test_cli_cfa_input(tmp_path):
 
 
 def test_cli_entry_point_subprocess(tmp_path, programs_dir):
+    # The child gets no import path from pytest: put the package's src/ first.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cmcheck.cli", str(programs_dir / "counting_loop.imp"),
          "--config", "predicate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("TRUE")
 

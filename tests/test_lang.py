@@ -32,7 +32,7 @@ def test_while_produces_complementary_assume_edges():
     assert len(out) == 2
     enter, leave = out
     assert isinstance(enter.op, Assume) and isinstance(leave.op, Assume)
-    assert leave.op.expr == lang.negate(enter.op.expr)
+    assert leave.op.expr == lang.Not(enter.op.expr)
 
 
 def test_nonlinear_loop_program_shape(nonlinear_square_cfa):
@@ -57,8 +57,8 @@ def test_branch_completeness_on_random_programs():
             assumes = [e for e in out if isinstance(e.op, Assume)]
             if len(assumes) == 2:
                 a, b = assumes
-                assert (b.op.expr == lang.negate(a.op.expr)
-                        or a.op.expr == lang.negate(b.op.expr))
+                assert (b.op.expr == lang.Not(a.op.expr)
+                        or a.op.expr == lang.Not(b.op.expr))
 
 
 def test_every_location_terminates_or_continues():

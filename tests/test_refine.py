@@ -55,7 +55,7 @@ def test_feasibility_straight_line_bug(solver):
     _, edges = fake_path(cfa, [0, err_edge.id])
     res = refine.check_feasibility(edges, cfa, solver)
     assert isinstance(res, refine.Feasible)
-    assert res.assignment.get("x@1") == 0
+    assert res.trace[0][1]["x"] == 0  # x is 0 after x := 0
 
 
 def test_feasibility_unreplayable_witness_is_unconfirmed(solver):
