@@ -447,6 +447,21 @@ def pc_equals(loc: int) -> F.Formula:
     return F.mk_atom(F.lin_var("pc"), F.EQ, loc)
 
 
+_PC_TERMS = F.lin_var("pc").terms
+
+
+def pc_guard(clause: F.Formula) -> Optional[tuple[int, F.Formula]]:
+    """Inverse of ``pc_equals`` on a psi clause: ``(l, body)`` when the
+    clause is ``!(pc = l) | body``, else None."""
+    if isinstance(clause, F.OrF):
+        for i, arg in enumerate(clause.args):
+            if isinstance(arg, F.NotF) and isinstance(arg.arg, F.AtomF):
+                a = arg.arg.atom
+                if a.op == F.EQ and a.terms == _PC_TERMS:
+                    return a.bound, F.f_or(clause.args[:i] + clause.args[i + 1:])
+    return None
+
+
 def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
                 error_description: Optional[str] = None,
                 stats: Optional[dict] = None) -> ConditionReport:
@@ -508,19 +523,8 @@ def serialize_condition(psi: F.Formula) -> str:
 
 def _render_clause(clause: F.Formula) -> tuple:
     """(sort key, text) for one psi clause."""
-    if isinstance(clause, F.OrF):
-        guard = None
-        rest = []
-        for arg in clause.args:
-            if guard is None and isinstance(arg, F.NotF) and isinstance(arg.arg, F.AtomF):
-                a = arg.arg.atom
-                if (a.op == F.EQ and len(a.terms) == 1
-                        and isinstance(a.terms[0][0], F.VarTerm)
-                        and a.terms[0][0].name == "pc" and a.terms[0][1] == 1):
-                    guard = a
-                    continue
-            rest.append(arg)
-        if guard is not None:
-            body = F.f_or(rest)
-            return (guard.bound, f"({F.render_atom(guard)}) -> ({F.render_formula(body)})")
-    return (-1, F.render_formula(clause))
+    guard = pc_guard(clause)
+    if guard is None:
+        return (-1, F.render_formula(clause))
+    loc, body = guard
+    return (loc, f"{F.render_formula(pc_equals(loc))} -> ({F.render_formula(body)})")

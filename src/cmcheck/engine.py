@@ -246,10 +246,10 @@ def run_cpa(rs: RunState, monitor: C.GlobalMonitor,
         state = node.state
         for edge in edges_from(state.location):
             act = monitor.pre_post(edge.id)
-            if act == "halt":
+            if act == C.HALT_GLOBAL:
                 rs.add_to_waitlist(node)
                 return None
-            for succ in successors(state, edge, act == "skip"):
+            for succ in successors(state, edge, act == C.SKIP_WITH_ASSUMPTION):
                 hit = _process_successor(rs, node, edge, succ)
                 # An excluded state is never a target.
                 if hit is not None and succ.location in target_locs \

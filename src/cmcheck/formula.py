@@ -618,7 +618,7 @@ def _parse_formula_atom(p) -> Formula:
         try:
             f = p.nested(t, _parse_implication, p)
             p.expect(")")
-            if p.peek().text in ("<", "<=", "=", "==", "!=", ">=", ">", "*", "+", "-"):
+            if p.peek().text in (*lang.CMP_OPS, "*", "+", "-"):
                 raise lang.ParseError("arithmetic context", t.line, t.col)
             return f
         except lang.ParseError:

@@ -4,7 +4,10 @@ A program is a control-flow automaton (CFA): integer locations connected by
 edges labeled with one operation each (assignment, assume, or havoc).  Two
 frontends produce CFAs: the mini imperative language (``.imp`` files, parsed
 by :func:`parse_program`) and a direct textual CFA format (``.cfa`` files,
-:func:`parse_cfa` / :func:`serialize_cfa`).
+parsed by :func:`parse_cfa`).  They share one tokenizer and one expression
+parser, and each checks that an operation names only declared variables
+where it reads the operation, so every input error is a positioned
+ParseError and a parsed CFA needs no second validation.
 
 Variables range over mathematical integers.  Machine bounds exist only in
 the optional overflow-monitoring analysis, never here.
@@ -12,6 +15,7 @@ the optional overflow-monitoring analysis, never here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -152,6 +156,9 @@ _CMP_FN = {
     ">": lambda a, b: a > b,
 }
 
+# The comparison tokens both parsers accept: ``=`` reads as ``==``.
+CMP_OPS = (*_CMP_FN, "=")
+
 
 def eval_bool(e: BoolExpr, store: Mapping[str, Optional[int]]) -> Optional[bool]:
     """Three-valued evaluation: ``None`` when an unknown operand decides."""
@@ -265,6 +272,10 @@ class Edge:
 class Cfa:
     """Immutable after construction; share freely.
 
+    Only the two frontends build one.  Edge ids are dense in file order,
+    every location an edge or the header names is in ``locations``, and
+    every variable an edge names is in ``variables``.
+
     ``error_info`` maps error locations to a human-readable description of
     the assertion they guard (empty for CFAs read from ``.cfa`` files).
     """
@@ -281,33 +292,9 @@ class Cfa:
         for e in self.edges:
             out.setdefault(e.source, []).append(e)
         self._out = {loc: tuple(es) for loc, es in out.items()}
-        self.validate()
 
     def edges_from(self, loc: LocationId) -> tuple[Edge, ...]:
         return self._out.get(loc, ())
-
-    def validate(self) -> None:
-        if self.initial not in self.locations:
-            raise ValueError(f"initial location L{self.initial} undeclared")
-        for l in self.error_locations:
-            if l not in self.locations:
-                raise ValueError(f"error location L{l} undeclared")
-        declared = set(self.variables)
-        for i, e in enumerate(self.edges):
-            if e.id != i:
-                raise ValueError(f"edge ids not dense: expected {i}, got {e.id}")
-            if e.source not in self.locations or e.target not in self.locations:
-                raise ValueError(f"edge {e.id} references undeclared location")
-            used = set()
-            if isinstance(e.op, Assign):
-                used = {e.op.var} | variables_of(e.op.expr)
-            elif isinstance(e.op, Assume):
-                used = variables_of(e.op.expr)
-            elif isinstance(e.op, Havoc):
-                used = {e.op.var}
-            missing = used - declared
-            if missing:
-                raise ValueError(f"edge {e.id} uses undeclared variable(s) {sorted(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +306,17 @@ _PUNCT = (
     "(", ")", "{", "}", ";", ",", "<", ">", "=", "!", "+", "-", "*", ":", "&", "|",
 )
 
+# One alternative per token class, tried in order; _PUNCT lists its
+# two-character tokens first, so the longest one matches.
+_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<comment>(?://|\#)[^\n]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<name>[^\W\d]\w*)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+)))
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -329,49 +327,22 @@ class _Tok:
 
 
 def _tokenize(src: str) -> list[_Tok]:
+    """Tokens of ``src``; a column is the offset from the line start, plus 1."""
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    while (m := _TOKEN.match(src, pos)) is not None:
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i) or c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            break  # a numeric sign such as '²' starts no token
+        elif kind != "blank" and kind != "comment":
+            toks.append(_Tok(kind, text, line, pos - line_start + 1))
+        pos = m.end()
+    if pos < len(src):
+        raise ParseError(f"unexpected character {src[pos]!r}", line, pos - line_start + 1)
+    toks.append(_Tok("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -380,6 +351,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        self.declared: list[str] = []
 
     def nested(self, tok: _Tok, parse, *args):
         """``parse(*args)`` one level deeper; a ParseError past MAX_NESTING."""
@@ -425,6 +397,24 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def declare(self) -> None:
+        """Read ``NAME (',' NAME)*`` into ``declared``."""
+        while True:
+            t = self.next()
+            if t.kind != "name":
+                raise ParseError("expected variable name", t.line, t.col)
+            if t.text in self.declared:
+                raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
+            self.declared.append(t.text)
+            if not self.accept(","):
+                return
+
+    def check_declared(self, e: Expr, tok: _Tok) -> None:
+        """A ParseError at ``tok`` for the first undeclared variable of ``e``."""
+        for v in sorted(variables_of(e)):
+            if v not in self.declared:
+                raise ParseError(f"undeclared variable {v!r}", tok.line, tok.col)
+
     # Expression grammar, lowest precedence first:
     #   bexpr := bterm ('||' bterm)*
     #   bterm := bfact ('&&' bfact)*
@@ -463,7 +453,7 @@ class _Parser:
             try:
                 e = self.nested(t, self.bool_expr)
                 self.expect(")")
-                if self.peek().text in ("<", "<=", "==", "=", "!=", ">=", ">"):
+                if self.peek().text in CMP_OPS:
                     raise ParseError("comparison of boolean", t.line, t.col)
                 return e
             except ParseError:
@@ -473,7 +463,7 @@ class _Parser:
     def comparison(self) -> Cmp:
         left = self.arith_expr()
         t = self.peek()
-        if t.text not in ("<", "<=", "==", "=", "!=", ">=", ">"):
+        if t.text not in CMP_OPS:
             self.fail(f"expected comparison operator, found {t.text!r}")
         self.next()
         op = "==" if t.text == "=" else t.text
@@ -522,74 +512,67 @@ class _Parser:
 # Mini-language frontend
 # ---------------------------------------------------------------------------
 
-class _CfaBuilder:
-    def __init__(self):
+class _ProgramParser(_Parser):
+    """Compiles each statement to CFA edges as it reads it."""
+
+    def __init__(self, src: str):
+        super().__init__(src)
         self.n_locs = 0
         self.edges: list[Edge] = []
-        self.error_locations: set[LocationId] = set()
         self.error_info: dict[LocationId, str] = {}
 
     def fresh(self) -> LocationId:
         self.n_locs += 1
         return self.n_locs - 1
 
-    def edge(self, src: LocationId, dst: LocationId, op: Operation) -> None:
+    def edge(self, src: LocationId, op: Operation, dst: Optional[LocationId] = None) -> LocationId:
+        """Add the edge ``src -op-> dst``, into a fresh location when ``dst``
+        is None, and return its target."""
+        if dst is None:
+            dst = self.fresh()
         self.edges.append(Edge(len(self.edges), src, dst, op))
-
-
-class _ProgramParser(_Parser):
-    def __init__(self, src: str):
-        super().__init__(src)
-        self.declared: list[str] = []
+        return dst
 
     def parse(self) -> Cfa:
-        while self.peek().text == "int":
-            self.next()
-            while True:
-                t = self.peek()
-                if t.kind != "name":
-                    self.fail("expected variable name")
-                if t.text in self.declared:
-                    raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
-                self.declared.append(self.next().text)
-                if not self.accept(","):
-                    break
+        while self.accept("int"):
+            self.declare()
             self.expect(";")
-        b = _CfaBuilder()
-        entry = b.fresh()
-        exit_loc = self.stmt_seq(b, entry, stop_tokens=("", ))
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(f"unexpected {t.text!r}")
+        entry = self.fresh()
+        self.stmt_seq(entry, stop="")
         return Cfa(
             variables=tuple(self.declared),
             initial=entry,
-            error_locations=frozenset(b.error_locations),
-            edges=tuple(b.edges),
-            locations=frozenset(range(b.n_locs)),
-            error_info=b.error_info,
+            error_locations=frozenset(self.error_info),
+            edges=tuple(self.edges),
+            locations=frozenset(range(self.n_locs)),
+            error_info=self.error_info,
         )
 
-    def check_declared(self, e: Expr, tok: _Tok) -> None:
-        for v in sorted(variables_of(e)):
-            if v not in self.declared:
-                raise ParseError(f"undeclared variable {v!r}", tok.line, tok.col)
+    def condition(self, keyword: _Tok) -> BoolExpr:
+        """``keyword '(' bexpr ')'``, over declared variables."""
+        self.next()
+        self.expect("(")
+        cond = self.bounded(self.bool_expr, keyword)
+        self.check_declared(cond, keyword)
+        self.expect(")")
+        return cond
 
-    def stmt_seq(self, b: _CfaBuilder, loc: LocationId, stop_tokens: tuple[str, ...]) -> LocationId:
-        while self.peek().kind != "eof" and self.peek().text not in stop_tokens:
-            loc = self.stmt(b, loc)
+    def stmt_seq(self, loc: LocationId, stop: str) -> LocationId:
+        """Statements up to the token ``stop`` ("" for the end of input)."""
+        while self.peek().kind != "eof" and self.peek().text != stop:
+            loc = self.stmt(loc)
         return loc
 
-    def stmt(self, b: _CfaBuilder, loc: LocationId) -> LocationId:
-        return self.nested(self.peek(), self._stmt, b, loc)
+    def stmt(self, loc: LocationId) -> LocationId:
+        return self.nested(self.peek(), self._stmt, loc)
 
-    def _stmt(self, b: _CfaBuilder, loc: LocationId) -> LocationId:
+    def _stmt(self, loc: LocationId) -> LocationId:
         t = self.peek()
         if t.text == "int":
             raise ParseError("declarations must precede statements", t.line, t.col)
         if t.text == "{":
             self.next()
-            loc = self.stmt_seq(b, loc, stop_tokens=("}",))
+            loc = self.stmt_seq(loc, stop="}")
             self.expect("}")
             return loc
         if t.text == "havoc":
@@ -597,64 +580,35 @@ class _ProgramParser(_Parser):
             name = self.peek()
             if name.kind != "name":
                 self.fail("expected variable name after havoc")
-            if name.text not in self.declared:
-                raise ParseError(f"undeclared variable {name.text!r}", name.line, name.col)
+            self.check_declared(Var(name.text), name)
             self.next()
             self.expect(";")
-            nxt = b.fresh()
-            b.edge(loc, nxt, Havoc(name.text))
-            return nxt
+            return self.edge(loc, Havoc(name.text))
         if t.text == "if":
-            self.next()
-            self.expect("(")
-            cond = self.bounded(self.bool_expr, t)
-            self.check_declared(cond, t)
-            self.expect(")")
-            then_start = b.fresh()
-            b.edge(loc, then_start, Assume(cond))
-            then_end = self.stmt(b, then_start)
+            cond = self.condition(t)
+            then_end = self.stmt(self.edge(loc, Assume(cond)))
             if self.peek().text == "else":
                 self.next()
-                else_start = b.fresh()
-                b.edge(loc, else_start, Assume(Not(cond)))
-                else_end = self.stmt(b, else_start)
-                join = b.fresh()
-                b.edge(then_end, join, Assume(BoolConst(True)))
-                b.edge(else_end, join, Assume(BoolConst(True)))
-                return join
-            b.edge(loc, then_end, Assume(Not(cond)))
+                else_end = self.stmt(self.edge(loc, Assume(Not(cond))))
+                join = self.edge(then_end, Assume(BoolConst(True)))
+                return self.edge(else_end, Assume(BoolConst(True)), join)
+            self.edge(loc, Assume(Not(cond)), then_end)
             return then_end
         if t.text == "while":
-            self.next()
-            self.expect("(")
-            cond = self.bounded(self.bool_expr, t)
-            self.check_declared(cond, t)
-            self.expect(")")
-            body_start = b.fresh()
-            b.edge(loc, body_start, Assume(cond))
-            after = b.fresh()
-            b.edge(loc, after, Assume(Not(cond)))
-            body_end = self.stmt(b, body_start)
-            b.edge(body_end, loc, Assume(BoolConst(True)))
+            cond = self.condition(t)
+            body_start = self.edge(loc, Assume(cond))
+            after = self.edge(loc, Assume(Not(cond)))
+            self.edge(self.stmt(body_start), Assume(BoolConst(True)), loc)
             return after
         if t.text == "assert":
-            self.next()
-            self.expect("(")
-            cond = self.bounded(self.bool_expr, t)
-            self.check_declared(cond, t)
-            self.expect(")")
+            cond = self.condition(t)
             self.expect(";")
-            err = b.fresh()
-            b.error_locations.add(err)
-            b.error_info[err] = f"assert({render_expr(cond)}) at line {t.line}"
-            b.edge(loc, err, Assume(Not(cond)))
-            nxt = b.fresh()
-            b.edge(loc, nxt, Assume(cond))
-            return nxt
+            err = self.edge(loc, Assume(Not(cond)))
+            self.error_info[err] = f"assert({render_expr(cond)}) at line {t.line}"
+            return self.edge(loc, Assume(cond))
         if t.kind == "name":
             name = self.next()
-            if name.text not in self.declared:
-                raise ParseError(f"undeclared variable {name.text!r}", name.line, name.col)
+            self.check_declared(Var(name.text), name)
             self.expect(":=")
             if self.peek().text == "nondet":
                 self.next()
@@ -664,17 +618,13 @@ class _ProgramParser(_Parser):
                     tt = self.peek()
                     raise ParseError("nondet() must be the whole right-hand side", tt.line, tt.col)
                 self.expect(";")
-                nxt = b.fresh()
-                b.edge(loc, nxt, Havoc(name.text))
-                return nxt
+                return self.edge(loc, Havoc(name.text))
             rhs = self.bounded(self.arith_expr, name)
             if "nondet" in variables_of(rhs):
                 raise ParseError("nondet() must be the whole right-hand side", name.line, name.col)
             self.check_declared(rhs, name)
             self.expect(";")
-            nxt = b.fresh()
-            b.edge(loc, nxt, Assign(name.text, rhs))
-            return nxt
+            return self.edge(loc, Assign(name.text, rhs))
         self.fail(f"expected statement, found {t.text or 'end of input'!r}")
 
 
@@ -693,16 +643,21 @@ def parse_program(source_text: str) -> Cfa:
 # ---------------------------------------------------------------------------
 
 def _parse_loc(tok: _Tok) -> LocationId:
-    if tok.kind == "name" and tok.text.startswith("L") and tok.text[1:].isdigit():
-        return int(tok.text[1:])
+    digits = tok.text[1:]
+    if tok.kind == "name" and tok.text.startswith("L") and digits.isascii() and digits.isdigit():
+        return int(digits)
     raise ParseError(f"expected location (L<n>), found {tok.text!r}", tok.line, tok.col)
 
 
 def parse_cfa(source_text: str) -> Cfa:
-    """Parse the textual CFA format (see serialize_cfa for the layout)."""
+    """Parse the textual CFA format.
+
+    ``vars: x, y;`` and ``init: L0;`` come first, then any ``error: L3, L4;``
+    lines, then one ``L0 -> L1: <operation>;`` line per edge, where the
+    operation is ``x := <arith>``, ``assume <bool>`` or ``havoc x``.  Edge
+    ids follow file order.
+    """
     p = _Parser(source_text)
-    variables: list[str] = []
-    initial: Optional[LocationId] = None
     errors: set[LocationId] = set()
     edges: list[Edge] = []
     locations: set[LocationId] = set()
@@ -710,15 +665,7 @@ def parse_cfa(source_text: str) -> Cfa:
     p.expect("vars")
     p.expect(":")
     if p.peek().text != ";":
-        while True:
-            t = p.next()
-            if t.kind != "name":
-                raise ParseError("expected variable name", t.line, t.col)
-            if t.text in variables:
-                raise ParseError(f"duplicate variable {t.text!r}", t.line, t.col)
-            variables.append(t.text)
-            if not p.accept(","):
-                break
+        p.declare()
     p.expect(";")
     p.expect("init")
     p.expect(":")
@@ -747,38 +694,32 @@ def parse_cfa(source_text: str) -> Cfa:
         op: Operation
         if t.text == "assume":
             p.next()
-            op = Assume(p.bounded(p.bool_expr, t))
+            cond = p.bounded(p.bool_expr, t)
+            p.check_declared(cond, t)
+            op = Assume(cond)
         elif t.text == "havoc":
             p.next()
             v = p.next()
             if v.kind != "name":
                 raise ParseError("expected variable after havoc", v.line, v.col)
+            p.check_declared(Var(v.text), v)
             op = Havoc(v.text)
         else:
             v = p.next()
             if v.kind != "name":
                 raise ParseError("expected operation", v.line, v.col)
+            p.check_declared(Var(v.text), v)
             p.expect(":=")
-            op = Assign(v.text, p.bounded(p.arith_expr, v))
+            rhs = p.bounded(p.arith_expr, v)
+            p.check_declared(rhs, v)
+            op = Assign(v.text, rhs)
         p.expect(";")
         edges.append(Edge(len(edges), src, dst, op))
 
     return Cfa(
-        variables=tuple(variables),
+        variables=tuple(p.declared),
         initial=initial,
         error_locations=frozenset(errors),
         edges=tuple(edges),
         locations=frozenset(locations),
     )
-
-
-def serialize_cfa(cfa: Cfa) -> str:
-    """Deterministic inverse of parse_cfa; edge ids follow file order."""
-    lines = [f"vars: {', '.join(cfa.variables)};"]
-    lines.append(f"init: L{cfa.initial};")
-    if cfa.error_locations:
-        errs = ", ".join(f"L{l}" for l in sorted(cfa.error_locations))
-        lines.append(f"error: {errs};")
-    for e in cfa.edges:
-        lines.append(f"L{e.source} -> L{e.target}: {render_op(e.op)};")
-    return "\n".join(lines) + "\n"

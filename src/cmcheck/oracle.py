@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from . import assumptions as A
 from . import formula as F
 from . import lang
 
@@ -123,23 +124,11 @@ def split_condition_by_location(psi: F.Formula):
     for clause in clauses:
         if isinstance(clause, F.TrueF):
             continue
-        loc = None
-        rest: list[F.Formula] = []
-        if isinstance(clause, F.OrF):
-            for arg in clause.args:
-                if (loc is None and isinstance(arg, F.NotF)
-                        and isinstance(arg.arg, F.AtomF)):
-                    a = arg.arg.atom
-                    if (a.op == F.EQ and len(a.terms) == 1
-                            and isinstance(a.terms[0][0], F.VarTerm)
-                            and a.terms[0][0].name == "pc" and a.terms[0][1] == 1):
-                        loc = a.bound
-                        continue
-                rest.append(arg)
-        if loc is None:
+        guard = A.pc_guard(clause)
+        if guard is None:
             general.append(clause)
         else:
-            by_loc.setdefault(loc, []).append(F.f_or(rest))
+            by_loc.setdefault(guard[0], []).append(guard[1])
     return by_loc, general
 
 

@@ -121,6 +121,18 @@ def random_cfa(rng: random.Random, n_vars: int = 3, max_locations: int = 20,
     raise RuntimeError("could not generate a suitable program")
 
 
+def serialize_cfa(cfa: lang.Cfa) -> str:
+    """Deterministic inverse of ``lang.parse_cfa``; edge ids follow file order."""
+    lines = [f"vars: {', '.join(cfa.variables)};"]
+    lines.append(f"init: L{cfa.initial};")
+    if cfa.error_locations:
+        errs = ", ".join(f"L{l}" for l in sorted(cfa.error_locations))
+        lines.append(f"error: {errs};")
+    for e in cfa.edges:
+        lines.append(f"L{e.source} -> L{e.target}: {lang.render_op(e.op)};")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Independent reference implementation of the worklist algorithm
 # ---------------------------------------------------------------------------

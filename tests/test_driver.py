@@ -64,6 +64,20 @@ def test_cli_names_the_program_file_in_syntax_errors(tmp_path, capsys):
         f"cmcheck: error: {f}:1:13: expected expression, found ';'\n"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.cfa", "vars: x; init: L0; L0 -> L1: y := 1;", "1:30: undeclared variable 'y'"),
+    ("bad.cfa", "vars: x; init: L\u00b2;", "1:16: expected location (L<n>), found 'L\u00b2'"),
+    # A superscript two is no digit, and no letter either.
+    ("bad.imp", "int x; x := 2\u00b2;", "1:14: unexpected character '\u00b2'"),
+    ("bad.imp", "int \u00b2;", "1:5: unexpected character '\u00b2'"),
+])
+def test_cli_names_the_program_file_in_input_errors(tmp_path, capsys, name, text, message):
+    f = tmp_path / name
+    f.write_text(text)
+    assert cli.main([str(f), "--config", "explicit"]) == 3
+    assert capsys.readouterr().err == f"cmcheck: error: {f}:{message}\n"
+
+
 def test_refinement_requires_predicate_domain():
     cfg = AnalysisConfig(name="x", domain="explicit", refinement=True)
     with pytest.raises(ValueError, match="refinement requires"):

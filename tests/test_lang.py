@@ -7,7 +7,7 @@ import pytest
 from cmcheck import lang
 from cmcheck.lang import Assign, Assume, Havoc, ParseError
 
-from helpers import random_cfa, random_program_text
+from helpers import random_cfa, random_program_text, serialize_cfa
 
 
 def test_assert_desugars_to_error_branch():
@@ -92,6 +92,22 @@ def test_nondet_only_as_full_rhs():
         lang.parse_program("int x; x := 1 + nondet();")
 
 
+def tokens(text: str) -> list:
+    return [(t.kind, t.text, t.line, t.col) for t in lang._tokenize(text)]
+
+
+def test_token_positions():
+    # A tab or a carriage return is one column; a comment runs to the end
+    # of its line, and the end of input after it is the column after it.
+    assert tokens("x\t:= 1;\r\ny -> z && w") == [
+        ("name", "x", 1, 1), ("punct", ":=", 1, 3), ("int", "1", 1, 6),
+        ("punct", ";", 1, 7), ("name", "y", 2, 1), ("punct", "->", 2, 3),
+        ("name", "z", 2, 6), ("punct", "&&", 2, 8), ("name", "w", 2, 11),
+        ("eof", "", 2, 12)]
+    assert tokens("a // b\n# c\n  d # e") == [
+        ("name", "a", 1, 1), ("name", "d", 3, 3), ("eof", "", 3, 8)]
+
+
 # -- CFA text format ----------------------------------------------------------
 
 def test_parse_cfa_single_assign_edge():
@@ -112,12 +128,24 @@ def test_cfa_duplicate_variable_rejected():
         lang.parse_cfa("vars: x, x;\ninit: L0;\n")
 
 
+@pytest.mark.parametrize("edge, col", [
+    ("L0 -> L1: y := 1;", 11),
+    ("L0 -> L1: x := y + 1;", 11),
+    ("L0 -> L1: assume x < y;", 11),
+    ("L0 -> L1: havoc y;", 17),
+])
+def test_cfa_undeclared_variable_rejected_with_position(edge, col):
+    with pytest.raises(ParseError, match="undeclared variable 'y'") as err:
+        lang.parse_cfa(f"vars: x;\ninit: L0;\n{edge}\n")
+    assert (err.value.line, err.value.col) == (3, col)
+
+
 def test_cfa_roundtrip_fixture(programs_dir):
     text = (programs_dir / "diamond.cfa").read_text()
     cfa = lang.parse_cfa(text)
-    normalized = lang.serialize_cfa(cfa)
+    normalized = serialize_cfa(cfa)
     again = lang.parse_cfa(normalized)
-    assert lang.serialize_cfa(again) == normalized
+    assert serialize_cfa(again) == normalized
     assert again.edges == cfa.edges
 
 
@@ -125,9 +153,9 @@ def test_serialize_parse_fixpoint_on_random_programs():
     rng = random.Random(21)
     for _ in range(25):
         cfa = random_cfa(rng)
-        text = lang.serialize_cfa(cfa)
+        text = serialize_cfa(cfa)
         once = lang.parse_cfa(text)
-        assert lang.serialize_cfa(once) == text
+        assert serialize_cfa(once) == text
         assert once.edges == cfa.edges
         assert once.error_locations == cfa.error_locations
         assert once.initial == cfa.initial
@@ -146,8 +174,8 @@ def test_roundtrip_twenty_edge_fixture():
     """
     cfa = lang.parse_program(src)
     assert len(cfa.edges) >= 20
-    text = lang.serialize_cfa(cfa)
-    assert lang.serialize_cfa(lang.parse_cfa(text)) == text
+    text = serialize_cfa(cfa)
+    assert serialize_cfa(lang.parse_cfa(text)) == text
 
 
 # -- evaluation ----------------------------------------------------------------
