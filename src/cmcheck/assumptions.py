@@ -189,8 +189,13 @@ class CompositeCpa:
         """The partition's nodes that may cover ``state``, in try order."""
         if self._is_explicit:
             shapes = partition.shapes or ()
+            by_domain = partition.by_domain
             for weaker in self.domain.cover_keys(state.domain, shapes):
-                yield from partition.by_domain.get(weaker, ())
+                bucket = by_domain.get(weaker)
+                if isinstance(bucket, list):
+                    yield from bucket
+                elif bucket is not None:
+                    yield bucket
         else:
             yield from partition.members
 
@@ -244,13 +249,15 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("edges:"):
-                count_text = body.split(":", 1)[1]
-                try:
-                    edge_count = int(count_text)
-                except ValueError:
-                    raise lang.ParseError(f"edge count {count_text.strip()!r} is not an integer",
+                count_text = body.split(":", 1)[1].strip()
+                # ASCII digits only, as the program formats read integers:
+                # int() alone also takes signs, underscores and other
+                # scripts' digits.
+                if not (count_text.isascii() and count_text.isdigit()):
+                    raise lang.ParseError(f"edge count {count_text!r} is not an integer",
                                           lineno, raw.index("edges:") + len("edges:") + 1,
-                                          source) from None
+                                          source)
+                edge_count = int(count_text)
             continue
         indent = len(raw) - len(raw.lstrip())
         if not line.endswith(";"):
@@ -271,12 +278,10 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
             head = head[len("trans "):]
             src, rest = head.split(" edge=", 1)
             edge_text, assume_text = rest.split(" assume=", 1)
-            try:
-                key = (src.strip(), int(edge_text))
-            except ValueError:
+            if not (edge_text.isascii() and edge_text.isdigit()):
                 raise lang.ParseError(f"edge id {edge_text!r} is not an integer", lineno,
-                                      raw.index(" edge=") + len(" edge=") + 1,
-                                      source) from None
+                                      raw.index(" edge=") + len(" edge=") + 1, source)
+            key = (src.strip(), int(edge_text))
             if key in transitions:
                 raise lang.ParseError(f"duplicate transition from {key[0]} along edge {key[1]}",
                                       lineno, indent + 1, source)
@@ -390,14 +395,13 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
     for n, sid in qid.items():
         if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
             continue  # all matches fall through to U at run time
-        children = n.children
-        if len(children) == 1 and not children[0].removed:
-            c = children[0]
+        c = n.first_child
+        if c is not None and c.next_sibling is None and not c.removed:
             expanded = (c.edge.id,)
             transitions[(sid, c.edge.id)] = (c.assumption, resolve(c))
         else:
             expanded = {}
-            for c in children:
+            for c in n.children():
                 if not c.removed:
                     expanded.setdefault(c.edge.id, []).append(c)
             for edge_id, kids in expanded.items():

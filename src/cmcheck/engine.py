@@ -12,14 +12,18 @@ states that agree on both can merge or cover each other.  An abstract
 reachability tree is maintained alongside: every expansion creates a
 child node carrying the CFA edge and, as the label of that step, the
 successor's assumption; covered successors become leaf nodes pointing
-at their covering node.
+at their covering node.  A node links its children in insertion order
+(``first_child``, then ``next_sibling``), and ``last_child`` lets a new
+child join the end in one step, so a leaf holds no container of its own.
 
 ``run_cpa`` returns the node of the first target state it reaches, or
 None when the waitlist empties or the monitor halts the run, which
 ``monitor.halted`` tells apart.  ``RunState`` reads the CFA from its CPA.
 
 ``RunState._index`` is the only way a node enters the partitions, and
-its caller hands it the partition.  The benchmark in ``perfbench/``
+its caller hands it the partition.  A partition's bucket for one domain
+state is the node itself, or a list of at least two nodes once a second
+node with that domain state is indexed.  The benchmark in ``perfbench/``
 traces the engine by wrapping attributes by name, so the hot loop must
 keep calling these as attributes, never inline them:
 ``RunState._new_node`` and ``new_covered_node``, the composite CPA's
@@ -30,8 +34,8 @@ keep calling these as attributes, never inline them:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from . import conditions as C
 from . import formula as F
@@ -48,10 +52,19 @@ class ArtNode:
     parent: Optional["ArtNode"]
     edge: Optional[lang.Edge]
     assumption: F.Formula
-    children: list["ArtNode"] = field(default_factory=list)
+    first_child: Optional["ArtNode"] = None
+    last_child: Optional["ArtNode"] = None
+    next_sibling: Optional["ArtNode"] = None
     covered_by: Optional["ArtNode"] = None
     in_waitlist: bool = False
     removed: bool = False
+
+    def children(self) -> Iterator["ArtNode"]:
+        """The children in insertion order, removed ones included."""
+        child = self.first_child
+        while child is not None:
+            yield child
+            child = child.next_sibling
 
     def path_from_root(self) -> tuple[list["ArtNode"], list[lang.Edge]]:
         nodes: list[ArtNode] = []
@@ -71,21 +84,22 @@ class Partition:
     """The reached nodes at one (location, observer state).
 
     ``members`` holds them in insertion order, and ``by_domain`` the same
-    nodes bucketed by domain state, each list in insertion order as well.
-    ``RunState.replace_state`` moves a node to the end of both.  The stop
-    check takes the first covering node of ``stop_candidates``, which
-    follows these orders, so they decide each ``covered_by``.  A node never
-    changes partition or bucket: merges and exclusions change only its
-    assumption and condition states.  ``shapes`` holds the explicit store
-    shapes ever reached here, or None before the first; a stale shape
-    costs one empty lookup.
+    nodes bucketed by domain state.  A bucket is the node itself while it
+    is the only one with its domain state, else a list of at least two in
+    insertion order as well.  ``RunState.replace_state`` moves a node to
+    the end of both.  The stop check takes the first covering node of
+    ``stop_candidates``, which follows these orders, so they decide each
+    ``covered_by``.  A node never changes partition or bucket: merges and
+    exclusions change only its assumption and condition states.
+    ``shapes`` holds the explicit store shapes ever reached here, or None
+    before the first; a stale shape costs one empty lookup.
     """
 
     __slots__ = ("members", "by_domain", "shapes")
 
     def __init__(self):
         self.members: dict[ArtNode, None] = {}
-        self.by_domain: dict[Any, list[ArtNode]] = {}
+        self.by_domain: dict[Any, ArtNode | list[ArtNode]] = {}
         self.shapes: Optional[dict[Any, None]] = None
 
 
@@ -116,7 +130,12 @@ class RunState:
         node = ArtNode(len(self.nodes), state, parent, edge, assumption)
         self.nodes.append(node)
         if parent is not None:
-            parent.children.append(node)
+            last = parent.last_child
+            if last is None:
+                parent.first_child = node
+            else:
+                last.next_sibling = node
+            parent.last_child = node
         return node
 
     def partition(self, state) -> Partition:
@@ -130,7 +149,11 @@ class RunState:
     def _index(self, node: ArtNode, part: Partition) -> None:
         state = node.state
         part.members[node] = None
-        part.by_domain.setdefault(state.domain, []).append(node)
+        bucket = part.by_domain.setdefault(state.domain, node)
+        if isinstance(bucket, list):
+            bucket.append(node)
+        elif bucket is not node:
+            part.by_domain[state.domain] = [bucket, node]
         shape = self.cpa.shape_of(state)
         if shape is not None:
             if part.shapes is None:
@@ -143,8 +166,11 @@ class RunState:
         part = self.partitions[self.cpa.partition_key(state)]
         del part.members[node]
         bucket = part.by_domain[state.domain]
-        bucket.remove(node)
-        if not bucket:
+        if isinstance(bucket, list):
+            bucket.remove(node)
+            if len(bucket) == 1:
+                part.by_domain[state.domain] = bucket[0]
+        else:
             del part.by_domain[state.domain]
         self._reached -= 1
         return part
@@ -210,13 +236,13 @@ class RunState:
             cur.removed = True
             cur.in_waitlist = False
             removed.append(cur)
-            stack.extend(cur.children)
+            stack.extend(cur.children())
         for cur in removed:
             if cur.covered_by is None:
                 self._unindex(cur)
         parent = node.parent
         if parent is not None and not parent.removed:
-            parent.children.remove(node)
+            _unlink(node)
         # Nodes covered by a removed node lose their justification: drop them
         # and let their parents re-explore.
         for cur in removed:
@@ -225,9 +251,24 @@ class RunState:
                     continue
                 cov.removed = True
                 if cov.parent is not None and not cov.parent.removed:
-                    cov.parent.children.remove(cov)
+                    _unlink(cov)
                     self.add_to_waitlist(cov.parent)
         return parent
+
+
+def _unlink(node: ArtNode) -> None:
+    """Take ``node`` out of its parent's children."""
+    parent = node.parent
+    prev = None
+    cur = parent.first_child
+    while cur is not node:
+        prev, cur = cur, cur.next_sibling
+    if prev is None:
+        parent.first_child = node.next_sibling
+    else:
+        prev.next_sibling = node.next_sibling
+    if parent.last_child is node:
+        parent.last_child = prev
 
 
 def run_cpa(rs: RunState, monitor: C.GlobalMonitor,
@@ -269,19 +310,21 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
     cpa = rs.cpa
     part = rs.partition(succ)
     bucket = part.by_domain.get(succ.domain)
-    if bucket:
-        # replace_state moves a merged node to the end of the bucket.
-        for other in list(bucket):
+    if bucket is not None:
+        # replace_state moves a merged node to the end of a list bucket.
+        for other in bucket.copy() if isinstance(bucket, list) else (bucket,):
             merged = cpa.merge(succ, other.state)
             if merged != other.state:
                 rs.replace_state(other, merged)
                 if not isinstance(merged.assumption, F.FalseF):
                     rs.add_to_waitlist(other)
     edge_id = edge.id
-    for child in node.children:
+    child = node.first_child
+    while child is not None:
         if not child.removed and child.edge is not None \
                 and child.edge.id == edge_id and child.state == succ:
             return None  # re-expansion of an already recorded step
+        child = child.next_sibling
     assumption = succ.assumption
     for cand in cpa.stop_candidates(succ, part):
         if cpa.covers(succ, cand.state):

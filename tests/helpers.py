@@ -7,8 +7,10 @@ give the same results.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -223,7 +225,7 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
         if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
             continue  # all matches fall through to U at run time
         by_edge: dict[int, list[engine.ArtNode]] = {}
-        for c in n.children:
+        for c in n.children():
             if not c.removed:
                 by_edge.setdefault(c.edge.id, []).append(c)
         for edge_id, kids in by_edge.items():
@@ -354,6 +356,13 @@ def engine_reached_states(cpa: CompositeCpa, order: str = "dfs") -> list:
     monitor = C.GlobalMonitor()
     assert engine.run_cpa(rs, monitor) is None and not monitor.halted
     return [n.state for n in rs.reached_nodes()], rs
+
+
+def tracked_by_type() -> Counter:
+    """The objects the cyclic collector tracks, by type, after a full
+    collection: what each generation-2 pass walks."""
+    gc.collect()
+    return Counter(map(type, gc.get_objects()))
 
 
 def replay_witness(cfa: lang.Cfa, witness) -> bool:

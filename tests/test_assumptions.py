@@ -320,7 +320,13 @@ def test_automaton_label_error_points_into_the_file():
     ("  trans q0 edge=0 assume=false -> U;",
      "4:3: duplicate transition from q0 along edge 0"),
     ("  # edges: three", "4:11: edge count 'three' is not an integer"),
-], ids=["semicolon", "edge", "unknown", "state", "duplicate", "header"])
+    # Only ASCII digits, as in the program formats; int() takes all four.
+    ("  trans q0 edge=1_0 assume=true -> T;", "4:17: edge id '1_0' is not an integer"),
+    ("  trans q0 edge=-1 assume=true -> T;", "4:17: edge id '-1' is not an integer"),
+    ("  # edges: 1_2", "4:11: edge count '1_2' is not an integer"),
+    ("  # edges: \uff13", "4:11: edge count '\uff13' is not an integer"),
+], ids=["semicolon", "edge", "unknown", "state", "duplicate", "header",
+        "edge-underscore", "edge-sign", "header-underscore", "header-fullwidth"])
 def test_automaton_syntax_errors_name_file_and_line(line, message):
     text = "# edges: 3\nstate q0 init;\ntrans q0 edge=0 assume=true -> T;\n" + line + "\n"
     with pytest.raises(lang.ParseError) as err:
@@ -533,7 +539,7 @@ def test_condition_and_automaton_agree_on_verified_regions(nonlinear_square_cfa)
 
 def several_live_children_on_one_edge(rs) -> bool:
     for n in rs.nodes:
-        edges = [c.edge.id for c in n.children if not c.removed]
+        edges = [c.edge.id for c in n.children() if not c.removed]
         if len(edges) != len(set(edges)):
             return True
     return False

@@ -204,7 +204,7 @@ def test_busy_edge_skip_steps_observer_and_conditions():
     # A limit of zero skips every post.
     monitor = C.GlobalMonitor(busy_edge_limit=0)
     assert engine.run_cpa(rs, monitor) is None and not monitor.halted
-    [child] = rs.root.children
+    [child] = rs.root.children()
     assert child.edge is to_q1
     assert child.assumption == F.FALSE
     assert child.state == A.CompositeState(

@@ -12,7 +12,7 @@ from cmcheck import engine, formula as F, lang
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
-from helpers import engine_reached_states, random_cfa, reference_reached
+from helpers import engine_reached_states, random_cfa, reference_reached, tracked_by_type
 
 
 def location_cpa(cfa):
@@ -303,6 +303,124 @@ def test_shape_index_agrees_with_full_enumeration(monkeypatch):
     assert weaker_total > 0  # some stop checks found a strictly weaker cover
 
 
+# -- sibling links and one-node buckets --------------------------------------
+
+def hand_run():
+    """A run state on L0 with three edges to L1 and one to L2, and an
+    ``add(parent, k)`` that records the reached step along edge k."""
+    cfa = lang.parse_cfa(
+        "vars: x;\ninit: L0;\n"
+        "L0 -> L1: x := 1;\nL0 -> L1: x := 2;\nL0 -> L1: x := 3;\nL0 -> L2: x := 0;\n"
+        "L2 -> L1: x := 4;\nL2 -> L1: x := 5;\n")
+    rs = engine.RunState(location_cpa(cfa))
+    assert rs.pop_waitlist() is rs.root
+
+    def add(parent, k):
+        edge = cfa.edges[k]
+        [succ] = rs.cpa.successors(parent.state, edge, False)
+        return rs.new_reached_node(parent, edge, F.TRUE, succ, rs.partition(succ))
+
+    return rs, add
+
+
+def child_ids(node) -> list:
+    """The live links from ``first_child`` on; ``last_child`` ends them."""
+    kids, child = [], node.first_child
+    while child is not None:
+        kids.append(child)
+        child = child.next_sibling
+    assert node.last_child is (kids[-1] if kids else None)
+    assert list(node.children()) == kids
+    return [c.nid for c in kids]
+
+
+def test_sibling_links_keep_insertion_order_through_removals():
+    rs, add = hand_run()
+    root = rs.root
+    a, b, c = add(root, 0), add(root, 1), add(root, 2)
+    assert child_ids(root) == [a.nid, b.nid, c.nid]
+    rs.remove_subtree(a)  # the first
+    assert child_ids(root) == [b.nid, c.nid]
+    d = add(root, 0)
+    assert child_ids(root) == [b.nid, c.nid, d.nid]
+    rs.remove_subtree(c)  # the middle
+    assert child_ids(root) == [b.nid, d.nid]
+    e = add(root, 2)
+    assert child_ids(root) == [b.nid, d.nid, e.nid]
+    rs.remove_subtree(e)  # the last
+    assert child_ids(root) == [b.nid, d.nid]
+    f = add(root, 2)
+    assert child_ids(root) == [b.nid, d.nid, f.nid]
+    for node in (b, d, f):
+        rs.remove_subtree(node)
+    assert child_ids(root) == []
+    g = add(root, 1)
+    assert child_ids(root) == [g.nid]
+    assert [n.nid for n in rs.reached_nodes()] == [root.nid, g.nid]
+
+
+def test_remove_subtree_unlinks_and_requeues_covered_dependents():
+    rs, add = hand_run()
+    root = rs.root
+    a = add(root, 0)
+    p = add(root, 3)
+    x = add(p, 4)
+    edge = rs.cpa.cfa.edges[5]
+    [succ] = rs.cpa.successors(p.state, edge, False)
+    cov = rs.new_covered_node(p, edge, F.TRUE, succ, a)
+    assert child_ids(p) == [x.nid, cov.nid]
+    assert not p.in_waitlist
+    assert rs.remove_subtree(a) is root
+    assert a.removed and cov.removed and not x.removed
+    # The dependent left its parent's links, the last one, and the parent
+    # went back on the waitlist to re-explore that step.
+    assert child_ids(p) == [x.nid]
+    assert child_ids(root) == [p.nid]
+    assert p.in_waitlist
+
+
+def test_a_one_node_bucket_is_the_node():
+    rs, add = hand_run()
+    a = add(rs.root, 0)
+    part = rs.partition(a.state)
+    domain = a.state.domain
+    assert part.by_domain[domain] is a
+    b = add(rs.root, 1)
+    assert part.by_domain[domain] == [a, b]
+    # A replaced state moves its node to the end of the bucket.
+    rs.replace_state(a, dataclasses.replace(a.state, assumption=F.FALSE))
+    assert part.by_domain[domain] == [b, a]
+    assert list(part.members) == [b, a]
+    c = add(rs.root, 2)
+    assert part.by_domain[domain] == [b, a, c]
+    rs.remove_subtree(a)
+    assert part.by_domain[domain] == [b, c]
+    rs.remove_subtree(b)
+    assert part.by_domain[domain] is c
+    rs.remove_subtree(c)
+    assert domain not in part.by_domain and not part.members
+
+
+def test_art_bookkeeping_holds_no_container_per_node(nonlinear_square_cfa):
+    # Each generation-2 collection walks every tracked object, and a
+    # finished run's ART stays alive as long as its report.  Two sizes of
+    # one chain: the objects the larger run adds per ART node are its
+    # nodes, states and stores, and no list.
+    from cmcheck import driver
+
+    sizes = []
+    for fuel in (3000, 12000):
+        report = driver.run_analysis(nonlinear_square_cfa, driver.AnalysisConfig(
+            name="explicit", domain="explicit", fuel=fuel))
+        sizes.append((len(report.run.nodes), tracked_by_type()))  # with the run alive
+        del report
+    (small_nodes, small), (big_nodes, big) = sizes
+    new_nodes = big_nodes - small_nodes
+    assert new_nodes > 5000
+    assert big[list] - small[list] < new_nodes / 100
+    assert sum(big.values()) - sum(small.values()) <= 4 * new_nodes
+
+
 # -- the partitioned reached set ----------------------------------------------
 
 def assert_partitions_consistent(rs: engine.RunState) -> None:
@@ -313,18 +431,27 @@ def assert_partitions_consistent(rs: engine.RunState) -> None:
     reached = rs.reached_nodes()
     assert rs.reached_size() == len(reached)
     members = [n for part in rs.partitions.values() for n in part.members]
+
+    def nodes_of(bucket) -> list:
+        # A bucket is the node itself, or a list of at least two.
+        if isinstance(bucket, list):
+            assert len(bucket) >= 2
+            return bucket
+        assert isinstance(bucket, engine.ArtNode)
+        return [bucket]
+
     bucketed = [n for part in rs.partitions.values()
-                for bucket in part.by_domain.values() for n in bucket]
+                for bucket in part.by_domain.values() for n in nodes_of(bucket)]
     # Each node once across all partitions: no removed or covered node.
     assert sorted(n.nid for n in members) == [n.nid for n in reached]
     assert sorted(n.nid for n in bucketed) == [n.nid for n in reached]
     for node in reached:
         part = rs.partitions[rs.cpa.partition_key(node.state)]
         assert node in part.members
-        assert node in part.by_domain[node.state.domain]
+        assert node in nodes_of(part.by_domain[node.state.domain])
     # Both orders are the order in which the nodes last got their states.
     for part in rs.partitions.values():
-        for order in (list(part.members), *part.by_domain.values()):
+        for order in (list(part.members), *map(nodes_of, part.by_domain.values())):
             stamps = [rs.stamps[n] for n in order]
             assert stamps == sorted(stamps)
     for node in rs.nodes:
