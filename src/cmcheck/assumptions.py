@@ -160,7 +160,14 @@ class CompositeCpa:
         return self.solver.entails(candidate.assumption, state.assumption)
 
     def merge(self, new_state: CompositeState, old_state: CompositeState) -> CompositeState:
-        """Combine new into old; returning old_state means no merge."""
+        """Combine new into old; returning old_state means no merge.
+
+        Only states with equal location, observer and domain state merge,
+        and the result covers ``new_state``: it conjoins the assumptions
+        and merges the condition states."""
+        if new_state.location != old_state.location or new_state.observer != old_state.observer \
+                or new_state.domain != old_state.domain:
+            return old_state
         assumption = F.f_and([new_state.assumption, old_state.assumption])
         conds = tuple(c.merge(a, b) for c, a, b in
                       zip(self.condition_components, new_state.conds, old_state.conds))
@@ -191,13 +198,11 @@ class CompositeCpa:
             shapes = partition.shapes or ()
             by_domain = partition.by_domain
             for weaker in self.domain.cover_keys(state.domain, shapes):
-                bucket = by_domain.get(weaker)
-                if isinstance(bucket, list):
-                    yield from bucket
-                elif bucket is not None:
-                    yield bucket
+                node = by_domain.get(weaker)
+                if node is not None:
+                    yield node
         else:
-            yield from partition.members
+            yield from partition.by_domain.values()
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,31 @@
 
 The loop is the classic one: pop a frontier state, compute abstract
 successors along the CFA edges leaving its location (a post the monitor
-skips yields the CPA's excluded stand-in), try to merge each successor
-into the reached states that hold the same domain state (replacing their
-states in place when the merge changed something, and re-queueing them
-unless the merge excluded them), then add it unless one of the CPA's
+skips yields the CPA's excluded stand-in), merge each successor into the
+one reached state that holds the same domain state, if any (replacing
+its state in place when the merge changed something, and re-queueing it
+unless the merge excluded it), then add it unless one of the CPA's
 ``stop_candidates`` covers it; the first that does becomes its cover.
 The reached set is partitioned by location and observer state, as only
-states that agree on both can merge or cover each other.  An abstract
-reachability tree is maintained alongside: every expansion creates a
-child node carrying the CFA edge and, as the label of that step, the
-successor's assumption; covered successors become leaf nodes pointing
-at their covering node.  A node links its children in insertion order
-(``first_child``, then ``next_sibling``), and ``last_child`` lets a new
-child join the end in one step, so a leaf holds no container of its own.
+states that agree on both can merge or cover each other.  The merge
+target covers the successor, as its assumption conjoins the successor's,
+so a successor joins the reached set only when no reached state holds
+its domain state: a partition holds one node per domain state.  An
+abstract reachability tree is maintained alongside: every expansion
+creates a child node carrying the CFA edge and, as the label of that
+step, the successor's assumption; covered successors become leaf nodes
+pointing at their covering node.  A node links its children in
+insertion order (``first_child``, then ``next_sibling``), and
+``last_child`` lets a new child join the end in one step, so a leaf
+holds no container of its own.
 
 ``run_cpa`` returns the node of the first target state it reaches, or
 None when the waitlist empties or the monitor halts the run, which
 ``monitor.halted`` tells apart.  ``RunState`` reads the CFA from its CPA.
 
 ``RunState._index`` is the only way a node enters the partitions, and
-its caller hands it the partition.  A partition's bucket for one domain
-state is the node itself, or a list of at least two nodes once a second
-node with that domain state is indexed.  The benchmark in ``perfbench/``
+its caller hands it the partition; it raises if another node already
+holds the node's domain state there.  The benchmark in ``perfbench/``
 traces the engine by wrapping attributes by name, so the hot loop must
 keep calling these as attributes, never inline them:
 ``RunState._new_node`` and ``new_covered_node``, the composite CPA's
@@ -83,23 +86,21 @@ class ArtNode:
 class Partition:
     """The reached nodes at one (location, observer state).
 
-    ``members`` holds them in insertion order, and ``by_domain`` the same
-    nodes bucketed by domain state.  A bucket is the node itself while it
-    is the only one with its domain state, else a list of at least two in
-    insertion order as well.  ``RunState.replace_state`` moves a node to
-    the end of both.  The stop check takes the first covering node of
-    ``stop_candidates``, which follows these orders, so they decide each
-    ``covered_by``.  A node never changes partition or bucket: merges and
+    ``by_domain`` is the one index: it maps each domain state to the one
+    node that holds it, in the order in which the nodes last got their
+    states, as ``RunState.replace_state`` deletes a node's key and
+    inserts it again.  The stop check takes the first covering node of
+    ``stop_candidates``, which follows this order, so it decides each
+    ``covered_by``.  A node never changes partition or key: merges and
     exclusions change only its assumption and condition states.
     ``shapes`` holds the explicit store shapes ever reached here, or None
     before the first; a stale shape costs one empty lookup.
     """
 
-    __slots__ = ("members", "by_domain", "shapes")
+    __slots__ = ("by_domain", "shapes")
 
     def __init__(self):
-        self.members: dict[ArtNode, None] = {}
-        self.by_domain: dict[Any, ArtNode | list[ArtNode]] = {}
+        self.by_domain: dict[Any, ArtNode] = {}
         self.shapes: Optional[dict[Any, None]] = None
 
 
@@ -148,12 +149,9 @@ class RunState:
 
     def _index(self, node: ArtNode, part: Partition) -> None:
         state = node.state
-        part.members[node] = None
-        bucket = part.by_domain.setdefault(state.domain, node)
-        if isinstance(bucket, list):
-            bucket.append(node)
-        elif bucket is not node:
-            part.by_domain[state.domain] = [bucket, node]
+        if part.by_domain.setdefault(state.domain, node) is not node:
+            raise RuntimeError(f"node {node.nid} repeats a reached domain state "
+                               f"at location {state.location}")
         shape = self.cpa.shape_of(state)
         if shape is not None:
             if part.shapes is None:
@@ -164,14 +162,7 @@ class RunState:
     def _unindex(self, node: ArtNode) -> Partition:
         state = node.state
         part = self.partitions[self.cpa.partition_key(state)]
-        del part.members[node]
-        bucket = part.by_domain[state.domain]
-        if isinstance(bucket, list):
-            bucket.remove(node)
-            if len(bucket) == 1:
-                part.by_domain[state.domain] = bucket[0]
-        else:
-            del part.by_domain[state.domain]
+        del part.by_domain[state.domain]
         self._reached -= 1
         return part
 
@@ -213,8 +204,8 @@ class RunState:
 
     def replace_state(self, node: ArtNode, new_state) -> None:
         """Give a reached node a new state; it moves to the end of its
-        partition's orders (merges and exclusions keep it in the same
-        partition and bucket)."""
+        partition's order (merges and exclusions keep it in the same
+        partition, under the same domain state)."""
         if new_state == node.state:
             return
         part = self._unindex(node)
@@ -303,21 +294,22 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
                        succ) -> Optional[ArtNode]:
     """Merge and stop phases for one successor; returns its node if added.
 
-    The successor's assumption labels its ART edge.  A merge that
-    excludes a reached node (its assumption becomes false) does not
-    re-queue it.
+    The successor merges into ``same``, the one reached node with its
+    domain state, if any.  A merge that excludes it (its assumption
+    becomes false) does not re-queue it.  Afterwards ``same`` covers the
+    successor, its assumption conjoining the successor's, so the stop
+    check takes it without asking ``covers``; an earlier candidate that
+    covers still wins.  The successor's assumption labels its ART edge.
     """
     cpa = rs.cpa
     part = rs.partition(succ)
-    bucket = part.by_domain.get(succ.domain)
-    if bucket is not None:
-        # replace_state moves a merged node to the end of a list bucket.
-        for other in bucket.copy() if isinstance(bucket, list) else (bucket,):
-            merged = cpa.merge(succ, other.state)
-            if merged != other.state:
-                rs.replace_state(other, merged)
-                if not isinstance(merged.assumption, F.FalseF):
-                    rs.add_to_waitlist(other)
+    same = part.by_domain.get(succ.domain)
+    if same is not None:
+        merged = cpa.merge(succ, same.state)
+        if merged is not same.state:
+            rs.replace_state(same, merged)
+            if not isinstance(merged.assumption, F.FalseF):
+                rs.add_to_waitlist(same)
     edge_id = edge.id
     child = node.first_child
     while child is not None:
@@ -327,7 +319,7 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
         child = child.next_sibling
     assumption = succ.assumption
     for cand in cpa.stop_candidates(succ, part):
-        if cpa.covers(succ, cand.state):
+        if cand is same or cpa.covers(succ, cand.state):
             rs.new_covered_node(node, edge, assumption, succ, cand)
             return None
     child = rs.new_reached_node(node, edge, assumption, succ, part)

@@ -148,6 +148,17 @@ def test_composite_merge_requires_equal_location_and_domain(solver):
     c = A.CompositeState(F.TRUE, 1, (C.RepeatState((), False),), None,
                          F.parse_formula("x >= 1"))
     assert cpa.merge(c, b) is b
+    # not even when the assumption and the conditions would change b
+    c = A.CompositeState(F.parse_formula("x <= 3"), 1, (C.RepeatState((), False),), None,
+                         F.parse_formula("x >= 1"))
+    assert cpa.merge(c, b) is b
+    # differing locations or observer states do not merge either
+    elsewhere = A.CompositeState(F.parse_formula("x <= 3"), 7,
+                                 (C.RepeatState(((7, 5),), False),), None, F.TRUE)
+    assert cpa.merge(elsewhere, b) is b
+    observed = A.CompositeState(F.parse_formula("x <= 3"), 1,
+                                (C.RepeatState(((1, 5),), False),), "q1", F.TRUE)
+    assert cpa.merge(observed, b) is b
 
 
 def test_composite_stop_is_conjunction(solver):

@@ -1,9 +1,11 @@
 """Driver, pipeline, report emission, and CLI tests."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -451,6 +453,61 @@ def test_condition_passing_pipelines_sound_on_random_programs():
             assert replay_witness(cfa, report.witness)
             false_count += 1
     assert true_count + false_count >= 10  # the pipeline usually concludes
+
+
+def _agreement_stage(name: str, domain: str, fuel: int = 3000, **fields) -> AnalysisConfig:
+    return AnalysisConfig(name=name, domain=domain, fuel=fuel, max_refinements=25, **fields)
+
+
+AGREEMENT_PIPELINES = [
+    [_agreement_stage("predicate-norefine", "predicate", refinement=False),
+     _agreement_stage("explicit", "explicit")],
+    [_agreement_stage("explicit-fuel40", "explicit", fuel=40),
+     _agreement_stage("predicate", "predicate")],
+    [_agreement_stage("location", "location"), _agreement_stage("explicit", "explicit")],
+    [_agreement_stage("explicit-repeat1", "explicit", repeat_loc=1),
+     _agreement_stage("predicate", "predicate")],
+    [_agreement_stage("predicate-overflow", "predicate", overflow=True,
+                      overflow_min=-3, overflow_max=3),
+     _agreement_stage("explicit", "explicit")],
+]
+
+
+def test_no_two_analyses_disagree():
+    # A FALSE carries a replayed witness, so a program that one analysis
+    # calls TRUE and another FALSE proves an unsound TRUE, whatever the
+    # havoc range.  Every shipped configuration and five
+    # condition-passing pipelines run on each program; all definite
+    # verdicts must agree, which also makes each pipeline's agree with
+    # any single configuration that decides the program.  The gate for
+    # changes to merge, stop, refinement and the observer.
+    import random
+
+    from helpers import random_cfa, serialize_cfa
+
+    configs = [dataclasses.replace(c, fuel=3000, max_refinements=25)
+               for c in driver.shipped_configurations().values()]
+    cfas = []
+    for seed in range(1, 6):  # criterion 1 draws from seed 20110901
+        rng = random.Random(seed)
+        cfas += [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                            require_assert=(i % 2 == 0)) for i in range(90)]
+    tally = Counter()
+    for cfa in cfas:
+        verdicts = {}
+        for config in configs:
+            report = driver.run_analysis(cfa, config)
+            verdicts[config.name] = report.verdict
+            assert report.verdict != "TRUE" or report.psi == F.TRUE, config.name
+        for stages in AGREEMENT_PIPELINES:
+            final = driver.run_pipeline(cfa, Pipeline(stages=stages))
+            verdicts[" -> ".join(s.name for s in stages)] = final.verdict
+            assert final.verdict != "TRUE" or final.last_report.psi == F.TRUE
+        definite = set(verdicts.values()) - {"CONDITION"}
+        assert len(definite) <= 1, (serialize_cfa(cfa), verdicts)
+        tally.update(verdicts.values())
+    # the sweep exercises both definite verdicts and open conditions
+    assert min(tally[v] for v in ("TRUE", "FALSE", "CONDITION")) > 100, tally
 
 
 def test_cli_pipeline_file(tmp_path, programs_dir, capsys):

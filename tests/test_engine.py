@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -227,6 +228,12 @@ def test_engine_matches_reference_explicit_composite():
         proj = sorted((s.location, s.domain.bindings) for s in states)
         proj_ref = sorted((s.location, s.domain.bindings) for s in ref)
         assert proj == proj_ref
+        # With a condition component, merges change conditions and
+        # assumptions: the whole states must agree.
+        counted = CompositeCpa(cfa, D.ExplicitDomain(), solver,
+                               condition_components=[C.RepeatComponent(2)])
+        states, _ = engine_reached_states(counted)
+        assert Counter(states) == Counter(reference_reached(cfa, counted))
 
 
 # -- the shape-indexed stop check -------------------------------------------
@@ -303,16 +310,18 @@ def test_shape_index_agrees_with_full_enumeration(monkeypatch):
     assert weaker_total > 0  # some stop checks found a strictly weaker cover
 
 
-# -- sibling links and one-node buckets --------------------------------------
+# -- sibling links and one node per domain state ------------------------------
 
 def hand_run():
     """A run state on L0 with three edges to L1 and one to L2, and an
-    ``add(parent, k)`` that records the reached step along edge k."""
+    ``add(parent, k)`` that records the reached step along edge k.  The
+    domain is explicit, so each edge's value of ``x`` is its own domain
+    state."""
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\n"
         "L0 -> L1: x := 1;\nL0 -> L1: x := 2;\nL0 -> L1: x := 3;\nL0 -> L2: x := 0;\n"
         "L2 -> L1: x := 4;\nL2 -> L1: x := 5;\n")
-    rs = engine.RunState(location_cpa(cfa))
+    rs = engine.RunState(CompositeCpa(cfa, D.ExplicitDomain(), S.Solver()))
     assert rs.pop_waitlist() is rs.root
 
     def add(parent, k):
@@ -379,26 +388,74 @@ def test_remove_subtree_unlinks_and_requeues_covered_dependents():
     assert p.in_waitlist
 
 
-def test_a_one_node_bucket_is_the_node():
+def test_one_reached_node_per_domain_state():
     rs, add = hand_run()
-    a = add(rs.root, 0)
+    a, b, c = (add(rs.root, k) for k in range(3))
     part = rs.partition(a.state)
-    domain = a.state.domain
-    assert part.by_domain[domain] is a
-    b = add(rs.root, 1)
-    assert part.by_domain[domain] == [a, b]
-    # A replaced state moves its node to the end of the bucket.
+    assert list(part.by_domain.values()) == [a, b, c]
+    assert all(part.by_domain[n.state.domain] is n for n in (a, b, c))
+    # A replaced state moves its node to the end of the order.
     rs.replace_state(a, dataclasses.replace(a.state, assumption=F.FALSE))
-    assert part.by_domain[domain] == [b, a]
-    assert list(part.members) == [b, a]
-    c = add(rs.root, 2)
-    assert part.by_domain[domain] == [b, a, c]
-    rs.remove_subtree(a)
-    assert part.by_domain[domain] == [b, c]
+    assert list(part.by_domain.values()) == [b, c, a]
+    assert part.by_domain[a.state.domain] is a
+    # Removal deletes the node's key.
     rs.remove_subtree(b)
-    assert part.by_domain[domain] is c
+    assert b.state.domain not in part.by_domain
+    assert list(part.by_domain.values()) == [c, a]
+    assert rs.reached_size() == 3
+    # A second node under a taken (partition, domain state) is an
+    # internal error, and the index keeps the first.
+    with pytest.raises(RuntimeError, match="repeats a reached domain state"):
+        add(rs.root, 2)
+    assert list(part.by_domain.values()) == [c, a]
+    assert rs.reached_size() == 3
     rs.remove_subtree(c)
-    assert domain not in part.by_domain and not part.members
+    rs.remove_subtree(a)
+    assert not part.by_domain and rs.reached_size() == 1
+
+
+def unindexed(rs: engine.RunState, nodes) -> list:
+    """The nids of the nodes that are not their partition's entry for
+    their domain state (nids, as an ART node's repr spans its tree)."""
+    return [n.nid for n in nodes
+            if rs.partitions[rs.cpa.partition_key(n.state)].by_domain.get(n.state.domain)
+            is not n]
+
+
+def test_the_rule_holds_when_no_cover_is_proved(monkeypatch, programs_dir):
+    # A solver that proves no cover: only the merge target may stop a
+    # successor, and no second node joins a taken domain state.
+    from cmcheck import driver
+
+    runs = []
+
+    class RecordingRunState(engine.RunState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(engine, "RunState", RecordingRunState)
+    monkeypatch.setattr(CompositeCpa, "covers", lambda self, state, candidate: False)
+    configs = [driver.AnalysisConfig(name="explicit", domain="explicit", fuel=400),
+               driver.AnalysisConfig(name="predicate", domain="predicate", overflow=True,
+                                     fuel=400, max_refinements=5)]
+    programs = sorted(programs_dir.glob("*.imp"))
+    assert programs
+    for path in programs:
+        cfa = lang.parse_program(path.read_text())
+        for config in configs:
+            driver.run_analysis(cfa, config)
+    assert len(runs) >= 2 * len(programs)
+    merged = 0
+    for rs in runs:
+        # Plain values only: a failing assertion prints its operands.
+        reached = rs.reached_nodes()
+        size, count, missing = rs.reached_size(), len(reached), unindexed(rs, reached)
+        assert size == count
+        assert not missing
+        merged += sum(n.covered_by is not None and n.covered_by.state.domain == n.state.domain
+                      for n in rs.nodes)
+    assert merged > 0  # the merge targets stopped successors
 
 
 def test_art_bookkeeping_holds_no_container_per_node(nonlinear_square_cfa):
@@ -421,6 +478,26 @@ def test_art_bookkeeping_holds_no_container_per_node(nonlinear_square_cfa):
     assert sum(big.values()) - sum(small.values()) <= 4 * new_nodes
 
 
+def test_an_observer_partition_holds_one_dict(nonlinear_square_cfa,
+                                              nonlinear_square_explicit_automaton):
+    # In a second stage each observer state keys its own partition, most
+    # of them holding one node: a partition's only container is its index.
+    from cmcheck import assumptions as A
+    from cmcheck import driver
+
+    carried = A.parse_automaton(nonlinear_square_explicit_automaton)
+    sizes = []
+    for fuel in (3000, 12000):
+        report = driver.run_analysis(nonlinear_square_cfa, driver.AnalysisConfig(
+            name="predicate", domain="predicate", fuel=fuel), input_automaton=carried)
+        sizes.append((len(report.run.partitions), tracked_by_type()))  # with the run alive
+        del report
+    (small_parts, small), (big_parts, big) = sizes
+    new_parts = big_parts - small_parts
+    assert new_parts > 5000
+    assert big[dict] - small[dict] <= new_parts
+
+
 # -- the partitioned reached set ----------------------------------------------
 
 def assert_partitions_consistent(rs: engine.RunState) -> None:
@@ -430,30 +507,16 @@ def assert_partitions_consistent(rs: engine.RunState) -> None:
     """
     reached = rs.reached_nodes()
     assert rs.reached_size() == len(reached)
-    members = [n for part in rs.partitions.values() for n in part.members]
-
-    def nodes_of(bucket) -> list:
-        # A bucket is the node itself, or a list of at least two.
-        if isinstance(bucket, list):
-            assert len(bucket) >= 2
-            return bucket
-        assert isinstance(bucket, engine.ArtNode)
-        return [bucket]
-
-    bucketed = [n for part in rs.partitions.values()
-                for bucket in part.by_domain.values() for n in nodes_of(bucket)]
+    indexed = [n for part in rs.partitions.values() for n in part.by_domain.values()]
+    assert all(isinstance(n, engine.ArtNode) for n in indexed)
     # Each node once across all partitions: no removed or covered node.
-    assert sorted(n.nid for n in members) == [n.nid for n in reached]
-    assert sorted(n.nid for n in bucketed) == [n.nid for n in reached]
-    for node in reached:
-        part = rs.partitions[rs.cpa.partition_key(node.state)]
-        assert node in part.members
-        assert node in nodes_of(part.by_domain[node.state.domain])
-    # Both orders are the order in which the nodes last got their states.
+    assert sorted(n.nid for n in indexed) == [n.nid for n in reached]
+    missing = unindexed(rs, reached)
+    assert not missing
+    # The order is the order in which the nodes last got their states.
     for part in rs.partitions.values():
-        for order in (list(part.members), *map(nodes_of, part.by_domain.values())):
-            stamps = [rs.stamps[n] for n in order]
-            assert stamps == sorted(stamps)
+        stamps = [rs.stamps[n] for n in part.by_domain.values()]
+        assert stamps == sorted(stamps)
     for node in rs.nodes:
         if node.covered_by is not None and not node.removed:
             assert node in rs.covers_index[node.covered_by.nid]
