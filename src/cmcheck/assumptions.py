@@ -11,12 +11,13 @@ rendered condition still covers the out-of-range states.  A state whose
 assumption is false is an excluded leaf: it stays in the reached set for
 post-processing but is never expanded.
 
-Post-processing turns a finished run into the condition formula: waitlist
-and error-location states contribute ``(pc = l) -> !state``, settled ones
-``(pc = l) -> (!state | assumption)``; the exported assumption automaton
-encodes the same condition path-sensitively over CFA edges with verified
-regions collapsed into the sink T and unverified frontiers falling
-through to the sink U.
+Post-processing reads one rule, ``unverified``: the reached nodes that
+are waiting, at an error location, or under a state assumption other
+than true.  ψ has a clause for each (``(pc = l) -> !state`` if waiting or
+at an error, else ``(pc = l) -> (!state | assumption)``), and the verdict
+is TRUE when there is none.  The automaton keeps the ART paths to the
+same nodes, collapses the rest into the sink T, and labels a transition
+into a node with the assumption its subtree was explored under.
 """
 
 from __future__ import annotations
@@ -356,26 +357,31 @@ class ObserverComponent:
         return PRUNED if dst == SINK_VERIFIED else dst
 
 
-def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
+def unverified(rs: engine.RunState) -> list[engine.ArtNode]:
+    """The reached nodes ψ and the automaton cover, in ART order."""
+    error_locations = rs.cpa.cfa.error_locations
+    return [n for n in rs.reached_nodes() if n.in_waitlist or n.state.location in error_locations
+            or not isinstance(n.state.assumption, F.TrueF)]
+
+
+def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionAutomaton:
     """Collapse the ART into an assumption automaton.
 
-    A node is retained iff an excluded node, a waitlist member, or a
-    non-true edge assumption is reachable below it (through covered-node
-    redirects); everything else is verified and collapses into T.
-    Fully-expanded retained nodes get explicit T-transitions for edges
-    whose successor computation produced nothing (proven infeasible).
+    A node is retained iff one of ``unverified_nodes`` is reachable below
+    it (through covered-node redirects); the rest collapses into T.  A
+    transition into a node or its cover conjoins the ART label with that
+    node's state assumption, except into an excluded node, from which
+    every edge falls through to U.  Fully-expanded retained nodes get
+    explicit T-transitions for edges whose successor computation produced
+    nothing (proven infeasible).
     """
     covers_index = rs.covers_index
     edges_from = rs.cpa.cfa.edges_from
 
-    # Walk back from the interesting nodes (a non-true edge assumption, or
-    # an excluded or waiting reached node): a node's predecessors are its
+    # Walk back from the unverified nodes: a node's predecessors are its
     # parent and the live nodes it covers.
     retained = bytearray(len(rs.nodes))  # by nid
-    stack = [n for n in rs.nodes if not n.removed and (
-        not isinstance(n.assumption, F.TrueF)
-        or (n.covered_by is None
-            and (isinstance(n.state.assumption, F.FalseF) or n.in_waitlist)))]
+    stack = list(unverified_nodes)
     while stack:
         n = stack.pop()
         if retained[n.nid]:
@@ -390,9 +396,12 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
     named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
     qid = {n: f"q{i}" for i, n in enumerate(named)}
 
-    def resolve(node: engine.ArtNode) -> str:
+    def resolve(node: engine.ArtNode, label: F.Formula) -> tuple[F.Formula, str]:
         target = node.covered_by if node.covered_by is not None else node
-        return qid.get(target, SINK_VERIFIED)
+        assumed = target.state.assumption  # true unless the target is named
+        if assumed is not label and not isinstance(assumed, (F.TrueF, F.FalseF)):
+            label = F.f_and([label, assumed])
+        return label, qid.get(target, SINK_VERIFIED)
 
     flags: dict[str, tuple[str, ...]] = {SINK_VERIFIED: ("T",), SINK_UNKNOWN: ("U",)}
     flags.update(dict.fromkeys(qid.values(), ()))
@@ -403,7 +412,7 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
         c = n.first_child
         if c is not None and c.next_sibling is None and not c.removed:
             expanded = (c.edge.id,)
-            transitions[(sid, c.edge.id)] = (c.assumption, resolve(c))
+            transitions[(sid, c.edge.id)] = resolve(c, c.assumption)
         else:
             expanded = {}
             for c in n.children():
@@ -421,13 +430,13 @@ def export_automaton(rs: engine.RunState) -> AssumptionAutomaton:
                     label = kids[0].assumption  # already canonical
                 else:
                     label = F.f_and(c.assumption for c in kids)
-                transitions[(sid, edge_id)] = (label, resolve(main))
+                transitions[(sid, edge_id)] = resolve(main, label)
         for edge in edges_from(n.state.location):
             if edge.id not in expanded:
                 transitions[(sid, edge.id)] = (F.TRUE, SINK_VERIFIED)
 
     # The root resolves to a named state or to T; "init" sorts after "T".
-    init_id = resolve(rs.root)
+    init_id = qid.get(rs.root, SINK_VERIFIED)
     flags[init_id] += ("init",)
     return AssumptionAutomaton(
         initial=init_id,
@@ -476,42 +485,32 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
                 stats: Optional[dict] = None) -> ConditionReport:
     """Assemble the final invariant and verdict from a finished run."""
     cpa = rs.cpa
-    cfa = cpa.cfa
-    waiting = any(n.in_waitlist and not n.removed for n in rs.waitlist)
+    error_locations = cpa.cfa.error_locations
+    open_nodes = unverified(rs)
     clauses = []
-    all_assumptions_true = True
-    error_reached = False
-    for node in rs.reached_nodes():
+    for node in open_nodes:
         state = node.state
         loc = state.location
-        frontier = node.in_waitlist or loc in cfa.error_locations
-        if loc in cfa.error_locations:
-            error_reached = True
-        e_a = state.assumption
-        if not isinstance(e_a, F.TrueF):
-            all_assumptions_true = False
-        elif not frontier:
-            continue  # settled, no assumption: the clause is trivially true
         rendered = cpa.domain.render(state.domain)
-        if frontier:
+        if node.in_waitlist or loc in error_locations:
             clause = F.f_implies(pc_equals(loc), F.f_not(rendered))
         else:
-            clause = F.f_implies(pc_equals(loc), F.f_or([F.f_not(rendered), e_a]))
+            clause = F.f_implies(pc_equals(loc), F.f_or([F.f_not(rendered), state.assumption]))
         if not isinstance(clause, F.TrueF):
             clauses.append(clause)
     psi = F.f_and(clauses)
     if confirmed_witness is not None:
         verdict = "FALSE"
-    elif not waiting and not error_reached and all_assumptions_true:
-        verdict = "TRUE"
-    else:
+    elif open_nodes:
         verdict = "CONDITION"
-    if verdict == "TRUE":
-        assert isinstance(psi, F.TrueF), "verdict TRUE must carry psi = true"
+    else:
+        verdict = "TRUE"
+    if verdict == "TRUE" and not isinstance(psi, F.TrueF):
+        raise RuntimeError("verdict TRUE must carry psi = true")
     return ConditionReport(
         verdict=verdict,
         psi=psi,
-        automaton=export_automaton(rs),
+        automaton=export_automaton(rs, open_nodes),
         stats=dict(stats or {}),
         witness=confirmed_witness,
         error_description=error_description,

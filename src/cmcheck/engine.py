@@ -37,7 +37,7 @@ keep calling these as attributes, never inline them:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from . import conditions as C
@@ -52,13 +52,14 @@ if TYPE_CHECKING:
 class ArtNode:
     nid: int
     state: Any
-    parent: Optional["ArtNode"]
+    parent: Optional["ArtNode"] = field(repr=False)
     edge: Optional[lang.Edge]
     assumption: F.Formula
-    first_child: Optional["ArtNode"] = None
-    last_child: Optional["ArtNode"] = None
-    next_sibling: Optional["ArtNode"] = None
-    covered_by: Optional["ArtNode"] = None
+    # The links stay out of the repr, which would otherwise print the tree.
+    first_child: Optional["ArtNode"] = field(default=None, repr=False)
+    last_child: Optional["ArtNode"] = field(default=None, repr=False)
+    next_sibling: Optional["ArtNode"] = field(default=None, repr=False)
+    covered_by: Optional["ArtNode"] = field(default=None, repr=False)
     in_waitlist: bool = False
     removed: bool = False
 

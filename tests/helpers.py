@@ -179,7 +179,10 @@ def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
     """Collapse the ART into an assumption automaton (reference copy).
 
     ``assumptions.export_automaton`` before it was tuned: per-state flag
-    sets sorted at the end, and a by-edge table for every node.
+    sets sorted at the end, and a by-edge table for every node.  It still
+    seeds from edge labels and writes the bare ART label; the two rules
+    agree unless a merge or cover conjoins another path's overflow fact,
+    so ``test_export_matches_reference_copy`` runs no overflow config.
 
     A node is retained iff an excluded node, a waitlist member, or a
     non-true edge assumption is reachable below it (through covered-node

@@ -546,6 +546,57 @@ def test_condition_and_automaton_agree_on_verified_regions(nonlinear_square_cfa)
     assert set(by_loc) == frontier_locs
 
 
+def automaton_state_of_each_node(rs, aut) -> dict:
+    """nid -> the automaton state reached by stepping along the node's
+    ART path; a sink stays put, and an unmatched edge falls into U."""
+    sid = {rs.root.nid: aut.initial}
+    stack = [rs.root]
+    while stack:
+        n = stack.pop()
+        for c in n.children():
+            if c.removed:
+                continue
+            here = sid[n.nid]
+            if here in (A.SINK_VERIFIED, A.SINK_UNKNOWN):
+                sid[c.nid] = here
+            else:
+                hit = aut.transitions.get((here, c.edge.id))
+                sid[c.nid] = A.SINK_UNKNOWN if hit is None else hit[1]
+            stack.append(c)
+    return sid
+
+
+def test_psi_and_automaton_cover_the_same_nodes(programs_dir):
+    # No node psi has a clause for (waiting, at an error location, or
+    # under a non-true assumption) lies in T: its path through the
+    # automaton ends in a named state, or in U below a state without
+    # transitions.  Every transition into a node, or into its cover,
+    # carries that node's assumption unless it is true or false.
+    from cmcheck import driver
+    from test_golden import condition_configs, golden_configs, golden_programs
+
+    failures = []
+    for name, cfa in golden_programs(programs_dir):
+        for config in golden_configs() + condition_configs():
+            report = driver.run_analysis(cfa, config)
+            rs, aut = report.run, report.automaton
+            sid = automaton_state_of_each_node(rs, aut)
+            for n in rs.nodes:
+                if n.removed:
+                    continue
+                target = n.covered_by or n
+                assumed = target.state.assumption
+                if n is target and sid[n.nid] == A.SINK_VERIFIED and (
+                        n.in_waitlist or n.state.location in cfa.error_locations
+                        or not isinstance(assumed, F.TrueF)):
+                    failures.append((name, config.name, n.nid, "in T"))
+                hit = n.parent and aut.transitions.get((sid[n.parent.nid], n.edge.id))
+                if hit and not isinstance(assumed, (F.TrueF, F.FalseF)) \
+                        and F.f_and([hit[0], assumed]) != hit[0]:
+                    failures.append((name, config.name, n.nid, "label lacks assumption"))
+    assert not failures, failures[:10]
+
+
 # -- tuned operators against their reference copies -----------------------------------
 
 def several_live_children_on_one_edge(rs) -> bool:

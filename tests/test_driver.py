@@ -394,6 +394,29 @@ def test_cli_pipeline_keeps_overflow_labels_unverified(tmp_path, capsys):
     assert cli.main([str(f), "--pipeline", str(pipe)]) == 1
 
 
+# A path that merges into, or is covered by, a node explored under the
+# overflow bounds must not reach T in the automaton: b is havocked there.
+MERGED_UNDER_BOUNDS = {
+    "covered": "vars: b;\ninit: L0;\nerror: L5;\n"
+               "L0 -> L2: b := 0;\nL0 -> L2: havoc b;\nL2 -> L5: assume b <= -4;\n",
+    "merged": "vars: b;\ninit: L0;\nerror: L9;\n"
+              "L0 -> L1: havoc b;\nL1 -> L3: assume true;\nL0 -> L2: assume true;\n"
+              "L2 -> L3: b := 1;\nL3 -> L9: assume b >= 5;\n",
+}
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+@pytest.mark.parametrize("name", sorted(MERGED_UNDER_BOUNDS))
+def test_pipeline_keeps_paths_into_bounded_nodes_unverified(name, order):
+    cfa = lang.parse_cfa(MERGED_UNDER_BOUNDS[name])
+    final = driver.run_pipeline(cfa, Pipeline(stages=[
+        AnalysisConfig(name="predicate-overflow3", domain="predicate", order=order,
+                       overflow=True, overflow_min=-3, overflow_max=3),
+        AnalysisConfig(name="explicit", domain="explicit", order=order)]))
+    assert [s.verdict for s in final.stages] == ["CONDITION", "FALSE"]
+    assert replay_witness(cfa, final.last_report.witness)
+
+
 def test_cli_pipeline_and_automaton_flow(tmp_path, programs_dir):
     prog = programs_dir / "nonlinear_square.imp"
     out1 = tmp_path / "first"

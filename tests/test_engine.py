@@ -368,6 +368,18 @@ def test_sibling_links_keep_insertion_order_through_removals():
     assert [n.nid for n in rs.reached_nodes()] == [root.nid, g.nid]
 
 
+def test_art_node_repr_does_not_follow_links(programs_dir):
+    # Following the tree links, the root of this 13-node ART printed
+    # 2,537,866 characters; a failing assertion on ART nodes never ended.
+    from cmcheck import driver
+
+    cfa = lang.parse_program((programs_dir / "counting_loop.imp").read_text())
+    rs = driver.run_analysis(cfa, driver.AnalysisConfig(
+        name="explicit", domain="explicit", fuel=20)).run
+    assert len(rs.nodes) == 13
+    assert all(len(repr(n)) < 400 for n in rs.nodes)
+
+
 def test_remove_subtree_unlinks_and_requeues_covered_dependents():
     rs, add = hand_run()
     root = rs.root

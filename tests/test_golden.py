@@ -19,7 +19,7 @@ from cmcheck import driver, lang
 from helpers import random_cfa
 
 GOLDEN = "8b339a609708ad21d17d5134493b0a13dab25defd0842cf7da92a206bce44d67"
-GOLDEN_CONDITIONS = "f2f63c9be7c28a8f365a72906abeaceae98f0306e9f85f462c76bcbdce46ae35"
+GOLDEN_CONDITIONS = "878b92781a4b417d8b2fb7108e38b31de5b5687b7c22f77ec383f57078c5c83e"
 
 
 def golden_programs(programs_dir):
