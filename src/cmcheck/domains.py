@@ -8,13 +8,10 @@ nothing, so the composite over it is the location analysis.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import formula as F, lang, solver as solver_mod
-
-log = logging.getLogger("cmcheck")
 
 # Explicit values beyond this magnitude are demoted to top to keep bigint
 # growth bounded; the concrete oracle keeps exact arithmetic.
@@ -54,9 +51,11 @@ class ExplicitState:
 
 
 class ExplicitDomain:
-    """Composite-CPA component for explicit value tracking."""
+    """Composite-CPA component for explicit value tracking; ``value_widenings``
+    counts the assigned values past ``VALUE_LIMIT`` widened to top."""
 
     name = "explicit"
+    value_widenings = 0  # per instance once the first widening counts
 
     def initial(self, cfa: lang.Cfa) -> ExplicitState:
         return ExplicitState(tuple(sorted((v, 0) for v in cfa.variables)))
@@ -66,7 +65,7 @@ class ExplicitDomain:
         if isinstance(op, lang.Assign):
             val = lang.eval_arith(op.expr, state.store())
             if val is not None and abs(val) > VALUE_LIMIT:
-                log.warning("explicit value overflow for %s; widening to top", op.var)
+                self.value_widenings += 1
                 val = None
             return [state.with_binding(op.var, val)]
         if isinstance(op, lang.Assume):

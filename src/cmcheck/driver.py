@@ -161,6 +161,8 @@ def run_analysis(cfa: lang.Cfa, config: AnalysisConfig,
     })
     if isinstance(domain, D.PredicateDomain):
         report.stats["precision_atoms"] = domain.precision.atom_total()
+    elif isinstance(domain, D.ExplicitDomain):
+        report.stats["value_widenings"] = domain.value_widenings
     return report
 
 

@@ -405,6 +405,8 @@ class _Parser:
                 raise ParseError("expected variable name", t.line, t.col)
             if t.text in self.declared:
                 raise ParseError(f"duplicate declaration of {t.text!r}", t.line, t.col)
+            if t.text == "pc":
+                raise ParseError("'pc' is reserved for the program counter", t.line, t.col)
             self.declared.append(t.text)
             if not self.accept(","):
                 return

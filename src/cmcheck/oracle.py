@@ -1,4 +1,4 @@
-"""Ground-truth machinery used by tests and acceptance checks.
+"""The concrete semantics, which tests check against and ``refine`` replays by.
 
 A concrete state is a program counter plus a total integer store.  The
 bounded enumerator explores every execution from the all-zeros initial

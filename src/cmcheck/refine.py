@@ -8,7 +8,7 @@ Feasibility walks the abstract error path forward, folding constant
 assignments eagerly (so loop-counter contradictions surface without the
 solver) and keeping everything else as SSA residual constraints.
 A satisfiable residual only confirms a bug after the witness replays
-through the concrete interpreter to the error location; opaque products
+through ``oracle``'s concrete steps to the error location; opaque products
 make spurious witnesses possible, and an unreplayable one downgrades the
 result to an unconfirmed path, handled exactly like refinement failure.
 
@@ -26,7 +26,7 @@ from typing import Optional, Union
 from . import assumptions as A
 from . import conditions as C
 from . import domains as D
-from . import engine, formula as F, lang
+from . import engine, formula as F, lang, oracle
 from . import solver as solver_mod
 
 
@@ -110,27 +110,23 @@ def _localize_pivot(residuals, solver: solver_mod.Solver) -> int:
 
 
 def _replay(edges: list[lang.Edge], cfa: lang.Cfa, witness: dict):
-    """Execute the path concretely, drawing havoc values from the witness."""
-    store = {v: 0 for v in cfa.variables}
+    """Execute the path by ``oracle``'s steps, a havoc taking its witness value."""
+    state = oracle.initial_state(cfa)
     idx: dict[str, int] = {}
     trace: list[tuple[lang.Edge, dict[str, int]]] = []
     for edge in edges:
         op = edge.op
-        if isinstance(op, lang.Assign):
+        value = 0
+        if not isinstance(op, lang.Assume):
             idx[op.var] = idx.get(op.var, 0) + 1
-            store[op.var] = lang.eval_arith(op.expr, store)
-        elif isinstance(op, lang.Assume):
-            if lang.eval_bool(op.expr, store) is not True:
-                return None
-        else:
-            idx[op.var] = idx.get(op.var, 0) + 1
-            term = F.VarTerm(solver_mod.ssa_name(op.var, idx[op.var]))
-            store[op.var] = witness.get(term, 0)
-        trace.append((edge, dict(store)))
-    last_loc = edges[-1].target if edges else cfa.initial
-    if last_loc not in cfa.error_locations:
-        return None
-    return trace
+            if isinstance(op, lang.Havoc):
+                value = witness.get(F.VarTerm(solver_mod.ssa_name(op.var, idx[op.var])), 0)
+        successors = oracle.successors(state, edge, (value, value))
+        if not successors:
+            return None
+        state = successors[0]
+        trace.append((edge, oracle.store_of(state)))
+    return trace if state[0] in cfa.error_locations else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Shared test machinery: program generator and naive reference versions.
+"""Shared test machinery: program generators and independent references.
 
-The reference versions are straightforward copies of earlier shipped code
-(or naive re-implementations of it); tests require the shipped code to
-give the same results.
+The references check meaning, not a copy of the code: a naive worklist
+run (for the engine), the full 2^n sub-store enumeration (for the shape
+index), the CPA contract of a finished run against the concrete
+semantics of ``oracle`` (for every post and cover), witness replay, and
+brute-force sweeps of an integer box (for the solver and the predicate
+abstraction).
 """
 
 from __future__ import annotations
@@ -11,14 +14,12 @@ import gc
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from cmcheck import assumptions as A
 from cmcheck import conditions as C
 from cmcheck import domains as D
-from cmcheck import engine, formula as F, lang, oracle, refine
+from cmcheck import engine, formula as F, lang, oracle
 from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 
@@ -175,183 +176,67 @@ def reference_cover_keys(self, state: D.ExplicitState, shapes):
         yield D.ExplicitState(tuple(items[i] for i in range(n) if (mask >> i) & 1))
 
 
-def reference_export_automaton(rs: engine.RunState) -> A.AssumptionAutomaton:
-    """Collapse the ART into an assumption automaton (reference copy).
+# ---------------------------------------------------------------------------
+# Contracts against the concrete semantics
+# ---------------------------------------------------------------------------
 
-    ``assumptions.export_automaton`` before it was tuned: per-state flag
-    sets sorted at the end, and a by-edge table for every node.  It still
-    seeds from edge labels and writes the bare ART label; the two rules
-    agree unless a merge or cover conjoins another path's overflow fact,
-    so ``test_export_matches_reference_copy`` runs no overflow config.
+def states_by_location(ground: oracle.ReachResult) -> dict[int, list]:
+    """The bounded-reachable concrete states by location, each with its store."""
+    by_loc: dict[int, list] = {}
+    for state in sorted(ground.states):
+        by_loc.setdefault(state[0], []).append((state, oracle.store_of(state)))
+    return by_loc
 
-    A node is retained iff an excluded node, a waitlist member, or a
-    non-true edge assumption is reachable below it (through covered-node
-    redirects); everything else is verified and collapses into T.
-    Fully-expanded retained nodes get explicit T-transitions for edges
-    whose successor computation produced nothing (proven infeasible).
+
+def contract_violations(where: str, rs: engine.RunState, states_at: dict,
+                        counts: Counter, havoc_range=(0, 4)) -> list[str]:
+    """The CPA contract of a finished run, checked on concrete states.
+
+    Post: for each reached node that is not covered, removed or excluded,
+    each concrete state s at its location with s |= render(domain) and
+    s |= assumption, and each edge out of it, every concrete successor of
+    s satisfies the render of some ``successors`` result (recomputed, so
+    a predicate post uses the final precision, which only grows).  Runs
+    with an observer skip it, since the observer prunes verified paths.
+    Covers: for each live covered node c with cover k and each concrete
+    state s at c's location, s |= render(c) implies s |= render(k), and
+    s |= k's assumption implies s |= c's assumption.  ``counts`` gets the
+    number of steps and cover checks; each violation names ``where``, the
+    node, the edge and the store.
     """
     cpa = rs.cpa
-    covers_index = rs.covers_index
-
-    def interesting(node: engine.ArtNode) -> bool:
-        if not isinstance(node.assumption, F.TrueF):
-            return True
-        if node.covered_by is not None:
-            return False
-        return isinstance(node.state.assumption, F.FalseF) or node.in_waitlist
-
-    # Walk back from the interesting nodes: a node's predecessors are its
-    # parent and the live nodes it covers.
-    retained = bytearray(len(rs.nodes))  # by nid
-    stack = [n for n in rs.nodes if not n.removed and interesting(n)]
-    while stack:
-        n = stack.pop()
-        if retained[n.nid]:
-            continue
-        retained[n.nid] = 1
-        if n.parent is not None:
-            stack.append(n.parent)
-        stack.extend(c for c in covers_index.get(n.nid, ()) if not c.removed)
-
-    named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
-    qid = {n: f"q{i}" for i, n in enumerate(named)}
-
-    def resolve(node: engine.ArtNode) -> str:
-        target = node.covered_by if node.covered_by is not None else node
-        return qid.get(target, A.SINK_VERIFIED)
-
-    flags: dict[str, set[str]] = {A.SINK_VERIFIED: {"T"}, A.SINK_UNKNOWN: {"U"}}
-    transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
-    for n in named:
-        sid = qid[n]
-        flags.setdefault(sid, set())
-        if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
-            continue  # all matches fall through to U at run time
-        by_edge: dict[int, list[engine.ArtNode]] = {}
-        for c in n.children():
-            if not c.removed:
-                by_edge.setdefault(c.edge.id, []).append(c)
-        for edge_id, kids in by_edge.items():
-            # Re-expansions (after counter merges) can record several
-            # attempts along one edge; fold them into one deterministic
-            # transition.  The genuine successor's target wins, covered
-            # duplicates redirect there anyway, and the labels conjoin.
-            main = next((c for c in kids if c.covered_by is None), None)
-            if main is None:
-                main = min(kids, key=lambda c: c.covered_by.nid)
-            if len(kids) == 1:
-                label = kids[0].assumption  # already canonical
-            else:
-                label = F.f_and(c.assumption for c in kids)
-            transitions[(sid, edge_id)] = (label, resolve(main))
-        loc = n.state.location
-        for edge in cpa.cfa.edges_from(loc):
-            if edge.id not in by_edge:
-                transitions[(sid, edge.id)] = (F.TRUE, A.SINK_VERIFIED)
-
-    init_id = resolve(rs.root)
-    flags.setdefault(init_id, set()).add("init")
-    return A.AssumptionAutomaton(
-        initial=init_id,
-        flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
-        transitions=transitions,
-        edge_count=len(cpa.cfa.edges),
-    )
-
-
-def _reference_strengthen(candidate: A.CompositeState, exceeded: bool, overflow_phi):
-    """The strengthen operator, applied to one fresh successor tuple."""
-    if exceeded:
-        return replace(candidate, assumption=F.FALSE)
-    if overflow_phi is not None and not isinstance(overflow_phi, F.TrueF):
-        return replace(candidate, assumption=F.f_and([candidate.assumption, overflow_phi]))
-    return candidate
-
-
-def _reference_step_bookkeeping(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
-    """Observer and condition successors, or None if the path stops here."""
-    if edge.source != state.location or isinstance(state.assumption, F.FalseF):
-        return None
-    obs2 = None
-    if cpa.observer is not None:
-        obs2 = cpa.observer.step(state.observer, edge)
-        if obs2 is A.PRUNED:
-            return None
-    conds2 = tuple(c.transfer(s, edge)
-                   for c, s in zip(cpa.condition_components, state.conds))
-    return obs2, conds2
-
-
-def reference_successors(cpa: CompositeCpa, state: A.CompositeState, edge: lang.Edge):
-    """``CompositeCpa.successors`` before it was tuned: bookkeeping in a
-    helper, and each successor built, then strengthened, one by one."""
-    step = _reference_step_bookkeeping(cpa, state, edge)
-    if step is None:
-        return []
-    obs2, conds2 = step
-    exceeded = any(s.exceeded for s in conds2)
-    overflow_phi = cpa.overflow.transfer(edge) if cpa.overflow else None
-    premise = state.domain
-    if isinstance(cpa.domain, D.PredicateDomain) and cpa.overflow is not None:
-        premise = F.f_and([premise, state.assumption])
-    try:
-        domain_succs = cpa.domain.transfer(premise, edge)
-    except D.AbstractionFailure:
-        domain_succs = [cpa.domain.top()]
-        exceeded = True
+    render = cpa.domain.render
     out = []
-    for d2 in domain_succs:
-        candidate = A.CompositeState(
-            assumption=F.TRUE,
-            location=edge.target,
-            conds=conds2,
-            observer=obs2,
-            domain=d2,
-        )
-        out.append(_reference_strengthen(candidate, exceeded, overflow_phi))
+    for node in rs.reached_nodes() if cpa.observer is None else ():
+        state = node.state
+        pre = F.f_and([render(state.domain), state.assumption])
+        inside = [(s, store) for s, store in states_at.get(state.location, ())
+                  if F.evaluate(pre, store)]
+        if not inside:
+            continue  # an excluded node's assumption is false
+        for edge in cpa.cfa.edges_from(state.location):
+            posts = [render(succ.domain) for succ in cpa.successors(state, edge)]
+            for s, store in inside:
+                for s2 in oracle.successors(s, edge, havoc_range):
+                    counts["post"] += 1
+                    if not any(F.evaluate(p, oracle.store_of(s2)) for p in posts):
+                        out.append(f"{where}: post of nid {node.nid} along {edge} "
+                                   f"misses {oracle.store_of(s2)} from store {store}")
+    for node in rs.nodes:
+        cover = node.covered_by
+        if cover is None or node.removed:
+            continue
+        c, k = node.state, cover.state
+        c_domain, k_domain = render(c.domain), render(k.domain)
+        for _, store in states_at.get(c.location, ()):
+            counts["cover"] += 1
+            if F.evaluate(c_domain, store) and not F.evaluate(k_domain, store):
+                out.append(f"{where}: cover nid {cover.nid} misses store {store} "
+                           f"of nid {node.nid} (edge {node.edge})")
+            if F.evaluate(k.assumption, store) and not F.evaluate(c.assumption, store):
+                out.append(f"{where}: cover nid {cover.nid} assumes store {store} "
+                           f"that nid {node.nid} (edge {node.edge}) excludes")
     return out
-
-
-def reference_mine_predicates(nodes, edges, pivot: int) -> set:
-    """``refine.mine_predicates`` without its per-call tables.
-
-    Re-converts, re-linearizes and re-substitutes on every edge visit; the
-    shipped version must mine the same set.
-    """
-    current: dict = {}
-    collected: dict = {}
-
-    def note(atom: F.Atom, depth: int):
-        if any(isinstance(t, F.ProdTerm) for t, _ in atom.terms):
-            return  # opaque products are untrackable for the linear domain
-        pos = F.positive_form(atom)
-        key = F.atom_key(pos)
-        current[key] = (pos, depth)
-        collected[key] = pos
-
-    for edge in reversed(edges):
-        op = edge.op
-        if isinstance(op, lang.Assume):
-            for atom in F.atoms_of(F.bexpr_to_formula(op.expr)):
-                note(atom, 0)
-        elif isinstance(op, lang.Assign):
-            repl = F.linearize(op.expr)
-            for key, (atom, depth) in list(current.items()):
-                if op.var not in {t.name for t, _ in atom.terms}:
-                    continue
-                del current[key]
-                if depth >= refine.MAX_WP_DEPTH:
-                    continue
-                sub = F.substitute(F.AtomF(atom), op.var, repl)
-                if isinstance(sub, F.AtomF):
-                    note(sub.atom, depth + 1)
-        else:
-            for key, (atom, _) in list(current.items()):
-                if op.var in {t.name for t, _ in atom.terms}:
-                    del current[key]
-
-    locations = {nodes[i].state.location for i in range(pivot + 1)}
-    return {(loc, atom) for loc in locations for atom in collected.values()}
 
 
 def engine_reached_states(cpa: CompositeCpa, order: str = "dfs") -> list:

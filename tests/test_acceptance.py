@@ -11,6 +11,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from cmcheck import assumptions as A
 from cmcheck import conditions as C
 from cmcheck import domains as D
@@ -19,8 +21,8 @@ from cmcheck import solver as S
 from cmcheck.assumptions import CompositeCpa
 from cmcheck.driver import AnalysisConfig, Pipeline, run_analysis, run_pipeline
 
-from helpers import (abstraction_minterms, box_minterms, random_cfa, reference_reached,
-                     replay_witness)
+from helpers import (abstraction_minterms, box_minterms, contract_violations, random_cfa,
+                     reference_reached, replay_witness, states_by_location)
 
 
 def _report(n: int, desc: str) -> None:
@@ -41,9 +43,12 @@ def _shipped_matrix() -> list[AnalysisConfig]:
     ]
 
 
-def _check_soundness(cfa, report, havoc_range=(0, 4)) -> None:
+def _ground(cfa, havoc_range=(0, 4)) -> oracle.ReachResult:
+    return oracle.enumerate_reachable(cfa, havoc_range=havoc_range, max_states=8000)
+
+
+def _check_soundness(cfa, report, ground, havoc_range=(0, 4)) -> None:
     if report.verdict == "TRUE":
-        ground = oracle.enumerate_reachable(cfa, havoc_range=havoc_range, max_states=8000)
         assert not ground.error_hit, "verdict TRUE but brute force finds an error"
     elif report.verdict == "FALSE":
         assert replay_witness(cfa, report.witness), "witness does not replay"
@@ -54,25 +59,57 @@ def _check_soundness(cfa, report, havoc_range=(0, 4)) -> None:
         assert ok, "an execution inside psi reaches an error location"
 
 
+def _failing(transfer):
+    """``transfer`` raising AbstractionFailure on every third edge id."""
+    def transfer_or_fail(self, state, edge):
+        if edge.id % 3 == 0:
+            raise D.AbstractionFailure("forced")
+        return transfer(self, state, edge)
+    return transfer_or_fail
+
+
+def _assert_contract(where: str, report, states_at, checks, havoc_range=(0, 4)) -> None:
+    violations = contract_violations(where, report.run, states_at, checks, havoc_range)
+    assert not violations, \
+        f"{len(violations)} contract violations, first ones:\n" + "\n".join(violations[:10])
+
+
 def test_criterion_1_condition_soundness():
+    # Every run also keeps the CPA contract on the bounded-reachable
+    # concrete states: each post over-approximates the concrete successors
+    # and each cover is an inclusion.  The first 25 programs run once more
+    # with abstraction failures forced, which checks the excluded stand-in.
     started = time.monotonic()
     rng = random.Random(20110901)
     programs = [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
                            require_assert=(i % 2 == 0))
                 for i in range(200)]
     runs = 0
-    for cfa in programs:
+    checks = Counter()
+    for i, cfa in enumerate(programs):
+        ground = _ground(cfa)
+        states_at = states_by_location(ground)
         for config in _shipped_matrix():
             report = run_analysis(cfa, config)
-            _check_soundness(cfa, report)
+            _assert_contract(f"program {i}, {config.name}", report, states_at, checks)
+            _check_soundness(cfa, report, ground)
             # psi = true exactly when the verdict is TRUE
             assert (report.verdict == "TRUE") == (report.psi == F.TRUE) \
                 or report.verdict == "FALSE"
             runs += 1
+        if i >= 25:
+            continue
+        with pytest.MonkeyPatch.context() as m:
+            for domain in (D.ExplicitDomain, D.PredicateDomain, D.NoDomain):
+                m.setattr(domain, "transfer", _failing(domain.transfer))
+            for config in _shipped_matrix():
+                _assert_contract(f"program {i}, {config.name} with failing transfers",
+                                 run_analysis(cfa, config), states_at, checks)
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"criterion 1 exceeded its 5-minute budget ({elapsed:.0f}s)"
     _report(1, f"condition soundness over {len(programs)} programs, "
-               f"{runs} runs, 0 violations, {elapsed:.0f}s")
+               f"{runs} runs, 0 violations; {checks['post']} concrete steps and "
+               f"{checks['cover']} cover checks keep the CPA contract, {elapsed:.0f}s")
 
 
 def _overflow_config(domain: str) -> AnalysisConfig:
@@ -95,22 +132,33 @@ def test_criterion_1_soundness_under_overflow_bounds():
     cases = [(lang.parse_program(t), (-6, 6)) for t in family]
     cases += [(cfa, (0, 4)) for cfa in corpus]
     verdicts = Counter()
-    for cfa, havoc_range in cases:
+    checks = Counter()
+    for i, (cfa, havoc_range) in enumerate(cases):
+        ground = _ground(cfa, havoc_range)
+        states_at = states_by_location(ground)
         for domain in ("predicate", "explicit"):
             report = run_analysis(cfa, _overflow_config(domain))
-            _check_soundness(cfa, report, havoc_range)
+            _assert_contract(f"case {i}, {domain}-overflow", report, states_at, checks,
+                             havoc_range)
+            _check_soundness(cfa, report, ground, havoc_range)
             verdicts[report.verdict] += 1
         for first, second in (("predicate", "explicit"), ("explicit", "predicate")):
             final = run_pipeline(cfa, Pipeline(stages=[
                 _overflow_config(first),
                 AnalysisConfig(name=second, domain=second, fuel=1500, max_refinements=25)]))
+            # The first stage is the single run checked above.
+            for stage in final.stages[1:]:
+                if stage.report is not None:
+                    _assert_contract(f"case {i}, {first}-overflow then {second}",
+                                     stage.report, states_at, checks, havoc_range)
             if final.verdict != "CONDITION":
-                _check_soundness(cfa, final.last_report, havoc_range)
+                _check_soundness(cfa, final.last_report, ground, havoc_range)
             verdicts[f"pipeline {final.verdict}"] += 1
     # every outcome the checks guard is exercised
     assert min(verdicts[v] for v in ("CONDITION", "FALSE", "pipeline TRUE")) > 50, verdicts
     _report(1, f"overflow bounds [-3, 3]: {len(cases)} programs, "
-               f"{sum(verdicts.values())} runs, 0 violations")
+               f"{sum(verdicts.values())} runs, 0 violations; {checks['post']} concrete "
+               f"steps and {checks['cover']} cover checks keep the CPA contract")
 
 
 def test_criterion_2_nonlinear_scenario(nonlinear_square_cfa):

@@ -1,7 +1,5 @@
 """Assumption machinery: composite CPA, strengthen, psi, the automaton."""
 
-import random
-
 import pytest
 
 from cmcheck import assumptions as A
@@ -595,107 +593,3 @@ def test_psi_and_automaton_cover_the_same_nodes(programs_dir):
                         and F.f_and([hit[0], assumed]) != hit[0]:
                     failures.append((name, config.name, n.nid, "label lacks assumption"))
     assert not failures, failures[:10]
-
-
-# -- tuned operators against their reference copies -----------------------------------
-
-def several_live_children_on_one_edge(rs) -> bool:
-    for n in rs.nodes:
-        edges = [c.edge.id for c in n.children() if not c.removed]
-        if len(edges) != len(set(edges)):
-            return True
-    return False
-
-
-def test_export_matches_reference_copy():
-    # Every shape of ART the export reads: verified runs, waitlist
-    # frontiers, removed subtrees, repeated steps along one edge, and a
-    # second stage that runs an observer.
-    from cmcheck import driver
-    from helpers import random_cfa, reference_export_automaton
-
-    configs = list(driver.shipped_configurations().values()) + [
-        driver.AnalysisConfig(name="explicit-fuel", domain="explicit", fuel=30),
-        driver.AnalysisConfig(name="predicate-fuel", domain="predicate", fuel=30),
-    ]
-    rng = random.Random(20261019)
-    seen = dict.fromkeys(("frontier", "removed", "repeated-edge", "observer"), 0)
-    for i in range(60):
-        cfa = random_cfa(rng, n_vars=rng.randint(1, 3), require_assert=(i % 2 == 0))
-        reports = [driver.run_analysis(cfa, config) for config in configs]
-        first = reports[-2]  # the explicit stage of an explicit -> predicate pipeline
-        if first.verdict == "CONDITION":
-            carried = A.parse_automaton(A.serialize_automaton(first.automaton))
-            reports.append(driver.run_analysis(
-                cfa, driver.AnalysisConfig(name="predicate", domain="predicate"),
-                input_automaton=carried))
-            seen["observer"] += 1
-        for report in reports:
-            rs = report.run
-            assert A.serialize_automaton(report.automaton) == \
-                A.serialize_automaton(reference_export_automaton(rs))
-            seen["frontier"] += any(n.in_waitlist and not n.removed for n in rs.nodes)
-            seen["removed"] += any(n.removed for n in rs.nodes)
-            seen["repeated-edge"] += several_live_children_on_one_edge(rs)
-    assert all(seen.values()), seen
-
-
-def test_successors_match_reference_copy():
-    from cmcheck import driver
-    from helpers import random_cfa, reference_successors
-
-    def config(name, **kw):
-        return driver.AnalysisConfig(name=name, fuel=400, **kw)
-
-    setups = [
-        config("explicit", domain="explicit"),
-        config("predicate", domain="predicate"),
-        config("repeat-loc", domain="explicit", repeat_loc=2),
-        config("path-length", domain="predicate", path_length=6),
-        config("overflow-explicit", domain="explicit", overflow=True,
-               overflow_min=-2, overflow_max=2),
-        config("overflow-predicate", domain="predicate", overflow=True,
-               overflow_min=-2, overflow_max=2),
-    ]
-    # Its automaton has T, U and labelled (overflow and false) transitions.
-    producer = config("producer", domain="explicit", repeat_loc=2, overflow=True,
-                      overflow_min=-2, overflow_max=2)
-    producer.fuel = 60
-
-    def failing(transfer):
-        def transfer_or_fail(state, edge):
-            if edge.id % 3 == 0:
-                raise D.AbstractionFailure("too large")
-            return transfer(state, edge)
-        return transfer_or_fail
-
-    rng = random.Random(1019)
-    seen = dict.fromkeys(("pruned", "unknown", "labelled", "fired", "failed"), 0)
-    for i in range(25):
-        cfa = random_cfa(rng, n_vars=rng.randint(1, 3), require_assert=(i % 2 == 0))
-        runs = [driver.run_analysis(cfa, c).run for c in setups]
-        automaton = driver.run_analysis(cfa, producer).automaton
-        runs.append(driver.run_analysis(cfa, config("observer", domain="explicit"),
-                                        input_automaton=automaton).run)
-        seen["labelled"] += any(not isinstance(label, (F.TrueF, F.FalseF))
-                                for label, _ in automaton.transitions.values())
-        for rs in runs:
-            cpa = rs.cpa
-            for abstraction_fails in (False, True):
-                if abstraction_fails:
-                    cpa.domain.transfer = failing(cpa.domain.transfer)
-                for n in rs.nodes:
-                    state = n.state
-                    # One edge from elsewhere checks the location test.
-                    for edge in cfa.edges_from(state.location) + cfa.edges[:1]:
-                        got = cpa.successors(state, edge)
-                        assert got == reference_successors(cpa, state, edge)
-                        seen["fired"] += any(not isinstance(s.assumption, (F.TrueF, F.FalseF))
-                                             for s in got)
-                        seen["failed"] += abstraction_fails and edge.id % 3 == 0 \
-                            and any(isinstance(s.assumption, F.FalseF) for s in got)
-                        if cpa.observer is not None and edge.source == state.location:
-                            step = cpa.observer.step(state.observer, edge)
-                            seen["pruned"] += step is A.PRUNED
-                            seen["unknown"] += step == A.SINK_UNKNOWN
-    assert all(seen.values()), seen

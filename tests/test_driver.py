@@ -72,6 +72,9 @@ def test_cli_names_the_program_file_in_syntax_errors(tmp_path, capsys):
     # A superscript two is no digit, and no letter either.
     ("bad.imp", "int x; x := 2\u00b2;", "1:14: unexpected character '\u00b2'"),
     ("bad.imp", "int \u00b2;", "1:5: unexpected character '\u00b2'"),
+    # psi reads pc as the program counter.
+    ("bad.imp", "int x, pc; pc := 1;", "1:8: 'pc' is reserved for the program counter"),
+    ("bad.cfa", "vars: pc; init: L0;", "1:7: 'pc' is reserved for the program counter"),
 ])
 def test_cli_names_the_program_file_in_input_errors(tmp_path, capsys, name, text, message):
     f = tmp_path / name
