@@ -1,18 +1,33 @@
 """Three-valued satisfiability, entailment, and the SSA encoding of an edge.
 
 The decision procedure is deliberately self-contained: normalize to DNF
-(bounded), then per conjunct run integer Fourier-Motzkin elimination
-(combination results are gcd-reduced with floor-tightened bounds) over
-terms numbered in ``term_key`` order.  When the projection is rationally
-satisfiable, its elimination record yields an integer witness by
-back-substitution (``_kernels``).
+(bounded), then per clause run integer Fourier-Motzkin elimination
+(combination results are gcd-reduced with floor-tightened bounds).  When
+the projection is rationally satisfiable, its elimination record yields
+an integer witness by back-substitution (``_kernels``).
+
+A query does only the work its answer needs:
+
+- ``check_sat`` takes the clauses of ``to_dnf`` one at a time, in its
+  order (``_clauses``), and stops at the first satisfiable one.  A
+  conjunction's clauses come from a depth-first product of its
+  conjuncts' DNFs (``_conjoin``); the clause bound is checked on the
+  factor sizes before the first clause, so FormulaTooLarge is raised
+  exactly when the whole DNF would exceed it.
+- There is one Fourier-Motzkin kernel (``_fm``).  It runs on sparse
+  integer rows, ``{term number: coefficient}``, with terms numbered in
+  ``term_key`` order, so a wide clause costs what its nonzero
+  coefficients cost.  Only the witness search reads an elimination
+  record; ``_fm_eliminate`` asks the kernel for one and maps it back to
+  terms.
 
 Predicate abstraction asks only which minterms over the predicates are
 not refuted (``Solver.sat_minterms``): the formula's DNF is computed once,
 each clause is extended one predicate literal at a time, and a prefix
 that Fourier-Motzkin refutes is dropped with all its extensions, without
-any witness search (Lahiri, Nieuwenhuis and Oliveras, "SMT Techniques for
-Fast Predicate Abstraction", CAV 2006).
+any record or witness search (Lahiri, Nieuwenhuis and Oliveras, "SMT
+Techniques for Fast Predicate Abstraction", CAV 2006).  The query's terms
+are numbered once, and each prefix extends its parent's rows.
 
 Unsat answers are sound; Sat is only reported with a concrete integer
 witness; everything else is MaybeSat.  Opaque product terms are free
@@ -24,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import _kernels as kernels
 from . import formula as F
@@ -63,48 +78,175 @@ def _neq_clauses(atom: F.Atom) -> tuple[F.Atom, F.Atom]:
 def to_dnf(f: F.Formula) -> list[tuple[F.Atom, ...]]:
     """Disjunctive normal form as atom tuples; raises FormulaTooLarge past
     ``DNF_CLAUSE_BOUND`` clauses."""
+    return list(_clauses(f))
 
-    def walk(g: F.Formula) -> list[tuple[F.Atom, ...]]:
-        if isinstance(g, F.TrueF):
-            return [()]
-        if isinstance(g, F.FalseF):
-            return []
-        if isinstance(g, F.AtomF):
-            return [(g.atom,)]
-        if isinstance(g, F.NotF):
-            inner = g.arg
-            if isinstance(inner, F.AtomF) and inner.atom.op == F.EQ:
-                a, b = _neq_clauses(inner.atom)
-                return [(a,), (b,)]
-            return walk(F.f_not(inner))
-        if isinstance(g, F.OrF):
-            out: list[tuple[F.Atom, ...]] = []
-            for a in g.args:
-                out.extend(walk(a))
-                if len(out) > DNF_CLAUSE_BOUND:
-                    raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
-            return out
-        assert isinstance(g, F.AndF)
-        acc: list[tuple[F.Atom, ...]] = [()]
-        for a in g.args:
-            sub = walk(a)
-            nxt: list[tuple[F.Atom, ...]] = []
-            for left in acc:
-                for right in sub:
-                    merged = dict.fromkeys(left)
-                    merged.update(dict.fromkeys(right))
-                    nxt.append(tuple(merged))
-                    if len(nxt) > DNF_CLAUSE_BOUND:
-                        raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
-            acc = nxt
-        return acc
 
-    return walk(f)
+def _clauses(f: F.Formula) -> Iterator[tuple[F.Atom, ...]]:
+    """The clauses of ``to_dnf(f)``, in its order.
+
+    A conjunction's clauses are made one at a time (``_conjoin``), so a
+    caller that stops early never builds the rest; FormulaTooLarge is
+    still raised before the first one.
+    """
+    if isinstance(f, F.TrueF):
+        return iter([()])
+    if isinstance(f, F.FalseF):
+        return iter([])
+    if isinstance(f, F.AtomF):
+        return iter([(f.atom,)])
+    if isinstance(f, F.NotF):
+        inner = f.arg
+        if isinstance(inner, F.AtomF) and inner.atom.op == F.EQ:
+            a, b = _neq_clauses(inner.atom)
+            return iter([(a,), (b,)])
+        return _clauses(F.f_not(inner))
+    if isinstance(f, F.OrF):
+        out: list[tuple[F.Atom, ...]] = []
+        for a in f.args:
+            out.extend(_clauses(a))
+            if len(out) > DNF_CLAUSE_BOUND:
+                raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
+        return iter(out)
+    assert isinstance(f, F.AndF)
+    return _conjoin([to_dnf(a) for a in f.args])
+
+
+def _conjoin(factors: list[list[tuple[F.Atom, ...]]]) -> Iterator[tuple[F.Atom, ...]]:
+    """The DNF of a conjunction, given the DNF of each conjunct, one clause
+    at a time.
+
+    Clauses come in product order, the first factor outermost, and each
+    joins its atoms in factor order without repeats.  The bound is checked
+    before the first clause: FormulaTooLarge when a running product of the
+    factor sizes passes ``DNF_CLAUSE_BOUND``, which is when building the
+    product eagerly would pass it.
+    """
+    size = 1
+    for options in factors:
+        size *= len(options)
+        if size > DNF_CLAUSE_BOUND:
+            raise F.FormulaTooLarge(f"DNF exceeds {DNF_CLAUSE_BOUND} clauses")
+    return _product(factors) if size else iter([])
+
+
+def _product(factors: list[list[tuple[F.Atom, ...]]]) -> Iterator[tuple[F.Atom, ...]]:
+    # Depth first, on an explicit stack, so a conjunction of any width
+    # stays off the recursion limit.  One prefix holds the chosen clauses'
+    # atoms in order; each level removes what its last clause added before
+    # it takes the next, so the prefix is merged once per choice.
+    prefix: dict[F.Atom, None] = {}
+    added: list = [()] * len(factors)
+    choices = [iter(factors[0])]
+    while choices:
+        k = len(choices) - 1
+        for a in added[k]:
+            del prefix[a]
+        added[k] = ()
+        clause = next(choices[k], None)
+        if clause is None:
+            choices.pop()
+            continue
+        added[k] = [a for a in clause if a not in prefix]
+        prefix.update(dict.fromkeys(added[k]))
+        if k + 1 < len(factors):
+            choices.append(iter(factors[k + 1]))
+        else:
+            yield tuple(prefix)
 
 
 # ---------------------------------------------------------------------------
 # Conjunct decision: Fourier-Motzkin, then a witness by back-substitution
 # ---------------------------------------------------------------------------
+
+# A constraint: {term number: nonzero coefficient}, bound.
+Row = tuple[dict, int]
+
+
+def _numbering(atoms) -> dict:
+    """Term -> number, numbering the atoms' terms in ``term_key`` order."""
+    terms = sorted({t for a in atoms for t, _ in a.terms}, key=F.term_key)
+    return {t: i for i, t in enumerate(terms)}
+
+
+def _rows(atoms, number: dict) -> Optional[list[Row]]:
+    """The atoms as rows ``(coeffs, bound)``, meaning
+    ``sum(coeffs[v] * term number v) <= bound``; an equality gives two rows.
+
+    None when a term-less atom is false; a true one gives no row.
+    """
+    rows = []
+    for a in atoms:
+        if not a.terms:
+            if not (0 <= a.bound if a.op == F.LE else a.bound == 0):
+                return None
+            continue
+        coeffs = {number[t]: c for t, c in a.terms}
+        rows.append((coeffs, a.bound))
+        if a.op == F.EQ:
+            rows.append(({v: -c for v, c in coeffs.items()}, -a.bound))
+    return rows
+
+
+def _fm(live: list[Row], steps: Optional[list] = None):
+    """Integer Fourier-Motzkin elimination on sparse rows.
+
+    Returns True when integer-unsat is proven, None when a round derives
+    more than ``FM_CONSTRAINT_BOUND`` rows, and False otherwise.  The
+    cheapest term is eliminated first (fewest upper-times-lower pairs),
+    ties going to the smaller number.  Combinations are gcd-reduced, with
+    floor-tightened bounds.  With ``steps``, each round appends ``(term
+    number, the rows that mentioned it)``.  The rows are not modified.
+    """
+    while live:
+        count: dict[int, list[int]] = {}  # number -> [uppers, lowers]
+        for coeffs, _ in live:
+            for v, c in coeffs.items():
+                ud = count.get(v)
+                if ud is None:
+                    ud = count[v] = [0, 0]
+                ud[c < 0] += 1
+        var = cost = -1
+        for v, (ups, downs) in count.items():
+            if var < 0 or ups * downs < cost or (ups * downs == cost and v < var):
+                var, cost = v, ups * downs
+        uppers = []
+        lowers = []
+        nxt = []
+        for row in live:
+            c = row[0].get(var, 0)
+            if c > 0:
+                uppers.append(row)
+            elif c < 0:
+                lowers.append(row)
+            else:
+                nxt.append(row)
+        if steps is not None:
+            steps.append((var, uppers + lowers))
+        for uc, ub in uppers:
+            a = uc[var]
+            for lc, lb in lowers:
+                b = -lc[var]
+                # var cancels (b*a + a*(-b) = 0) and goes with the other zeros.
+                comb = {}
+                for v in uc.keys() | lc.keys():
+                    c = b * uc.get(v, 0) + a * lc.get(v, 0)
+                    if c:
+                        comb[v] = c
+                bound = b * ub + a * lb
+                if not comb:
+                    if bound < 0:
+                        return True
+                    continue
+                g = gcd(*comb.values())
+                if g > 1:
+                    comb = {v: c // g for v, c in comb.items()}
+                    bound //= g  # floor: integer tightening on derived bounds
+                nxt.append((comb, bound))
+                if len(nxt) > FM_CONSTRAINT_BOUND:
+                    return None
+        live = nxt
+    return False
+
 
 def _fm_eliminate(atoms: Sequence[F.Atom]):
     """Integer Fourier-Motzkin projection of one conjunct, with its record.
@@ -119,82 +261,24 @@ def _fm_eliminate(atoms: Sequence[F.Atom]):
     constraints, so back-substitution fixes them first and can still
     back off their values.
 
-    Elimination runs on terms numbered in ``term_key`` order, so ties in
+    Terms are numbered in ``term_key`` order (``_numbering``), so ties in
     the cheapest-term choice go to the smaller ``term_key``; the record is
-    mapped back to terms only on return.
+    mapped back to ``{term: coeff}`` constraints only on return.
     """
-    terms = sorted({t for a in atoms for t, _ in a.terms}, key=F.term_key)
-    number = {t: i for i, t in enumerate(terms)}
-
-    # Each constraint means sum(coeff * term) <= bound; equalities split.
-    live: list[tuple[dict, int]] = []
-    for a in atoms:
-        if not a.terms:
-            if not (0 <= a.bound if a.op == F.LE else a.bound == 0):
-                return True
-            continue
-        coeffs = {number[t]: c for t, c in a.terms}
-        live.append((coeffs, a.bound))
-        if a.op == F.EQ:
-            live.append(({v: -c for v, c in coeffs.items()}, -a.bound))
-    remaining = set(range(len(terms)))
-
-    steps: list[tuple[int, list[tuple[dict, int]]]] = []
-    ups = [0] * len(terms)
-    downs = [0] * len(terms)
-    while live:
-        for v in remaining:
-            ups[v] = downs[v] = 0
-        for coeffs, _ in live:
-            for v, c in coeffs.items():
-                if c > 0:
-                    ups[v] += 1
-                else:
-                    downs[v] += 1
-        # Eliminate the cheapest term; ties go to the smallest term_key.
-        var = min((v for v in remaining if ups[v] or downs[v]),
-                  key=lambda v: (ups[v] * downs[v], v))
-        uppers = []
-        lowers = []
-        nxt = []
-        for coeffs, bound in live:
-            c = coeffs.get(var, 0)
-            if c > 0:
-                uppers.append((coeffs, bound))
-            elif c < 0:
-                lowers.append((coeffs, bound))
-            else:
-                nxt.append((coeffs, bound))
-        steps.append((var, uppers + lowers))
-        remaining.discard(var)
-        for uc, ub in uppers:
-            a = uc[var]
-            for lc, lb in lowers:
-                b = -lc[var]
-                comb = {v: b * c for v, c in uc.items() if v != var}
-                for v, c in lc.items():
-                    if v != var:
-                        comb[v] = comb.get(v, 0) + a * c
-                comb = {v: c for v, c in comb.items() if c}
-                bound = b * ub + a * lb
-                if not comb:
-                    if bound < 0:
-                        return True
-                    continue
-                g = 0
-                for c in comb.values():
-                    g = gcd(g, abs(c))
-                if g > 1:
-                    comb = {v: c // g for v, c in comb.items()}
-                    bound //= g  # floor: integer tightening on derived bounds
-                nxt.append((comb, bound))
-                if len(nxt) > FM_CONSTRAINT_BOUND:
-                    return None
-        live = nxt
-    steps.extend((v, []) for v in sorted(remaining))
+    number = _numbering(atoms)
+    live = _rows(atoms, number)
+    if live is None:
+        return True
+    steps: list = []
+    refuted = _fm(live, steps)
+    if refuted is not False:
+        return refuted
+    terms = list(number)
+    picked = {v for v, _ in steps}
+    steps.extend((v, []) for v in range(len(terms)) if v not in picked)
     return [(terms[v], [({terms[u]: c for u, c in coeffs.items()}, bound)
-                        for coeffs, bound in cs])
-            for v, cs in steps]
+                        for coeffs, bound in rows])
+            for v, rows in steps]
 
 
 class Solver:
@@ -224,9 +308,8 @@ class Solver:
         return r
 
     def _check_sat_uncached(self, f: F.Formula) -> SatResult:
-        clauses = to_dnf(f)
         saw_maybe = False
-        for clause in clauses:
+        for clause in _clauses(f):
             r = self._clause_sat(clause)
             if r.kind == SAT:
                 return r
@@ -274,23 +357,32 @@ class Solver:
             size *= max(len(neg), len(pos))
         if size > DNF_CLAUSE_BOUND:
             raise F.FormulaTooLarge(f"minterm queries exceed {DNF_CLAUSE_BOUND} clauses")
+        # One numbering for the whole query: it orders any prefix's terms
+        # as the prefix's own numbering would, so each prefix is decided as
+        # _fm_eliminate decides it alone.
+        dnfs = [clauses, *(dnf for pair in literals for dnf in pair)]
+        number = _numbering(a for dnf in dnfs for clause in dnf for a in clause)
         found: set[int] = set()
 
-        def extend(prefix: dict, i: int, bits: int, grew: bool) -> None:
-            if grew and _fm_eliminate(tuple(prefix)) is True:
+        def extend(prefix: dict, live: list[Row], i: int, bits: int, grew: bool) -> None:
+            if grew and _fm(live) is True:
                 return
             if i == len(literals):
                 found.add(bits)
                 return
             for value, options in enumerate(literals[i]):
                 for clause in options:
-                    merged = dict(prefix)
-                    merged.update(dict.fromkeys(clause))
                     # A literal already in the prefix cannot refute it.
-                    extend(merged, i + 1, bits | (value << i), len(merged) > len(prefix))
+                    new = [a for a in clause if a not in prefix]
+                    more = _rows(new, number)
+                    if more is not None:
+                        extend({**prefix, **dict.fromkeys(new)}, live + more,
+                               i + 1, bits | (value << i), bool(new))
 
         for clause in clauses:
-            extend(dict.fromkeys(clause), 0, 0, True)
+            live = _rows(clause, number)
+            if live is not None:
+                extend(dict.fromkeys(clause), live, 0, 0, True)
         return sorted(found)
 
     # -- entailment ---------------------------------------------------------

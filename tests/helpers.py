@@ -239,9 +239,15 @@ def contract_violations(where: str, rs: engine.RunState, states_at: dict,
     return out
 
 
+# Fuel for engine_reached_states: its callers' runs finish within 61 posts,
+# so a run that halts here has stopped terminating (say, a condition
+# component that no longer excludes) and fails the assert instead of hanging.
+ENGINE_TEST_FUEL = 10_000
+
+
 def engine_reached_states(cpa: CompositeCpa, order: str = "dfs") -> list:
     rs = engine.RunState(cpa, order=order)
-    monitor = C.GlobalMonitor()
+    monitor = C.GlobalMonitor(max_fuel=ENGINE_TEST_FUEL)
     assert engine.run_cpa(rs, monitor) is None and not monitor.halted
     return [n.state for n in rs.reached_nodes()], rs
 

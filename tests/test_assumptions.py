@@ -275,6 +275,31 @@ def test_fully_verified_program_exports_single_sink():
     assert "state T T;" in text and "state T init;" in text
 
 
+def test_repeated_edge_fold_targets_the_genuine_successor(solver):
+    # Along one edge the root has a genuine successor and, after it, an
+    # attempt covered by another named node: the folded transition goes to
+    # the genuine successor, not to the cover of the last attempt.
+    cfa = lang.parse_cfa("vars: x;\ninit: L0;\nL0 -> L1: havoc x;\nL0 -> L1: x := 1;\n")
+    rs = seeded_run(cfa, solver, [])
+    along, other = cfa.edges
+
+    def at_l1(domain):
+        return A.CompositeState(F.TRUE, 1, (), None, F.parse_formula(domain))
+
+    genuine = rs.new_reached_node(rs.root, along, F.TRUE, at_l1("x >= 5"),
+                                  rs.partition(at_l1("x >= 5")))
+    cover = rs.new_reached_node(rs.root, other, F.TRUE, at_l1("x = 1"),
+                                rs.partition(at_l1("x = 1")))
+    rs.new_covered_node(rs.root, along, F.TRUE, at_l1("x = 1"), cover)
+    for node in (genuine, cover):
+        rs.add_to_waitlist(node)
+    aut = A.export_automaton(rs, A.unverified(rs))
+    qid = {0: "q0", genuine.nid: "q1", cover.nid: "q2"}
+    assert set(aut.flags) - {"T", "U"} == set(qid.values())
+    assert aut.transitions[(qid[0], along.id)] == (F.TRUE, qid[genuine.nid])
+    assert aut.transitions[(qid[0], other.id)] == (F.TRUE, qid[cover.nid])
+
+
 def test_automaton_roundtrip_bytes():
     cfa, report = run_program(
         "int x; x := 0; while (x >= 0) { x := x + 1; }", None, fuel=50)

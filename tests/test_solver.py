@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,23 @@ def test_formula_too_large(monkeypatch):
         tiny.check_sat(F.f_and(parts))
     # entails treats the blowup as Unknown
     assert tiny.entails(F.f_and(parts), F.parse_formula("x >= 100")) is False
+
+
+@pytest.mark.parametrize("bound", [5, 6])
+def test_clause_bound_holds_before_the_first_clause(monkeypatch, bound):
+    # A 3 x 2 product whose first clause is satisfiable: six clauses pass a
+    # bound of 5 and raise, though the first clause alone would answer;
+    # at a bound of exactly 6 the query answers from that clause.
+    f = F.f_and([F.parse_formula("x = 0 | x = 1 | x = 2"), F.parse_formula("y = 0 | y = 1")])
+    assert len(S.to_dnf(f)) == 6
+    monkeypatch.setattr(S, "DNF_CLAUSE_BOUND", bound)
+    if bound < 6:
+        with pytest.raises(F.FormulaTooLarge):
+            S.Solver().check_sat(f)
+    else:
+        r = S.Solver().check_sat(f)
+        assert r.kind == S.SAT
+        assert {t.name: v for t, v in r.witness.items()} == {"x": 0, "y": 0}
 
 
 def test_entails_examples(solver):
@@ -128,14 +146,46 @@ def test_entails_reflexive_and_transitive(solver):
             assert solver.entails(f, h)
 
 
+def test_check_sat_answers_from_the_first_satisfiable_clause():
+    # check_sat decides the clauses of to_dnf(f) in order and stops at the
+    # first SAT one: its witness, its kind and the witness searches it ran
+    # are those of deciding the clauses one by one.
+    rng = random.Random(35)
+    multi = 0
+    for _ in range(300):
+        f = F.f_and([random_formula(rng, atoms=3), random_formula(rng, atoms=3)])
+        clauses = S.to_dnf(f)
+        multi += len(clauses) > 1
+        one_by_one = S.Solver()
+        expected = S.SatResult(S.UNSAT)
+        for clause in clauses:
+            r = one_by_one._clause_sat(clause)
+            if r.kind == S.SAT:
+                expected = r
+                break
+            if r.kind == S.MAYBE:
+                expected = r
+        solver = S.Solver()
+        got = solver.check_sat(f)
+        assert got == expected, F.render_formula(f)
+        assert solver.stats["witness_searches"] == one_by_one.stats["witness_searches"]
+    assert multi > 150
+
+
 # -- witnesses by back-substitution ----------------------------------------------
 
-def random_conjunction(rng, names):
+SMALL_COEFFICIENTS = (-5, -3, -2, -1, 1, 2, 3, 5)
+# Coefficients near +-2^62, where a fixed-width kernel would overflow.
+NEAR_2_62 = (-(2 ** 62) - 1, -(2 ** 62), -(2 ** 62) + 1, -3, 1, 2, 2 ** 62 - 1, 2 ** 62)
+
+
+def random_conjunction(rng, names, coefficients=SMALL_COEFFICIENTS,
+                       magnitudes=(6, 6, 10 ** 20)):
     parts = []
     for _ in range(rng.randint(1, 4)):
         chosen = rng.sample(names, rng.randint(1, len(names)))
-        terms = " + ".join(f"{rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])}*{v}" for v in chosen)
-        magnitude = rng.choice([6, 6, 10 ** 20])
+        terms = " + ".join(f"{rng.choice(coefficients)}*{v}" for v in chosen)
+        magnitude = rng.choice(magnitudes)
         parts.append(f"({terms} {rng.choice(['<=', '>=', '='])}"
                      f" {rng.randint(-magnitude, magnitude)})")
     return F.parse_formula(" & ".join(parts))
@@ -166,6 +216,24 @@ def test_witness_far_outside_any_box(solver):
     assert r.kind == S.SAT
     w = {t.name: v for t, v in r.witness.items()}
     assert w == {"x": 10 ** 20 + 3, "y": 3}
+
+
+def test_long_chain_clause_is_decided_in_time():
+    # A path formula with one residual per edge, x_k - x_(k-1) = 1, is one
+    # flat conjunction 2,000 conjuncts wide and one clause over 2,001 terms.
+    # Its product must not recurse once per conjunct, and elimination must
+    # cost what the nonzero coefficients cost (about 2 s on 2 shared vCPUs),
+    # not a full row per term.
+    n = 2000
+    f = F.f_and([F.parse_formula(f"x{k} - x{k - 1} = 1") for k in range(1, n + 1)])
+    assert len(S.to_dnf(f)) == 1
+    start = time.perf_counter()
+    r = S.Solver().check_sat(f)
+    elapsed = time.perf_counter() - start
+    assert r.kind == S.SAT
+    w = {t.name: v for t, v in r.witness.items()}
+    assert all(w[f"x{k}"] - w[f"x{k - 1}"] == 1 for k in range(1, n + 1))
+    assert elapsed < 30, f"{elapsed:.1f} s"
 
 
 # -- minterm enumeration for predicate abstraction --------------------------------
@@ -226,13 +294,26 @@ def test_sat_minterms_warm_solver_matches_fresh_across_epochs():
             assert warm.sat_minterms(f, preds) == S.Solver().sat_minterms(f, preds)
 
 
-def test_fm_record_mentions_only_later_terms():
+def test_fm_record_mentions_only_later_terms(solver):
+    # The minterm search decides each clause on its own rows, numbered for
+    # the whole query: a predicate over a term that sorts first shifts every
+    # column, and its refutation answer must still be _fm_eliminate's.
     rng = random.Random(11)
-    records = 0
-    for _ in range(400):
-        f = random_conjunction(rng, ("w", "x", "y", "z", "x*y"))
-        for clause in S.to_dnf(f):
+    names = ("w", "x", "y", "z", "x*y")
+    shifted = [F.parse_formula("a <= 0")]
+    records = refuted = 0
+    for k in range(600):
+        if k < 400:
+            f = random_conjunction(rng, names)
+        else:
+            # Two names, so that the large rows meet and some refute.
+            f = random_conjunction(rng, ("x", "y"), NEAR_2_62, (6, 2 ** 62, 2 ** 62 + 7))
+        clauses = S.to_dnf(f)
+        for clause in clauses:
             steps = S._fm_eliminate(clause)
+            if len(clauses) == 1:
+                refuted += steps is True
+                assert solver.sat_minterms(f, shifted) == ([] if steps is True else [0, 1])
             if steps is True or steps is None:
                 continue
             records += 1
@@ -243,7 +324,7 @@ def test_fm_record_mentions_only_later_terms():
                 later = set(order[i + 1:])
                 for coeffs, _ in constraints:
                     assert term in coeffs and set(coeffs) - {term} <= later
-    assert records > 200
+    assert records > 200 and refuted > 40
 
 
 @pytest.mark.parametrize("disjuncts,fails", [(16, False), (17, True)])
