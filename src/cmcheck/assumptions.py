@@ -193,17 +193,18 @@ class CompositeCpa:
             return state.domain.shape()
         return None
 
-    def stop_candidates(self, state: CompositeState, partition: engine.Partition):
-        """The partition's nodes that may cover ``state``, in try order."""
+    def stop_candidates(self, state: CompositeState, held, shapes):
+        """The nodes of partition entry ``held`` (see ``engine.node_at``)
+        that may cover ``state``, in try order; ``shapes`` are the explicit
+        store shapes reached in the partition, None before the first."""
         if self._is_explicit:
-            shapes = partition.shapes or ()
-            by_domain = partition.by_domain
-            for weaker in self.domain.cover_keys(state.domain, shapes):
-                node = by_domain.get(weaker)
+            node_at = engine.node_at
+            for weaker in self.domain.cover_keys(state.domain, shapes or ()):
+                node = node_at(held, weaker)
                 if node is not None:
                     yield node
         else:
-            yield from partition.by_domain.values()
+            yield from engine.partition_nodes(held)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +220,11 @@ PRUNED = object()  # observer step result inside a verified region
 class AssumptionAutomaton:
     initial: str
     flags: dict[str, tuple[str, ...]]  # state id -> markers among init/T/U
-    transitions: dict[tuple[str, int], tuple[F.Formula, str]]
+    transitions: dict[tuple[str, int], str]  # (state id, edge id) -> target state id
     edge_count: int
+    # (state id, edge id) -> label, for the transitions whose label is not
+    # true; a transition missing here is labelled true.
+    labels: dict[tuple[str, int], F.Formula] = field(default_factory=dict)
 
 
 def serialize_automaton(aut: AssumptionAutomaton) -> str:
@@ -228,25 +232,33 @@ def serialize_automaton(aut: AssumptionAutomaton) -> str:
     for sid in sorted(aut.flags):
         for flag in sorted(aut.flags[sid]):
             lines.append(f"state {sid} {flag};")
-    for (src, edge_id), (assumption, dst) in sorted(
-            aut.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        lines.append(
-            f"trans {src} edge={edge_id} assume={F.render_formula(assumption)} -> {dst};")
+    labels = aut.labels
+    transitions = aut.transitions
+    for key in sorted(transitions):
+        src, edge_id = key
+        label = F.render_formula(labels.get(key, F.TRUE))
+        lines.append(f"trans {src} edge={edge_id} assume={label} -> {transitions[key]};")
     return "\n".join(lines) + "\n"
 
 
 def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutomaton:
     """Read the text ``serialize_automaton`` writes.
 
-    Each distinct label is parsed once and its formula shared.  A syntax
-    error, in a label or around it, raises ParseError at its position in
-    ``text``, naming ``source`` (the file name) when given; a missing init
-    state or ``# edges:`` header is reported at 1:1.
+    Each distinct label is parsed once and its formula shared, and only
+    the labels that are not true are stored.  Each state id is one string
+    object, wherever it occurs.  A state line names one flag among
+    ``init``, ``T`` and ``U``, at most one state is ``init``, and no
+    state line repeats.  A syntax error, in a label or around it, raises
+    ParseError at its position in ``text``, naming ``source`` (the file
+    name) when given; a missing init state or ``# edges:`` header is
+    reported at 1:1.
     """
     edge_count = -1
     flags: dict[str, set[str]] = {}
-    transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
-    labels: dict[str, F.Formula] = {}
+    transitions: dict[tuple[str, int], str] = {}
+    labels: dict[tuple[str, int], F.Formula] = {}
+    parsed: dict[str, F.Formula] = {}  # label text -> formula
+    names: dict[str, str] = {}  # state id -> its one string object
     initial = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -274,9 +286,20 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
             fields = line.split()
             if len(fields) == 3:
                 _, sid, flag = fields
-                flags.setdefault(sid, set()).add(flag)
+                if flag not in ("init", "T", "U"):
+                    col = len(raw[:raw.rindex(";")].rstrip()) - len(flag) + 1
+                    raise lang.ParseError(f"unknown state flag {flag!r}", lineno, col, source)
+                sid = names.setdefault(sid, sid)
+                marked = flags.setdefault(sid, set())
+                if flag in marked:
+                    raise lang.ParseError(f"repeated state line: {line};", lineno,
+                                          indent + 1, source)
                 if flag == "init":
+                    if initial is not None:
+                        raise lang.ParseError(f"second init state {sid} (the first is "
+                                              f"{initial})", lineno, indent + 1, source)
                     initial = sid
+                marked.add(flag)
                 continue
         elif line.startswith("trans ") and " edge=" in line and " assume=" in line \
                 and " -> " in line:
@@ -287,20 +310,24 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
             if not (edge_text.isascii() and edge_text.isdigit()):
                 raise lang.ParseError(f"edge id {edge_text!r} is not an integer", lineno,
                                       raw.index(" edge=") + len(" edge=") + 1, source)
-            key = (src.strip(), int(edge_text))
+            src = src.strip()
+            dst = dst.strip()
+            key = (names.setdefault(src, src), int(edge_text))
             if key in transitions:
                 raise lang.ParseError(f"duplicate transition from {key[0]} along edge {key[1]}",
                                       lineno, indent + 1, source)
             label = assume_text.strip()
-            assumption = labels.get(label)
+            assumption = parsed.get(label)
             if assumption is None:
                 try:
-                    assumption = labels[label] = F.parse_formula(label)
+                    assumption = parsed[label] = F.parse_formula(label)
                 except lang.ParseError as exc:
                     start = raw.index(label, raw.index(" assume=") + len(" assume="))
                     raise lang.ParseError(exc.message, lineno, start + exc.col,
                                           source) from None
-            transitions[key] = (assumption, dst.strip())
+            transitions[key] = names.setdefault(dst, dst)
+            if not isinstance(assumption, F.TrueF):
+                labels[key] = assumption
             continue
         raise lang.ParseError(f"unrecognized automaton line: {line};", lineno, indent + 1,
                               source)
@@ -313,6 +340,7 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
         flags={sid: tuple(sorted(fl)) for sid, fl in flags.items()},
         transitions=transitions,
         edge_count=edge_count,
+        labels=labels,
     )
 
 
@@ -338,6 +366,8 @@ class ObserverComponent:
     def __init__(self, automaton: AssumptionAutomaton, cfa: lang.Cfa):
         validate_automaton(automaton, cfa)
         self.automaton = automaton
+        self._transitions = automaton.transitions
+        self._labels = automaton.labels
 
     def initial(self) -> str:
         return self.automaton.initial
@@ -347,11 +377,12 @@ class ObserverComponent:
             return PRUNED
         if sid == SINK_UNKNOWN:
             return SINK_UNKNOWN
-        hit = self.automaton.transitions.get((sid, edge.id))
-        if hit is None:
+        key = (sid, edge.id)
+        dst = self._transitions.get(key)
+        if dst is None:
             return SINK_UNKNOWN
-        label, dst = hit
-        if not isinstance(label, (F.TrueF, F.FalseF)):
+        label = self._labels.get(key)  # None: true
+        if label is not None and not isinstance(label, F.FalseF):
             # Verified only under the label: nothing may be pruned below.
             return SINK_UNKNOWN
         return PRUNED if dst == SINK_VERIFIED else dst
@@ -396,23 +427,27 @@ def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionA
     named = [n for n in rs.nodes if retained[n.nid] and n.covered_by is None]
     qid = {n: f"q{i}" for i, n in enumerate(named)}
 
-    def resolve(node: engine.ArtNode, label: F.Formula) -> tuple[F.Formula, str]:
+    flags: dict[str, tuple[str, ...]] = {SINK_VERIFIED: ("T",), SINK_UNKNOWN: ("U",)}
+    flags.update(dict.fromkeys(qid.values(), ()))
+    transitions: dict[tuple[str, int], str] = {}
+    labels: dict[tuple[str, int], F.Formula] = {}
+
+    def resolve(key: tuple[str, int], node: engine.ArtNode, label: F.Formula) -> None:
         target = node.covered_by if node.covered_by is not None else node
         assumed = target.state.assumption  # true unless the target is named
         if assumed is not label and not isinstance(assumed, (F.TrueF, F.FalseF)):
             label = F.f_and([label, assumed])
-        return label, qid.get(target, SINK_VERIFIED)
+        transitions[key] = qid.get(target, SINK_VERIFIED)
+        if not isinstance(label, F.TrueF):
+            labels[key] = label
 
-    flags: dict[str, tuple[str, ...]] = {SINK_VERIFIED: ("T",), SINK_UNKNOWN: ("U",)}
-    flags.update(dict.fromkeys(qid.values(), ()))
-    transitions: dict[tuple[str, int], tuple[F.Formula, str]] = {}
     for n, sid in qid.items():
         if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
             continue  # all matches fall through to U at run time
         c = n.first_child
         if c is not None and c.next_sibling is None and not c.removed:
             expanded = (c.edge.id,)
-            transitions[(sid, c.edge.id)] = resolve(c, c.assumption)
+            resolve((sid, c.edge.id), c, c.assumption)
         else:
             expanded = {}
             for c in n.children():
@@ -430,10 +465,10 @@ def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionA
                     label = kids[0].assumption  # already canonical
                 else:
                     label = F.f_and(c.assumption for c in kids)
-                transitions[(sid, edge_id)] = resolve(main, label)
+                resolve((sid, edge_id), main, label)
         for edge in edges_from(n.state.location):
             if edge.id not in expanded:
-                transitions[(sid, edge.id)] = (F.TRUE, SINK_VERIFIED)
+                transitions[(sid, edge.id)] = SINK_VERIFIED
 
     # The root resolves to a named state or to T; "init" sorts after "T".
     init_id = qid.get(rs.root, SINK_VERIFIED)
@@ -443,6 +478,7 @@ def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionA
         flags=flags,
         transitions=transitions,
         edge_count=len(rs.cpa.cfa.edges),
+        labels=labels,
     )
 
 

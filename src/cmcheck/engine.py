@@ -11,8 +11,11 @@ The reached set is partitioned by location and observer state, as only
 states that agree on both can merge or cover each other.  The merge
 target covers the successor, as its assumption conjoins the successor's,
 so a successor joins the reached set only when no reached state holds
-its domain state: a partition holds one node per domain state.  An
-abstract reachability tree is maintained alongside: every expansion
+its domain state: a partition holds one node per domain state.  A
+partition is its one node until a second domain state arrives, and from
+then on a dict from domain state to node, so the many one-node
+partitions of a second stage (one per observer state) hold no container.
+An abstract reachability tree is maintained alongside: every expansion
 creates a child node carrying the CFA edge and, as the label of that
 step, the successor's assumption; covered successors become leaf nodes
 pointing at their covering node.  A node links its children in
@@ -25,10 +28,11 @@ None when the waitlist empties or the monitor halts the run, which
 ``monitor.halted`` tells apart.  ``RunState`` reads the CFA from its CPA.
 
 ``RunState._index`` is the only way a node enters the partitions, and
-its caller hands it the partition; it raises if another node already
-holds the node's domain state there.  The benchmark in ``perfbench/``
-traces the engine by wrapping attributes by name, so the hot loop must
-keep calling these as attributes, never inline them:
+``_unindex`` the only way out; the caller hands ``_index`` the partition
+key, and it raises if another node already holds the node's domain
+state there.  The benchmark in ``perfbench/`` traces the engine by
+wrapping attributes by name, so the hot loop must keep calling these as
+attributes, never inline them:
 ``RunState._new_node`` and ``new_covered_node``, the composite CPA's
 ``successors``, ``covers`` and ``merge``, ``ExplicitDomain.cover_keys``
 (through ``stop_candidates``) and ``GlobalMonitor.pre_post``.
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from . import conditions as C
 from . import formula as F
@@ -84,27 +88,6 @@ class ArtNode:
         return nodes, edges
 
 
-class Partition:
-    """The reached nodes at one (location, observer state).
-
-    ``by_domain`` is the one index: it maps each domain state to the one
-    node that holds it, in the order in which the nodes last got their
-    states, as ``RunState.replace_state`` deletes a node's key and
-    inserts it again.  The stop check takes the first covering node of
-    ``stop_candidates``, which follows this order, so it decides each
-    ``covered_by``.  A node never changes partition or key: merges and
-    exclusions change only its assumption and condition states.
-    ``shapes`` holds the explicit store shapes ever reached here, or None
-    before the first; a stale shape costs one empty lookup.
-    """
-
-    __slots__ = ("by_domain", "shapes")
-
-    def __init__(self):
-        self.by_domain: dict[Any, ArtNode] = {}
-        self.shapes: Optional[dict[Any, None]] = None
-
-
 class RunState:
     """Reached set, waitlist, and ART for one analysis run."""
 
@@ -114,7 +97,12 @@ class RunState:
         self.cpa = cpa
         self.order = order
         self.nodes: list[ArtNode] = []
-        self.partitions: dict[Any, Partition] = {}
+        # Partition key -> its one node, or {domain state: node} from the
+        # second domain state on (see ``_index``).
+        self.partitions: dict[Any, Any] = {}
+        # Partition key -> the explicit store shapes ever reached there;
+        # only explicit runs fill it.
+        self.shapes: dict[Any, dict[Any, None]] = {}
         self._reached = 0
         # Lazy deletion: entries whose node left the waitlist stay queued
         # and are skipped when popped.
@@ -123,7 +111,7 @@ class RunState:
         self.covers_index: dict[int, list[ArtNode]] = {}
         init = cpa.initial_state()
         self.root = self._new_node(init, None, None, F.TRUE)
-        self._index(self.root, self.partition(init))
+        self._index(self.root, cpa.partition_key(init))
         self.add_to_waitlist(self.root)
 
     # -- construction --------------------------------------------------------
@@ -140,36 +128,57 @@ class RunState:
             parent.last_child = node
         return node
 
-    def partition(self, state) -> Partition:
-        """The partition ``state`` belongs to, created empty if new."""
-        key = self.cpa.partition_key(state)
-        part = self.partitions.get(key)
-        if part is None:
-            part = self.partitions[key] = Partition()
-        return part
+    def _index(self, node: ArtNode, key) -> None:
+        """Enter a reached node into partition ``key``.
 
-    def _index(self, node: ArtNode, part: Partition) -> None:
+        A partition holds its node itself until a second domain state
+        arrives; from then on it is a dict from each domain state to the
+        one node that holds it, in the order in which the nodes last got
+        their states, as ``replace_state`` takes a node out and enters it
+        again.  The stop check takes the first covering node of
+        ``stop_candidates``, which follows this order, so it decides each
+        ``covered_by``.  A node never changes partition or domain state:
+        merges and exclusions change only its assumption and condition
+        states.  A shape in ``shapes`` stays after its nodes are gone; a
+        stale shape costs one empty lookup.
+        """
         state = node.state
-        if part.by_domain.setdefault(state.domain, node) is not node:
-            raise RuntimeError(f"node {node.nid} repeats a reached domain state "
-                               f"at location {state.location}")
+        partitions = self.partitions
+        held = partitions.setdefault(key, node)
+        if held is not node:
+            domain = state.domain
+            if type(held) is dict:
+                taken = held.setdefault(domain, node) is not node
+            else:
+                taken = held.state.domain == domain
+                if not taken:  # the partition's second domain state
+                    partitions[key] = {held.state.domain: held, domain: node}
+            if taken:
+                raise RuntimeError(f"node {node.nid} repeats a reached domain state "
+                                   f"at location {state.location}")
         shape = self.cpa.shape_of(state)
         if shape is not None:
-            if part.shapes is None:
-                part.shapes = {}
-            part.shapes[shape] = None
+            shapes = self.shapes.get(key)
+            if shapes is None:
+                shapes = self.shapes[key] = {}
+            shapes[shape] = None
         self._reached += 1
 
-    def _unindex(self, node: ArtNode) -> Partition:
+    def _unindex(self, node: ArtNode):
+        """Take a reached node out of its partition; returns the key."""
         state = node.state
-        part = self.partitions[self.cpa.partition_key(state)]
-        del part.by_domain[state.domain]
+        key = self.cpa.partition_key(state)
+        held = self.partitions[key]
+        if held is node:
+            del self.partitions[key]
+        else:
+            del held[state.domain]
         self._reached -= 1
-        return part
+        return key
 
-    def new_reached_node(self, parent, edge, assumption, state, part: Partition) -> ArtNode:
+    def new_reached_node(self, parent, edge, assumption, state, key) -> ArtNode:
         node = self._new_node(state, parent, edge, assumption)
-        self._index(node, part)
+        self._index(node, key)
         return node
 
     def new_covered_node(self, parent, edge, assumption, state, cover: ArtNode) -> ArtNode:
@@ -209,9 +218,9 @@ class RunState:
         partition, under the same domain state)."""
         if new_state == node.state:
             return
-        part = self._unindex(node)
+        key = self._unindex(node)
         node.state = new_state
-        self._index(node, part)
+        self._index(node, key)
 
     def remove_subtree(self, node: ArtNode) -> Optional[ArtNode]:
         """Remove node and its descendants; re-queue covered dependents' parents.
@@ -246,6 +255,25 @@ class RunState:
                     _unlink(cov)
                     self.add_to_waitlist(cov.parent)
         return parent
+
+
+# A partition entry ``held`` is ``rs.partitions.get(key)``: None, one node,
+# or a dict from domain state to node (see ``RunState._index``).
+
+def node_at(held, domain) -> Optional[ArtNode]:
+    """The node of partition entry ``held`` that holds ``domain``, if any."""
+    if type(held) is dict:
+        return held.get(domain)
+    if held is not None and held.state.domain == domain:
+        return held
+    return None
+
+
+def partition_nodes(held) -> Iterable[ArtNode]:
+    """The nodes of partition entry ``held``, in the partition's order."""
+    if type(held) is dict:
+        return held.values()
+    return () if held is None else (held,)
 
 
 def _unlink(node: ArtNode) -> None:
@@ -303,8 +331,9 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
     covers still wins.  The successor's assumption labels its ART edge.
     """
     cpa = rs.cpa
-    part = rs.partition(succ)
-    same = part.by_domain.get(succ.domain)
+    key = cpa.partition_key(succ)
+    held = rs.partitions.get(key)
+    same = node_at(held, succ.domain)
     if same is not None:
         merged = cpa.merge(succ, same.state)
         if merged is not same.state:
@@ -319,11 +348,11 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
             return None  # re-expansion of an already recorded step
         child = child.next_sibling
     assumption = succ.assumption
-    for cand in cpa.stop_candidates(succ, part):
+    for cand in cpa.stop_candidates(succ, held, rs.shapes.get(key)):
         if cand is same or cpa.covers(succ, cand.state):
             rs.new_covered_node(node, edge, assumption, succ, cand)
             return None
-    child = rs.new_reached_node(node, edge, assumption, succ, part)
+    child = rs.new_reached_node(node, edge, assumption, succ, key)
     if not isinstance(assumption, F.FalseF):
         rs.add_to_waitlist(child)
     return child

@@ -27,7 +27,10 @@ each clause is extended one predicate literal at a time, and a prefix
 that Fourier-Motzkin refutes is dropped with all its extensions, without
 any record or witness search (Lahiri, Nieuwenhuis and Oliveras, "SMT
 Techniques for Fast Predicate Abstraction", CAV 2006).  The query's terms
-are numbered once, and each prefix extends its parent's rows.
+are numbered once, and each prefix extends its parent's rows.  Its bound
+counts the prefixes the search visits, not the size of the full product,
+so a query whose pruned search is small answers however many minterms it
+could have had.
 
 Unsat answers are sound; Sat is only reported with a concrete integer
 witness; everything else is MaybeSat.  Opaque product terms are free
@@ -58,7 +61,8 @@ class SatResult:
 
 # Fourier-Motzkin gives up (MaybeSat) once a round derives more constraints.
 FM_CONSTRAINT_BOUND = 4000
-# Queries whose DNF would exceed this many clauses raise FormulaTooLarge.
+# Queries whose DNF would exceed this many clauses, and minterm searches
+# that would visit more than this many prefixes, raise FormulaTooLarge.
 DNF_CLAUSE_BOUND = 4096
 
 
@@ -341,8 +345,10 @@ class Solver:
         predicate and its negation once per solver; each clause of DNF(f) is
         extended one predicate literal at a time, in index order, and a
         prefix that Fourier-Motzkin refutes is dropped with all its
-        extensions.  Raises FormulaTooLarge when the clauses of the
-        largest minterm query would exceed ``DNF_CLAUSE_BOUND``.
+        extensions.  Raises FormulaTooLarge once the search has visited
+        more than ``DNF_CLAUSE_BOUND`` prefixes (a clause of DNF(f) and
+        each of its extensions, refuted ones included), so the bound
+        counts the work done, not the size of the product.
         """
         clauses = to_dnf(f)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
@@ -352,19 +358,20 @@ class Solver:
             if pair is None:
                 pair = self._literal_dnfs[p] = (to_dnf(F.f_not(p)), to_dnf(p))
             literals.append(pair)
-        size = len(clauses)
-        for neg, pos in literals:
-            size *= max(len(neg), len(pos))
-        if size > DNF_CLAUSE_BOUND:
-            raise F.FormulaTooLarge(f"minterm queries exceed {DNF_CLAUSE_BOUND} clauses")
         # One numbering for the whole query: it orders any prefix's terms
         # as the prefix's own numbering would, so each prefix is decided as
         # _fm_eliminate decides it alone.
         dnfs = [clauses, *(dnf for pair in literals for dnf in pair)]
         number = _numbering(a for dnf in dnfs for clause in dnf for a in clause)
         found: set[int] = set()
+        visits = 0
 
         def extend(prefix: dict, live: list[Row], i: int, bits: int, grew: bool) -> None:
+            nonlocal visits
+            visits += 1
+            if visits > DNF_CLAUSE_BOUND:
+                raise F.FormulaTooLarge(
+                    f"minterm search visits more than {DNF_CLAUSE_BOUND} prefixes")
             if grew and _fm(live) is True:
                 return
             if i == len(literals):

@@ -136,6 +136,22 @@ def serialize_cfa(cfa: lang.Cfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def br_program(k: int) -> str:
+    """``br_k``: havoc c, then run only part c of ``nonlinear_square``'s
+    square and loop repeated k times (square 0, loop 0, ..., loop k-1), as
+    nested ifs on c with the last loop in the final else."""
+    parts = []
+    for j in range(k):
+        parts.append(f"x_{j} := 123456 + {j}; r_{j} := x_{j} * x_{j}; assert(r_{j} >= x_{j});")
+        parts.append(f"i_{j} := 0; while (i_{j} < 1000000) {{ i_{j} := i_{j} + 1; }} "
+                     f"assert(i_{j} >= 1000000);")
+    body = parts[-1]
+    for n in range(2 * k - 2, -1, -1):
+        body = f"if (c == {n}) {{ {parts[n]} }} else {{ {body} }}"
+    names = " ".join(f"int x_{j}; int r_{j}; int i_{j};" for j in range(k))
+    return f"int c; {names}\nhavoc c;\n{body}\n"
+
+
 # ---------------------------------------------------------------------------
 # Independent reference implementation of the worklist algorithm
 # ---------------------------------------------------------------------------

@@ -344,7 +344,8 @@ def test_criterion_6_postprocessing_formulas():
                           F.parse_formula("x >= 1")), False),
     ]
     for i, (state, waitlisted) in enumerate(fixture):
-        node = rs.new_reached_node(rs.root, cfa.edges[i], F.TRUE, state, rs.partition(state))
+        node = rs.new_reached_node(rs.root, cfa.edges[i], F.TRUE, state,
+                                   cpa.partition_key(state))
         if waitlisted:
             rs.add_to_waitlist(node)
     report = A.postprocess(rs)
@@ -385,8 +386,7 @@ def test_criterion_7_automaton_roundtrip_and_restriction():
                     "second run entered the first run's verified region"
                 if sid == A.SINK_UNKNOWN:
                     break
-                hit = aut.transitions.get((sid, e.id))
-                sid = hit[1] if hit else A.SINK_UNKNOWN
+                sid = aut.transitions.get((sid, e.id), A.SINK_UNKNOWN)
             assert sid != A.SINK_VERIFIED
             checked_paths += 1
     assert nontrivial >= 5 and checked_paths > 50

@@ -8,6 +8,8 @@ from cmcheck import domains as D
 from cmcheck import engine, formula as F, lang
 from cmcheck import solver as S
 
+from helpers import tracked_by_type
+
 
 @pytest.fixture(scope="module")
 def solver():
@@ -184,7 +186,7 @@ def seeded_run(cfa, solver, states):
     rs.pop_waitlist()  # the synthetic fixture drives everything by hand
     for i, (state, waitlisted) in enumerate(states):
         node = rs.new_reached_node(rs.root, cfa.edges[i % len(cfa.edges)], F.TRUE, state,
-                                   rs.partition(state))
+                                   cpa.partition_key(state))
         if waitlisted:
             rs.add_to_waitlist(node)
         else:
@@ -286,18 +288,18 @@ def test_repeated_edge_fold_targets_the_genuine_successor(solver):
     def at_l1(domain):
         return A.CompositeState(F.TRUE, 1, (), None, F.parse_formula(domain))
 
-    genuine = rs.new_reached_node(rs.root, along, F.TRUE, at_l1("x >= 5"),
-                                  rs.partition(at_l1("x >= 5")))
-    cover = rs.new_reached_node(rs.root, other, F.TRUE, at_l1("x = 1"),
-                                rs.partition(at_l1("x = 1")))
+    key = rs.cpa.partition_key(at_l1("x = 1"))
+    genuine = rs.new_reached_node(rs.root, along, F.TRUE, at_l1("x >= 5"), key)
+    cover = rs.new_reached_node(rs.root, other, F.TRUE, at_l1("x = 1"), key)
     rs.new_covered_node(rs.root, along, F.TRUE, at_l1("x = 1"), cover)
     for node in (genuine, cover):
         rs.add_to_waitlist(node)
     aut = A.export_automaton(rs, A.unverified(rs))
     qid = {0: "q0", genuine.nid: "q1", cover.nid: "q2"}
     assert set(aut.flags) - {"T", "U"} == set(qid.values())
-    assert aut.transitions[(qid[0], along.id)] == (F.TRUE, qid[genuine.nid])
-    assert aut.transitions[(qid[0], other.id)] == (F.TRUE, qid[cover.nid])
+    assert aut.transitions[(qid[0], along.id)] == qid[genuine.nid]
+    assert aut.transitions[(qid[0], other.id)] == qid[cover.nid]
+    assert not aut.labels  # both labels are true
 
 
 def test_automaton_roundtrip_bytes():
@@ -316,10 +318,10 @@ def test_parse_automaton_shares_equal_labels():
             "trans q1 edge=1 assume=(x <= 1) & (y = 2) -> q0;\n"
             "trans q0 edge=2 assume=!(x = 3) -> T;\n"
             "trans q1 edge=3 assume=!(x = 3) -> T;\n")
-    t = A.parse_automaton(text).transitions
-    assert t[("q0", 0)][0] is t[("q1", 1)][0]
-    assert t[("q0", 2)][0] is t[("q1", 3)][0]
-    assert t[("q0", 0)][0] == F.parse_formula("(x <= 1) & (y = 2)")
+    t = A.parse_automaton(text).labels
+    assert t[("q0", 0)] is t[("q1", 1)]
+    assert t[("q0", 2)] is t[("q1", 3)]
+    assert t[("q0", 0)] == F.parse_formula("(x <= 1) & (y = 2)")
 
 
 def test_two_stage_automaton_roundtrip(nonlinear_square_explicit_automaton):
@@ -328,9 +330,32 @@ def test_two_stage_automaton_roundtrip(nonlinear_square_explicit_automaton):
     assert len(aut.transitions) > 50000
     assert A.serialize_automaton(aut) == text
     by_text: dict = {}
-    for label, _ in aut.transitions.values():
+    # Every label of this explicit run is true, so none is stored.
+    assert text.count(" assume=") == text.count(" assume=true ")
+    assert not aut.labels
+    for label in aut.labels.values():
         by_text.setdefault(F.render_formula(label), set()).add(id(label))
     assert all(len(ids) == 1 for ids in by_text.values())
+
+
+def test_parsed_automaton_holds_one_object_per_state(nonlinear_square_explicit_automaton):
+    # A second stage keeps its input automaton alive, and each
+    # generation-2 collection walks every tracked object: a true label
+    # costs no tracked object, and each state id is one string however
+    # often it occurs.
+    before = tracked_by_type()
+    aut = A.parse_automaton(nonlinear_square_explicit_automaton)
+    after = tracked_by_type()
+    grown, transitions = sum(after.values()) - sum(before.values()), len(aut.transitions)
+    assert transitions > 50000
+    assert grown < transitions / 100
+    assert not aut.labels
+    ids = {src: src for src, _ in aut.transitions}
+    assert all(src is ids[src] for src, _ in aut.transitions)
+    targets = [dst for dst in aut.transitions.values() if dst in ids]
+    assert len(targets) > 50000 and all(dst is ids[dst] for dst in targets)
+    assert aut.initial is ids[aut.initial]
+    assert all(sid is ids.get(sid, sid) for sid in aut.flags)
 
 
 def test_automaton_label_error_points_into_the_file():
@@ -359,8 +384,13 @@ def test_automaton_label_error_points_into_the_file():
     ("  trans q0 edge=-1 assume=true -> T;", "4:17: edge id '-1' is not an integer"),
     ("  # edges: 1_2", "4:11: edge count '1_2' is not an integer"),
     ("  # edges: \uff13", "4:11: edge count '\uff13' is not an integer"),
+    # A second init state once silently replaced the first.
+    ("  state q1 init;", "4:3: second init state q1 (the first is q0)"),
+    ("  state q1 bogus;", "4:12: unknown state flag 'bogus'"),
+    ("  state q0 init;", "4:3: repeated state line: state q0 init;"),
 ], ids=["semicolon", "edge", "unknown", "state", "duplicate", "header",
-        "edge-underscore", "edge-sign", "header-underscore", "header-fullwidth"])
+        "edge-underscore", "edge-sign", "header-underscore", "header-fullwidth",
+        "second-init", "state-flag", "repeated-state"])
 def test_automaton_syntax_errors_name_file_and_line(line, message):
     text = "# edges: 3\nstate q0 init;\ntrans q0 edge=0 assume=true -> T;\n" + line + "\n"
     with pytest.raises(lang.ParseError) as err:
@@ -380,7 +410,7 @@ def test_observer_sink_semantics():
     aut = A.AssumptionAutomaton(
         initial="q0",
         flags={"q0": ("init",), "T": ("T",), "U": ("U",)},
-        transitions={("q0", 0): (F.TRUE, "T"), ("q0", 1): (F.TRUE, "q0")},
+        transitions={("q0", 0): "T", ("q0", 1): "q0"},
         edge_count=3,
     )
     cfa = lang.parse_cfa(
@@ -398,9 +428,9 @@ def test_observer_labelled_transition_falls_to_unknown():
     aut = A.AssumptionAutomaton(
         initial="q0",
         flags={"q0": ("init",), "T": ("T",), "U": ("U",)},
-        transitions={("q0", 0): (F.parse_formula("x <= 3"), "T"),
-                     ("q0", 1): (F.FALSE, "T")},
+        transitions={("q0", 0): "T", ("q0", 1): "T"},
         edge_count=2,
+        labels={("q0", 0): F.parse_formula("x <= 3"), ("q0", 1): F.FALSE},
     )
     cfa = lang.parse_cfa(
         "vars: x;\ninit: L0;\nL0 -> L0: x := x + 1;\nL0 -> L0: x := x + 2;\n")
@@ -439,8 +469,7 @@ def test_second_run_explores_only_unverified_paths(solver):
             assert sid != A.SINK_VERIFIED
             if sid == A.SINK_UNKNOWN:
                 break
-            hit = aut.transitions.get((sid, e.id))
-            sid = hit[1] if hit else A.SINK_UNKNOWN
+            sid = aut.transitions.get((sid, e.id), A.SINK_UNKNOWN)
         assert sid != A.SINK_VERIFIED
 
 
@@ -506,8 +535,7 @@ def test_nonlinear_automaton_structure(nonlinear_square_cfa):
     sources = {src for src, _ in aut.transitions}
     leaves = set(named) - sources
     assert len(leaves) == 1  # exactly one give-up state, every match goes to U
-    assert sum(1 for (_, _), (_, dst) in aut.transitions.items()
-               if dst == "T") >= 1
+    assert sum(1 for dst in aut.transitions.values() if dst == "T") >= 1
 
 
 def test_restriction_completeness_on_small_programs():
@@ -583,8 +611,7 @@ def automaton_state_of_each_node(rs, aut) -> dict:
             if here in (A.SINK_VERIFIED, A.SINK_UNKNOWN):
                 sid[c.nid] = here
             else:
-                hit = aut.transitions.get((here, c.edge.id))
-                sid[c.nid] = A.SINK_UNKNOWN if hit is None else hit[1]
+                sid[c.nid] = aut.transitions.get((here, c.edge.id), A.SINK_UNKNOWN)
             stack.append(c)
     return sid
 
@@ -613,8 +640,9 @@ def test_psi_and_automaton_cover_the_same_nodes(programs_dir):
                         n.in_waitlist or n.state.location in cfa.error_locations
                         or not isinstance(assumed, F.TrueF)):
                     failures.append((name, config.name, n.nid, "in T"))
-                hit = n.parent and aut.transitions.get((sid[n.parent.nid], n.edge.id))
-                if hit and not isinstance(assumed, (F.TrueF, F.FalseF)) \
-                        and F.f_and([hit[0], assumed]) != hit[0]:
+                key = n.parent and (sid[n.parent.nid], n.edge.id)
+                label = aut.labels.get(key, F.TRUE)
+                if key in aut.transitions and not isinstance(assumed, (F.TrueF, F.FalseF)) \
+                        and F.f_and([label, assumed]) != label:
                     failures.append((name, config.name, n.nid, "label lacks assumption"))
     assert not failures, failures[:10]

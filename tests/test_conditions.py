@@ -194,7 +194,7 @@ def test_busy_edge_skip_steps_observer_and_conditions():
     aut = A.AssumptionAutomaton(
         initial="q0",
         flags={"q0": ("init",), "q1": (), "T": ("T",), "U": ("U",)},
-        transitions={("q0", to_t.id): (F.TRUE, "T"), ("q0", to_q1.id): (F.TRUE, "q1")},
+        transitions={("q0", to_t.id): "T", ("q0", to_q1.id): "q1"},
         edge_count=2,
     )
     cpa = CompositeCpa(cfa, D.ExplicitDomain(), S.Solver(),

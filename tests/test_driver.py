@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from cmcheck import assumptions as A
 from cmcheck import cli, driver, formula as F, lang
 from cmcheck.driver import AnalysisConfig, Pipeline
 
-from helpers import replay_witness
+from helpers import br_program, replay_witness
 
 
 def test_parse_config_named_with_conditions():
@@ -371,6 +372,10 @@ def test_cli_names_the_automaton_file_in_whole_file_errors(tmp_path, capsys, mon
     assert cli.main(["p.imp", "--config", "explicit", "--input-automaton", "noedges.txt"]) == 3
     assert capsys.readouterr().err == \
         "cmcheck: error: noedges.txt:1:1: automaton has no '# edges:' header\n"
+    (tmp_path / "twoinit.txt").write_text("# edges: 3\nstate q0 init;\nstate q1 init;\n")
+    assert cli.main(["p.imp", "--config", "explicit", "--input-automaton", "twoinit.txt"]) == 3
+    assert capsys.readouterr().err == \
+        "cmcheck: error: twoinit.txt:3:1: second init state q1 (the first is q0)\n"
 
 
 def test_cli_constants_beyond_64_bits(tmp_path, capsys):
@@ -534,6 +539,45 @@ def test_no_two_analyses_disagree():
         tally.update(verdicts.values())
     # the sweep exercises both definite verdicts and open conditions
     assert min(tally[v] for v in ("TRUE", "FALSE", "CONDITION")) > 100, tally
+
+
+def test_minterm_bound_excludes_no_branch_of_br_3():
+    # br_3's equality predicates on c once made the minterm search give
+    # up before it searched (the product of their clause counts passed
+    # the bound), and psi excluded the whole c != 0 branch as !(pc = 7).
+    # Counting the prefixes the search visits, psi names the three
+    # squares alone, and the explicit stage decides them.
+    cfa = lang.parse_program(br_program(3))
+    report = driver.run_analysis(cfa, AnalysisConfig(name="predicate", domain="predicate"))
+    assert report.verdict == "CONDITION"
+    assert A.serialize_condition(report.psi) == (
+        "# psi\n"
+        "(pc = 5) -> ((r_0 - x_0 >= 0) | !(c = 0))\n"
+        "(pc = 19) -> ((c = 0) | (c = 1) | (r_1 - x_1 >= 0) | !(c = 2))\n"
+        "(pc = 33) -> ((c = 0) | (c = 1) | (c = 2) | (c = 3) | (r_2 - x_2 >= 0) | !(c = 4))\n")
+    final = driver.run_pipeline(cfa, Pipeline(stages=[
+        AnalysisConfig(name="predicate", domain="predicate"),
+        AnalysisConfig(name="explicit", domain="explicit", fuel=10_000)]))
+    assert [s.verdict for s in final.stages] == ["CONDITION", "TRUE"]
+
+
+def test_explicit_repeat1_then_predicate_decides_criterion_1_program_28():
+    # In its second stage the proposal puts 8 atoms, 6 of them
+    # equalities, at one location, which the minterm search's bound once
+    # refused up front; predicate alone decides the program.
+    import random
+
+    from helpers import random_cfa
+
+    rng = random.Random(20110901)  # the criterion-1 corpus
+    cfas = [random_cfa(rng, n_vars=rng.randint(1, 4), allow_mult=(i % 5 == 0),
+                       require_assert=(i % 2 == 0)) for i in range(29)]
+    predicate = AnalysisConfig(name="predicate", domain="predicate")
+    assert driver.run_analysis(cfas[28], predicate).verdict == "TRUE"
+    final = driver.run_pipeline(cfas[28], Pipeline(stages=[
+        AnalysisConfig(name="explicit-repeat1", domain="explicit", repeat_loc=1),
+        predicate]))
+    assert [s.verdict for s in final.stages] == ["CONDITION", "TRUE"]
 
 
 def test_cli_pipeline_file(tmp_path, programs_dir, capsys):

@@ -327,7 +327,7 @@ def hand_run():
     def add(parent, k):
         edge = cfa.edges[k]
         [succ] = rs.cpa.successors(parent.state, edge, False)
-        return rs.new_reached_node(parent, edge, F.TRUE, succ, rs.partition(succ))
+        return rs.new_reached_node(parent, edge, F.TRUE, succ, rs.cpa.partition_key(succ))
 
     return rs, add
 
@@ -402,36 +402,50 @@ def test_remove_subtree_unlinks_and_requeues_covered_dependents():
 
 def test_one_reached_node_per_domain_state():
     rs, add = hand_run()
+    a = add(rs.root, 0)
+    key = rs.cpa.partition_key(a.state)
+    # The first node is the partition itself, and its state's
+    # replacement and removal go through the key.
+    assert rs.partitions[key] is a
+    rs.replace_state(a, dataclasses.replace(a.state, assumption=F.FALSE))
+    assert rs.partitions[key] is a
+    with pytest.raises(RuntimeError, match="repeats a reached domain state"):
+        add(rs.root, 0)
+    assert rs.partitions[key] is a and rs.reached_size() == 2
+    rs.remove_subtree(a)
+    assert key not in rs.partitions and rs.reached_size() == 1
+    # A second domain state makes the partition a dict, in order.
     a, b, c = (add(rs.root, k) for k in range(3))
-    part = rs.partition(a.state)
-    assert list(part.by_domain.values()) == [a, b, c]
-    assert all(part.by_domain[n.state.domain] is n for n in (a, b, c))
+    part = rs.partitions[key]
+    assert list(part.values()) == [a, b, c]
+    assert all(part[n.state.domain] is n for n in (a, b, c))
     # A replaced state moves its node to the end of the order.
     rs.replace_state(a, dataclasses.replace(a.state, assumption=F.FALSE))
-    assert list(part.by_domain.values()) == [b, c, a]
-    assert part.by_domain[a.state.domain] is a
+    assert list(part.values()) == [b, c, a]
+    assert part[a.state.domain] is a
     # Removal deletes the node's key.
     rs.remove_subtree(b)
-    assert b.state.domain not in part.by_domain
-    assert list(part.by_domain.values()) == [c, a]
+    assert b.state.domain not in part
+    assert list(part.values()) == [c, a]
     assert rs.reached_size() == 3
     # A second node under a taken (partition, domain state) is an
     # internal error, and the index keeps the first.
     with pytest.raises(RuntimeError, match="repeats a reached domain state"):
         add(rs.root, 2)
-    assert list(part.by_domain.values()) == [c, a]
+    assert list(part.values()) == [c, a]
     assert rs.reached_size() == 3
     rs.remove_subtree(c)
     rs.remove_subtree(a)
-    assert not part.by_domain and rs.reached_size() == 1
+    assert rs.partitions[key] is part
+    assert not part and rs.reached_size() == 1
 
 
 def unindexed(rs: engine.RunState, nodes) -> list:
     """The nids of the nodes that are not their partition's entry for
     their domain state (nids, as an ART node's repr spans its tree)."""
     return [n.nid for n in nodes
-            if rs.partitions[rs.cpa.partition_key(n.state)].by_domain.get(n.state.domain)
-            is not n]
+            if engine.node_at(rs.partitions.get(rs.cpa.partition_key(n.state)),
+                              n.state.domain) is not n]
 
 
 def test_the_rule_holds_when_no_cover_is_proved(monkeypatch, programs_dir):
@@ -490,10 +504,11 @@ def test_art_bookkeeping_holds_no_container_per_node(nonlinear_square_cfa):
     assert sum(big.values()) - sum(small.values()) <= 4 * new_nodes
 
 
-def test_an_observer_partition_holds_one_dict(nonlinear_square_cfa,
-                                              nonlinear_square_explicit_automaton):
+def test_a_one_node_partition_holds_no_container(nonlinear_square_cfa,
+                                                nonlinear_square_explicit_automaton):
     # In a second stage each observer state keys its own partition, most
-    # of them holding one node: a partition's only container is its index.
+    # of them holding one node: such a partition is its node, and only a
+    # second domain state makes it a dict.
     from cmcheck import assumptions as A
     from cmcheck import driver
 
@@ -507,7 +522,7 @@ def test_an_observer_partition_holds_one_dict(nonlinear_square_cfa,
     (small_parts, small), (big_parts, big) = sizes
     new_parts = big_parts - small_parts
     assert new_parts > 5000
-    assert big[dict] - small[dict] <= new_parts
+    assert big[dict] - small[dict] <= new_parts / 100
 
 
 # -- the partitioned reached set ----------------------------------------------
@@ -519,15 +534,15 @@ def assert_partitions_consistent(rs: engine.RunState) -> None:
     """
     reached = rs.reached_nodes()
     assert rs.reached_size() == len(reached)
-    indexed = [n for part in rs.partitions.values() for n in part.by_domain.values()]
+    indexed = [n for held in rs.partitions.values() for n in engine.partition_nodes(held)]
     assert all(isinstance(n, engine.ArtNode) for n in indexed)
     # Each node once across all partitions: no removed or covered node.
     assert sorted(n.nid for n in indexed) == [n.nid for n in reached]
     missing = unindexed(rs, reached)
     assert not missing
     # The order is the order in which the nodes last got their states.
-    for part in rs.partitions.values():
-        stamps = [rs.stamps[n] for n in part.by_domain.values()]
+    for held in rs.partitions.values():
+        stamps = [rs.stamps[n] for n in engine.partition_nodes(held)]
         assert stamps == sorted(stamps)
     for node in rs.nodes:
         if node.covered_by is not None and not node.removed:
@@ -546,9 +561,9 @@ def test_partitions_hold_exactly_the_reached_set(monkeypatch):
             super().__init__(*args, **kwargs)
             runs.append(self)
 
-        def _index(self, node, part):
+        def _index(self, node, key):
             self.stamps[node] = next(clock)
-            super()._index(node, part)
+            super()._index(node, key)
 
     monkeypatch.setattr(engine, "RunState", RecordingRunState)
     explicit = driver.AnalysisConfig(name="explicit", domain="explicit", repeat_loc=2)

@@ -327,10 +327,12 @@ def test_fm_record_mentions_only_later_terms(solver):
     assert records > 200 and refuted > 40
 
 
-@pytest.mark.parametrize("disjuncts,fails", [(16, False), (17, True)])
-def test_minterm_queries_limited_up_front(disjuncts, fails):
+@pytest.mark.parametrize("disjuncts", [16, 17])
+def test_pruned_minterm_search_answers_past_the_product_bound(disjuncts):
     # Each negated equality predicate splits into two clauses, so eight of
-    # them over 16 disjuncts reach exactly the default 4096-clause bound.
+    # them over 17 disjuncts make a product of 17 * 2^8 > 4096 clauses.  The
+    # search prunes each x = i prefix after at most one y = j literal, so it
+    # visits far fewer prefixes than that, and answers.
     from cmcheck import domains as D
 
     prec = D.Precision()
@@ -339,14 +341,26 @@ def test_minterm_queries_limited_up_front(disjuncts, fails):
     dom = D.PredicateDomain(S.Solver(), prec)
     state = F.f_or([F.parse_formula(f"x = {i}") for i in range(disjuncts)])
     step = lang.parse_cfa("vars: x, y;\ninit: L0;\nL0 -> L1: havoc y;\n").edges[0]
+    out, = dom.transfer(state, step)
+    # y takes at most one of the eight values
+    assert abstraction_minterms(out, prec.atoms_at(1)) == {0} | {1 << i for i in range(8)}
+
+
+@pytest.mark.parametrize("disjuncts,bound,fails", [
+    (8, 4096, False), (9, 4096, True), (8, 4088, False), (8, 4087, True)])
+def test_minterm_search_bound_counts_visited_prefixes(monkeypatch, disjuncts, bound, fails):
+    # Eight independent predicates refute no prefix, so each of the
+    # disjuncts is extended through all 1 + 2 + ... + 2^8 = 511 prefixes:
+    # 8 disjuncts visit 4088, 9 visit 4599.  Eight take the whole default
+    # budget, about 0.1 s on a 2.1 GHz Xeon vCPU.
+    monkeypatch.setattr(S, "DNF_CLAUSE_BOUND", bound)
+    preds = [F.parse_formula(f"y{i} >= 0") for i in range(8)]
+    f = F.f_or([F.parse_formula(f"x = {j}") for j in range(disjuncts)])
     if fails:
-        with pytest.raises(D.AbstractionFailure):
-            dom.transfer(state, step)
+        with pytest.raises(F.FormulaTooLarge):
+            S.Solver().sat_minterms(f, preds)
     else:
-        out, = dom.transfer(state, step)
-        # y takes at most one of the eight values
-        assert abstraction_minterms(out, prec.atoms_at(1)) == \
-            {0} | {1 << i for i in range(8)}
+        assert S.Solver().sat_minterms(f, preds) == list(range(256))
 
 
 # -- path formulas ---------------------------------------------------------------
