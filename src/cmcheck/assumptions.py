@@ -11,13 +11,15 @@ rendered condition still covers the out-of-range states.  A state whose
 assumption is false is an excluded leaf: it stays in the reached set for
 post-processing but is never expanded.
 
-Post-processing reads one rule, ``unverified``: the reached nodes that
-are waiting, at an error location, or under a state assumption other
-than true.  ψ has a clause for each (``(pc = l) -> !state`` if waiting or
-at an error, else ``(pc = l) -> (!state | assumption)``), and the verdict
-is TRUE when there is none.  The automaton keeps the ART paths to the
-same nodes, collapses the rest into the sink T, and labels a transition
-into a node with the assumption its subtree was explored under.
+Post-processing reads one account, ``unverified``: each reached node
+left unverified, with the first kind that applies of ``waiting``,
+``excluded`` (assumption false), ``error`` (at an error location) and
+``assumed`` (assumption not true).  ψ has a clause for each (``(pc = l)
+-> (!state | assumption)`` if assumed, else ``(pc = l) -> !state``), and
+the verdict is TRUE when there is none.  The automaton keeps the ART
+paths to the same nodes, with no transitions from a waiting or excluded
+one, collapses the rest into the sink T, and labels a transition into a
+node with the assumption its subtree was explored under.
 """
 
 from __future__ import annotations
@@ -388,23 +390,32 @@ class ObserverComponent:
         return PRUNED if dst == SINK_VERIFIED else dst
 
 
-def unverified(rs: engine.RunState) -> list[engine.ArtNode]:
-    """The reached nodes ψ and the automaton cover, in ART order."""
+def unverified(rs: engine.RunState) -> list[tuple[engine.ArtNode, str]]:
+    """The reached nodes ψ and the automaton cover, in ART order, each with
+    its kind: the first of ``waiting``, ``excluded``, ``error`` and
+    ``assumed`` that applies (see the module docstring)."""
     error_locations = rs.cpa.cfa.error_locations
-    return [n for n in rs.reached_nodes() if n.in_waitlist or n.state.location in error_locations
-            or not isinstance(n.state.assumption, F.TrueF)]
+    out = []
+    for n in rs.reached_nodes():
+        a = n.state.assumption
+        kind = ("waiting" if n.in_waitlist else "excluded" if isinstance(a, F.FalseF)
+                else "error" if n.state.location in error_locations
+                else "assumed" if not isinstance(a, F.TrueF) else None)
+        if kind:
+            out.append((n, kind))
+    return out
 
 
 def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionAutomaton:
     """Collapse the ART into an assumption automaton.
 
-    A node is retained iff one of ``unverified_nodes`` is reachable below
-    it (through covered-node redirects); the rest collapses into T.  A
-    transition into a node or its cover conjoins the ART label with that
-    node's state assumption, except into an excluded node, from which
-    every edge falls through to U.  Fully-expanded retained nodes get
-    explicit T-transitions for edges whose successor computation produced
-    nothing (proven infeasible).
+    A node is retained iff one of ``unverified_nodes`` (``unverified``'s
+    pairs) is reachable below it (through covered-node redirects); the
+    rest collapses into T.  A transition into a node or its cover conjoins
+    the ART label with that node's state assumption unless it is false.
+    Every edge from a waiting or excluded node falls through to U; other
+    retained nodes get explicit T-transitions for edges whose successor
+    computation produced nothing (proven infeasible).
     """
     covers_index = rs.covers_index
     edges_from = rs.cpa.cfa.edges_from
@@ -412,7 +423,8 @@ def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionA
     # Walk back from the unverified nodes: a node's predecessors are its
     # parent and the live nodes it covers.
     retained = bytearray(len(rs.nodes))  # by nid
-    stack = list(unverified_nodes)
+    stack = [n for n, _ in unverified_nodes]
+    unexpanded = {n for n, kind in unverified_nodes if kind in ("waiting", "excluded")}
     while stack:
         n = stack.pop()
         if retained[n.nid]:
@@ -442,7 +454,7 @@ def export_automaton(rs: engine.RunState, unverified_nodes: list) -> AssumptionA
             labels[key] = label
 
     for n, sid in qid.items():
-        if isinstance(n.state.assumption, F.FalseF) or n.in_waitlist:
+        if n in unexpanded:
             continue  # all matches fall through to U at run time
         c = n.first_child
         if c is not None and c.next_sibling is None and not c.removed:
@@ -520,20 +532,15 @@ def postprocess(rs: engine.RunState, confirmed_witness: Optional[list] = None,
                 error_description: Optional[str] = None,
                 stats: Optional[dict] = None) -> ConditionReport:
     """Assemble the final invariant and verdict from a finished run."""
-    cpa = rs.cpa
-    error_locations = cpa.cfa.error_locations
+    render = rs.cpa.domain.render
     open_nodes = unverified(rs)
     clauses = []
-    for node in open_nodes:
+    for node, kind in open_nodes:
         state = node.state
-        loc = state.location
-        rendered = cpa.domain.render(state.domain)
-        if node.in_waitlist or loc in error_locations:
-            clause = F.f_implies(pc_equals(loc), F.f_not(rendered))
-        else:
-            clause = F.f_implies(pc_equals(loc), F.f_or([F.f_not(rendered), state.assumption]))
-        if not isinstance(clause, F.TrueF):
-            clauses.append(clause)
+        body = F.f_not(render(state.domain))
+        if kind == "assumed":
+            body = F.f_or([body, state.assumption])
+        clauses.append(F.f_implies(pc_equals(state.location), body))
     psi = F.f_and(clauses)
     if confirmed_witness is not None:
         verdict = "FALSE"

@@ -176,7 +176,10 @@ class StageResult:
     verdict: str  # TRUE | FALSE | CONDITION | skipped
     report: Optional[A.ConditionReport]
     seconds: float
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.verdict == "skipped"
 
 
 @dataclass
@@ -184,7 +187,10 @@ class FinalReport:
     verdict: str
     stages: list[StageResult]
     total_seconds: float
-    solved: bool  # a definite TRUE/FALSE was reached
+
+    @property
+    def solved(self) -> bool:  # a definite TRUE/FALSE was reached
+        return self.verdict in ("TRUE", "FALSE")
 
     @property
     def last_report(self) -> Optional[A.ConditionReport]:
@@ -203,7 +209,7 @@ def run_pipeline(cfa: lang.Cfa, pipeline: Pipeline) -> FinalReport:
     done = False
     for config in pipeline.stages:
         if done:
-            stages.append(StageResult(config.name, "skipped", None, 0.0, skipped=True))
+            stages.append(StageResult(config.name, "skipped", None, 0.0))
             continue
         started = time.monotonic()
         report = run_analysis(cfa, config, input_automaton=carried)
@@ -215,8 +221,7 @@ def run_pipeline(cfa: lang.Cfa, pipeline: Pipeline) -> FinalReport:
             done = True
         elif pipeline.chaining == "condition-passing":
             carried = report.automaton
-    return FinalReport(verdict=verdict, stages=stages, total_seconds=total,
-                       solved=verdict in ("TRUE", "FALSE"))
+    return FinalReport(verdict=verdict, stages=stages, total_seconds=total)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +305,9 @@ def parse_condition_flag(text: str) -> tuple[str, object]:
     attr = key.replace("-", "_")
     if key == "soft-time":
         return attr, float(value.removesuffix("s"))
+    # ASCII digits only: int() also takes signs, '_' and other scripts' digits.
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"condition {key} takes a non-negative integer, not {value!r}")
     return attr, int(value)
 
 

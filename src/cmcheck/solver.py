@@ -291,8 +291,6 @@ class Solver:
     def __init__(self):
         self._sat_cache: dict[F.Formula, SatResult] = {}
         self._entails_cache: dict[tuple[F.Formula, F.Formula], bool] = {}
-        # Predicate -> (DNF of its negation, DNF of itself), for sat_minterms.
-        self._literal_dnfs: dict[F.Formula, tuple[list, list]] = {}
         self.stats = {"sat_queries": 0, "witness_searches": 0}
 
     # -- satisfiability ----------------------------------------------------
@@ -302,24 +300,16 @@ class Solver:
         if cached is not None:
             return cached
         self.stats["sat_queries"] += 1
-        if isinstance(f, F.TrueF):
-            r = SatResult(SAT, {})
-        elif isinstance(f, F.FalseF):
-            r = SatResult(UNSAT)
-        else:
-            r = self._check_sat_uncached(f)
+        # true has one empty clause (SAT), false has none (UNSAT).
+        r = SatResult(UNSAT)
+        for clause in _clauses(f):
+            answer = self._clause_sat(clause)
+            if answer.kind != UNSAT:  # MAYBE stands unless a later clause is SAT
+                r = answer
+                if r.kind == SAT:
+                    break
         self._sat_cache[f] = r
         return r
-
-    def _check_sat_uncached(self, f: F.Formula) -> SatResult:
-        saw_maybe = False
-        for clause in _clauses(f):
-            r = self._clause_sat(clause)
-            if r.kind == SAT:
-                return r
-            if r.kind == MAYBE:
-                saw_maybe = True
-        return SatResult(MAYBE) if saw_maybe else SatResult(UNSAT)
 
     def _clause_sat(self, atoms: tuple[F.Atom, ...]) -> SatResult:
         if not atoms:
@@ -341,8 +331,8 @@ class Solver:
         """Sorted bit-vectors ``b`` for which ``f & minterm(b)`` is not refuted.
 
         Bit i of ``b`` set means ``preds[i]`` holds, clear means its
-        negation holds.  DNF(f) is computed once, and the DNFs of each
-        predicate and its negation once per solver; each clause of DNF(f) is
+        negation holds.  DNF(f), and the DNFs of each predicate and its
+        negation, are computed once per call; each clause of DNF(f) is
         extended one predicate literal at a time, in index order, and a
         prefix that Fourier-Motzkin refutes is dropped with all its
         extensions.  Raises FormulaTooLarge once the search has visited
@@ -352,12 +342,7 @@ class Solver:
         """
         clauses = to_dnf(f)
         # literals[i][v]: the DNF of preds[i] (v = 1) or of its negation (v = 0)
-        literals = []
-        for p in preds:
-            pair = self._literal_dnfs.get(p)
-            if pair is None:
-                pair = self._literal_dnfs[p] = (to_dnf(F.f_not(p)), to_dnf(p))
-            literals.append(pair)
+        literals = [(to_dnf(F.f_not(p)), to_dnf(p)) for p in preds]
         # One numbering for the whole query: it orders any prefix's terms
         # as the prefix's own numbering would, so each prefix is decided as
         # _fm_eliminate decides it alone.

@@ -646,3 +646,115 @@ def test_psi_and_automaton_cover_the_same_nodes(programs_dir):
                         and F.f_and([label, assumed]) != label:
                     failures.append((name, config.name, n.nid, "label lacks assumption"))
     assert not failures, failures[:10]
+
+
+def kind_by_flags(n, error_locations):
+    """The kind a reached node's flags give it: the first that applies, in
+    the stated order, or None for a settled node."""
+    assumption = n.state.assumption
+    if n.in_waitlist:
+        return "waiting"
+    if isinstance(assumption, F.FalseF):
+        return "excluded"
+    if n.state.location in error_locations:
+        return "error"
+    if not isinstance(assumption, F.TrueF):
+        return "assumed"
+    return None
+
+
+def kind_failures(report) -> list:
+    """Where ``unverified``, ψ or the automaton disagree with the kind each
+    reached node's flags give it."""
+    rs, aut = report.run, report.automaton
+    cfa = rs.cpa.cfa
+    pairs = A.unverified(rs)
+    want = [(n, k) for n in rs.reached_nodes() if (k := kind_by_flags(n, cfa.error_locations))]
+    failures = [(n.nid, k, "kind") for n, k in set(pairs) ^ set(want)]
+    if not failures and pairs != want:
+        failures.append((None, None, "not in ART order"))
+    clauses = []
+    sid = automaton_state_of_each_node(rs, aut)
+    for n, kind in want:
+        body = F.f_not(rs.cpa.domain.render(n.state.domain))
+        if kind == "assumed":
+            body = F.f_or([body, n.state.assumption])
+        clauses.append(F.f_implies(A.pc_equals(n.state.location), body))
+        q = sid[n.nid]
+        if q in (A.SINK_VERIFIED, A.SINK_UNKNOWN):
+            continue
+        out = {e for (src, e) in aut.transitions if src == q}
+        if kind in ("waiting", "excluded"):
+            if out:
+                failures.append((n.nid, kind, "has transitions"))
+        elif out != {e.id for e in cfa.edges_from(n.state.location)}:
+            failures.append((n.nid, kind, "misses transitions"))
+    if report.psi != F.f_and(clauses):
+        failures.append((None, None, "psi clauses"))
+    return failures
+
+
+def test_unverified_kinds_match_node_flags(programs_dir):
+    # Each unverified node's kind is the first of waiting, excluded, error
+    # and assumed that its flags give; its ψ clause has that kind's shape,
+    # and a named waiting or excluded node has no transitions.
+    from collections import Counter
+
+    from cmcheck import driver
+    from test_golden import condition_configs, golden_configs, golden_programs
+
+    failures = []
+    seen = Counter()
+    for name, cfa in golden_programs(programs_dir):
+        for config in golden_configs() + condition_configs():
+            report = driver.run_analysis(cfa, config)
+            failures.extend((name, config.name, *f) for f in kind_failures(report))
+            seen.update(kind for _, kind in A.unverified(report.run))
+    assert not failures, failures[:10]
+    assert all(seen[kind] for kind in ("waiting", "excluded", "assumed")), seen
+
+
+KINDS_CFA = """
+vars: x;
+init: L0;
+error: L9;
+L0 -> L9: assume x < 1;
+L0 -> L9: assume x < 2;
+L0 -> L9: assume x < 3;
+L0 -> L1: assume x >= 1;
+L0 -> L5: assume x >= 5;
+L9 -> L5: x := 0;
+L1 -> L5: x := 1;
+"""
+
+
+def test_unverified_kinds_in_order(solver):
+    # One node per kind, each also meeting the tests of the later kinds,
+    # plus a settled node: the first kind that applies wins.
+    cfa = lang.parse_cfa(KINDS_CFA)
+    bound = F.parse_formula("x <= 7")
+
+    def at(loc, assumption, domain="x >= 1"):
+        return A.CompositeState(assumption, loc, (), None, F.parse_formula(domain))
+
+    rs = seeded_run(cfa, solver, [
+        (at(9, bound), True),  # waiting
+        (at(9, F.FALSE, "x >= 2"), False),  # excluded
+        (at(9, bound, "x >= 3"), False),  # error
+        (at(1, bound), False),  # assumed
+        (at(5, F.TRUE), False),  # settled
+    ])
+    nodes = rs.nodes[1:]
+    assert A.unverified(rs) == list(zip(nodes, ["waiting", "excluded", "error", "assumed"]))
+    report = A.postprocess(rs)
+    assert report.verdict == "CONDITION"
+    assert A.serialize_condition(report.psi) == (
+        "# psi\n"
+        "(pc = 1) -> ((x <= 0) | (x <= 7))\n"
+        "(pc = 9) -> ((x <= 0))\n"
+        "(pc = 9) -> ((x <= 1))\n"
+        "(pc = 9) -> ((x <= 2))\n")
+    assert kind_failures(report) == []
+    aut = report.automaton
+    assert sorted((src, e) for src, e in aut.transitions if src != "q0") == [("q3", 5), ("q4", 6)]
+    assert aut.transitions[("q0", 4)] == A.SINK_VERIFIED

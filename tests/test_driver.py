@@ -40,6 +40,10 @@ def test_parse_config_default_is_predicate_with_refinement():
 def test_parse_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="condition"):
         driver.parse_config(condition_flags=["bogus=1"])
+    # Integer values take ASCII digits only, as the input formats do.
+    for flag in ("fuel=\u0663", "fuel=1_0", "fuel=+3", "fuel=-3", "fuel= 3", "repeat-loc=3.0"):
+        with pytest.raises(ValueError, match=flag.partition("=")[0]):
+            driver.parse_config(condition_flags=[flag])
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"stages": [{"domain": "explicit", "frobnicate": 1}]}))
     with pytest.raises(ValueError, match="unknown configuration keys"):
@@ -251,6 +255,14 @@ def test_cli_condition_exit_code(tmp_path, capsys):
     f.write_text("int x; x := 0; while (x >= 0) { x := x + 1; }")
     code = cli.main([str(f), "--config", "explicit", "--condition", "fuel=200"])
     assert code == 2
+
+
+def test_cli_rejects_non_ascii_condition_digits(tmp_path, capsys):
+    f = tmp_path / "p.imp"
+    f.write_text("int x; x := 0; while (x >= 0) { x := x + 1; }")
+    code = cli.main([str(f), "--config", "explicit", "--condition", "fuel=\u0663"])
+    assert code == 3
+    assert "fuel" in capsys.readouterr().err
 
 
 def test_cli_usage_error(tmp_path, capsys):
