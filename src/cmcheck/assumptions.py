@@ -24,6 +24,7 @@ node with the assumption its subtree was explored under.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -238,22 +239,38 @@ def serialize_automaton(aut: AssumptionAutomaton) -> str:
     transitions = aut.transitions
     for key in sorted(transitions):
         src, edge_id = key
-        label = F.render_formula(labels.get(key, F.TRUE))
-        lines.append(f"trans {src} edge={edge_id} assume={label} -> {transitions[key]};")
+        label = labels.get(key)
+        text = "true" if label is None else F.render_formula(label)
+        lines.append(f"trans {src} edge={edge_id} assume={text} -> {transitions[key]};")
     return "\n".join(lines) + "\n"
+
+
+# One pattern per line kind, matched against the raw line.  ``\s`` is the
+# whitespace ``str.strip`` removes, a literal space stands where the format
+# has always asked for one, and a state id is one token.
+_TRANS = re.compile(r"\s*trans \s*(\S+)\s* edge=(.*?) assume=\s*(.*?)\s* -> \s*(\S+)\s*;\s*")
+_STATE = re.compile(r"\s*state \s*(\S+)\s+(\S+)\s*;\s*")
+_COMMENT = re.compile(r"\s*#(?:\s*edges:(.*))?")
 
 
 def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutomaton:
     """Read the text ``serialize_automaton`` writes.
 
-    Each distinct label is parsed once and its formula shared, and only
-    the labels that are not true are stored.  Each state id is one string
-    object, wherever it occurs.  A state line names one flag among
-    ``init``, ``T`` and ``U``, at most one state is ``init``, and no
-    state line repeats.  A syntax error, in a label or around it, raises
-    ParseError at its position in ``text``, naming ``source`` (the file
-    name) when given; a missing init state or ``# edges:`` header is
-    reported at 1:1.
+    Each line is matched by one pattern for its kind: ``trans``, ``state``
+    or a ``#`` comment, of which ``# edges: n`` is the header; blank lines
+    are skipped.  Whitespace may pad a line, its fields and the ``;``, but
+    a space character must follow ``trans``, ``state`` and ``->`` and
+    precede ``edge=``, ``assume=`` and ``->``, as written.  A state id is
+    one token, a label runs to the last ``->``, and an edge id or edge
+    count is ASCII digits.  Each distinct label is parsed once and its
+    formula shared, and only the labels that are not true are stored.
+    Each state id is one string object, wherever it occurs.  A state line
+    names one flag among ``init``, ``T`` and ``U``, at most one state is
+    ``init``, and no state line repeats.  A syntax error, in a label or
+    around it, raises ParseError at its position in ``text``, naming
+    ``source`` (the file name) when given; a line of no kind is reported
+    at its first character, or at its end when it lacks the closing
+    ``;``; a missing init state or ``# edges:`` header is reported at 1:1.
     """
     edge_count = -1
     flags: dict[str, set[str]] = {}
@@ -263,76 +280,65 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
     names: dict[str, str] = {}  # state id -> its one string object
     initial = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("edges:"):
-                count_text = body.split(":", 1)[1].strip()
-                # ASCII digits only, as the program formats read integers:
-                # int() alone also takes signs, underscores and other
-                # scripts' digits.
-                if not (count_text.isascii() and count_text.isdigit()):
-                    raise lang.ParseError(f"edge count {count_text!r} is not an integer",
-                                          lineno, raw.index("edges:") + len("edges:") + 1,
-                                          source)
-                edge_count = int(count_text)
-            continue
-        indent = len(raw) - len(raw.lstrip())
-        if not line.endswith(";"):
-            raise lang.ParseError("missing ';' at the end of the line", lineno,
-                                  indent + len(line) + 1, source)
-        line = line[:-1].strip()
-        if line.startswith("state "):
-            fields = line.split()
-            if len(fields) == 3:
-                _, sid, flag = fields
-                if flag not in ("init", "T", "U"):
-                    col = len(raw[:raw.rindex(";")].rstrip()) - len(flag) + 1
-                    raise lang.ParseError(f"unknown state flag {flag!r}", lineno, col, source)
-                sid = names.setdefault(sid, sid)
-                marked = flags.setdefault(sid, set())
-                if flag in marked:
-                    raise lang.ParseError(f"repeated state line: {line};", lineno,
-                                          indent + 1, source)
-                if flag == "init":
-                    if initial is not None:
-                        raise lang.ParseError(f"second init state {sid} (the first is "
-                                              f"{initial})", lineno, indent + 1, source)
-                    initial = sid
-                marked.add(flag)
-                continue
-        elif line.startswith("trans ") and " edge=" in line and " assume=" in line \
-                and " -> " in line:
-            head, dst = line.rsplit(" -> ", 1)
-            head = head[len("trans "):]
-            src, rest = head.split(" edge=", 1)
-            edge_text, assume_text = rest.split(" assume=", 1)
+        m = _TRANS.fullmatch(raw)
+        if m is not None:
+            src, edge_text, label, dst = m.groups()
+            # ASCII digits only, as the program formats read integers:
+            # int() alone also takes signs, underscores and other scripts'
+            # digits.
             if not (edge_text.isascii() and edge_text.isdigit()):
                 raise lang.ParseError(f"edge id {edge_text!r} is not an integer", lineno,
-                                      raw.index(" edge=") + len(" edge=") + 1, source)
-            src = src.strip()
-            dst = dst.strip()
+                                      m.start(2) + 1, source)
             key = (names.setdefault(src, src), int(edge_text))
             if key in transitions:
                 raise lang.ParseError(f"duplicate transition from {key[0]} along edge {key[1]}",
-                                      lineno, indent + 1, source)
-            label = assume_text.strip()
+                                      lineno, _indent(raw) + 1, source)
             assumption = parsed.get(label)
             if assumption is None:
                 try:
                     assumption = parsed[label] = F.parse_formula(label)
                 except lang.ParseError as exc:
-                    start = raw.index(label, raw.index(" assume=") + len(" assume="))
-                    raise lang.ParseError(exc.message, lineno, start + exc.col,
+                    raise lang.ParseError(exc.message, lineno, m.start(3) + exc.col,
                                           source) from None
             transitions[key] = names.setdefault(dst, dst)
             if not isinstance(assumption, F.TrueF):
                 labels[key] = assumption
             continue
-        raise lang.ParseError(f"unrecognized automaton line: {line};", lineno, indent + 1,
-                              source)
+        m = _STATE.fullmatch(raw)
+        if m is not None:
+            sid, flag = m.groups()
+            if flag not in ("init", "T", "U"):
+                raise lang.ParseError(f"unknown state flag {flag!r}", lineno, m.start(2) + 1,
+                                      source)
+            sid = names.setdefault(sid, sid)
+            marked = flags.setdefault(sid, set())
+            if flag in marked:
+                raise lang.ParseError(f"repeated state line: {_statement(raw)}", lineno,
+                                      _indent(raw) + 1, source)
+            if flag == "init":
+                if initial is not None:
+                    raise lang.ParseError(f"second init state {sid} (the first is "
+                                          f"{initial})", lineno, _indent(raw) + 1, source)
+                initial = sid
+            marked.add(flag)
+            continue
+        m = _COMMENT.match(raw)
+        if m is not None:
+            if m.group(1) is not None:
+                count_text = m.group(1).strip()
+                if not (count_text.isascii() and count_text.isdigit()):
+                    raise lang.ParseError(f"edge count {count_text!r} is not an integer",
+                                          lineno, m.start(1) + 1, source)
+                edge_count = int(count_text)
+            continue
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.endswith(";"):
+            raise lang.ParseError("missing ';' at the end of the line", lineno,
+                                  _indent(raw) + len(line) + 1, source)
+        raise lang.ParseError(f"unrecognized automaton line: {_statement(raw)}", lineno,
+                              _indent(raw) + 1, source)
     if initial is None:
         raise lang.ParseError("automaton has no init state", 1, 1, source)
     if edge_count < 0:
@@ -344,6 +350,16 @@ def parse_automaton(text: str, source: Optional[str] = None) -> AssumptionAutoma
         edge_count=edge_count,
         labels=labels,
     )
+
+
+def _indent(raw: str) -> int:
+    return len(raw) - len(raw.lstrip())
+
+
+def _statement(raw: str) -> str:
+    """A ``;``-terminated line as error messages quote it: stripped, and
+    with no space before the ``;``."""
+    return raw.strip()[:-1].strip() + ";"
 
 
 def validate_automaton(aut: AssumptionAutomaton, cfa: lang.Cfa) -> None:

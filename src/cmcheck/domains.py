@@ -87,8 +87,7 @@ class ExplicitDomain:
 
     def render(self, state: ExplicitState) -> F.Formula:
         return F.f_and(
-            F.mk_atom(F.lin_sub(F.lin_var(v), F.lin_const(val)), F.EQ, 0)
-            for v, val in state.bindings
+            F.mk_atom(F.lin_var(v), F.EQ, val) for v, val in state.bindings
         )
 
     def cover_keys(self, state: ExplicitState, shapes):

@@ -303,9 +303,15 @@ def parse_condition_flag(text: str) -> tuple[str, object]:
         known = ", ".join(sorted(_CONDITION_KEYS))
         raise ValueError(f"bad condition {text!r}; expected one of {known} with =VALUE")
     attr = key.replace("-", "_")
+    # ASCII digits only: int() and float() also take signs, '_' and other
+    # scripts' digits, and float() exponents, 'inf' and 'nan'.
     if key == "soft-time":
-        return attr, float(value.removesuffix("s"))
-    # ASCII digits only: int() also takes signs, '_' and other scripts' digits.
+        number = value.removesuffix("s")
+        digits = number.replace(".", "", 1)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"condition {key} takes a non-negative number of seconds, "
+                             f"not {value!r}")
+        return attr, float(number)
     if not (value.isascii() and value.isdigit()):
         raise ValueError(f"condition {key} takes a non-negative integer, not {value!r}")
     return attr, int(value)

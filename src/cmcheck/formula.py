@@ -103,10 +103,9 @@ def lin_key(lin: LinExpr):
     return (tuple((term_key(t), c) for t, c in lin.terms), lin.const)
 
 
-def make_lin(coeffs: Mapping[Term, int] | Iterable[tuple[Term, int]], const: int = 0) -> LinExpr:
+def make_lin(coeffs: Iterable[tuple[Term, int]], const: int = 0) -> LinExpr:
     acc: dict = {}
-    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-    for t, c in items:
+    for t, c in coeffs:
         if c:
             acc[t] = acc.get(t, 0) + c
     pruned = [(t, c) for t, c in acc.items() if c != 0]
@@ -267,10 +266,21 @@ def formula_key(f: Formula):
     return (5, tuple(formula_key(a) for a in f.args))
 
 
-def _literal_complement_key(f: Formula):
-    """Key of the negation, for cheap x & !x detection among literals."""
-    if isinstance(f, (AtomF, NotF)):
-        return formula_key(f_not(f))
+def _literal_complement_key(f: Formula, key):
+    """``formula_key(f_not(f))`` for a literal ``f`` whose key is ``key``.
+
+    It is read off ``key``, for cheap x & !x detection among literals: a
+    negated equality's complement is its atom, an equality's is its
+    negation, and a ``<=`` atom's negates its coefficients and takes the
+    bound ``-bound - 1`` (``Atom.negated``).  None for other formulas.
+    """
+    if isinstance(f, NotF):
+        return key[1]
+    if isinstance(f, AtomF):
+        if f.atom.op == EQ:
+            return (3, key)
+        terms, _, bound = key[1]
+        return (2, (tuple((t, -c) for t, c in terms), LE, -bound - 1))
     return None
 
 
@@ -324,7 +334,7 @@ def _assemble(args: Iterable[Formula], kind, absorb: Formula, unit: Formula):
         elif a != unit:
             flat[formula_key(a)] = a
     for key, a in flat.items():
-        neg = _literal_complement_key(a)
+        neg = _literal_complement_key(a, key)
         if neg is not None and neg in flat:
             return absorb, None
     ordered = tuple(a for _, a in sorted(flat.items(), key=lambda kv: kv[0]))

@@ -4,9 +4,9 @@ An error path is the target node's ``path_from_root()``: its nodes, root
 first, and the edges between them.  Feasibility reads the edges, mining
 both, and exclusion the nodes.
 
-Feasibility walks the abstract error path forward, folding constant
-assignments eagerly (so loop-counter contradictions surface without the
-solver) and keeping everything else as SSA residual constraints.
+Feasibility walks the abstract error path forward, evaluating each edge
+whose values are known (so loop-counter contradictions surface without
+the solver) and keeping everything else as SSA residual constraints.
 A satisfiable residual only confirms a bug after the witness replays
 through ``oracle``'s concrete steps to the error location; opaque products
 make spurious witnesses possible, and an unreplayable one downgrades the
@@ -54,15 +54,19 @@ def check_feasibility(edges: list[lang.Edge], cfa: lang.Cfa,
                       atom_limit: Optional[int] = None) -> FeasibilityResult:
     """Decide concrete executability of an abstract error path's edges.
 
-    Each edge is encoded by ``solver.encode_edge`` with a constant
-    environment: constant assignments fold into it, and whatever else an
-    edge constrains is a residual.  A pivot indexes the path's states, the
-    root being 0, so the error state's is ``len(edges)``.  Executions start
-    from the all-zeros store, so ``v@0 = 0`` seeds the constants.  An
-    assume that folds to false ends the walk as the last residual, and the
-    pivot search over the residual prefixes places the pivot.
+    Each edge goes through ``solver.encode_edge`` with ``consts``, each
+    variable's value at its current SSA index while that value is known.
+    An edge that the known values decide is evaluated, not encoded, so a
+    path that only counts with constants costs no linear algebra; a
+    havoc, or an assignment of a value that is not constant, drops its
+    variable.  Whatever else an edge constrains is a residual.  A pivot
+    indexes the path's states, the root being 0, so the error state's is
+    ``len(edges)``.  Executions start from the all-zeros store, so every
+    variable starts known as 0.  An assume that evaluates or folds to
+    false ends the walk as the last residual, and the pivot search over
+    the residual prefixes places the pivot.
     """
-    consts: dict[str, int] = {solver_mod.ssa_name(v, 0): 0 for v in cfa.variables}
+    consts: dict[str, int] = dict.fromkeys(cfa.variables, 0)
     idx: dict[str, int] = {}
     residuals: list[tuple[int, F.Formula]] = []
     for i, edge in enumerate(edges):
@@ -145,61 +149,70 @@ def mine_predicates(nodes: list[engine.ArtNode], edges: list[lang.Edge],
     dropping them at havocs; every collected atom is proposed at every
     path location from the pivot back to the root.
 
-    A long path walks the same few edges again and again, so the assume
-    atoms and right-hand side of each edge, the variables of each atom and
+    A long path walks the same few edges again and again, so each
+    distinct atom gets a number once per call, by its positive form, and
+    the walk keeps numbers, not atoms.  The assume atoms and right-hand
+    side of each edge, the positive form and variables of each atom and
     each (atom, edge) substitution are computed once per call.
     """
-    current: dict = {}
-    collected: dict = {}
-    assume_atoms: dict[int, list[F.Atom]] = {}
+    current: dict[int, int] = {}  # atom number -> substitution depth
+    atoms: list[F.Atom] = []  # number -> positive form
+    atom_vars: list[set[str]] = []  # number -> its variables
+    number_of: dict[F.Atom, int] = {}  # noted atom -> number, -1 if untrackable
+    assume_numbers: dict[int, list[int]] = {}
     rhs: dict[int, F.LinExpr] = {}
-    atom_vars: dict[F.Atom, set[str]] = {}
-    substituted: dict[tuple[F.Atom, int], F.Formula] = {}
+    substituted: dict[tuple[int, int], int] = {}  # (number, edge id) -> number, or -1
 
-    def vars_of(atom: F.Atom) -> set[str]:
-        names = atom_vars.get(atom)
-        if names is None:
-            names = atom_vars[atom] = {t.name for t, _ in atom.terms}
-        return names
-
-    def note(atom: F.Atom, depth: int):
-        if any(isinstance(t, F.ProdTerm) for t, _ in atom.terms):
-            return  # opaque products are untrackable for the linear domain
-        pos = F.positive_form(atom)
-        key = F.atom_key(pos)
-        current[key] = (pos, depth)
-        collected[key] = pos
+    def number(atom: F.Atom) -> int:
+        n = number_of.get(atom)
+        if n is None:
+            if any(isinstance(t, F.ProdTerm) for t, _ in atom.terms):
+                n = -1  # opaque products are untrackable for the linear domain
+            else:
+                pos = F.positive_form(atom)
+                n = number_of.get(pos)
+                if n is None:
+                    n = number_of[pos] = len(atoms)
+                    atoms.append(pos)
+                    atom_vars.append({t.name for t, _ in pos.terms})
+            number_of[atom] = n
+        return n
 
     for edge in reversed(edges):
         op = edge.op
         if isinstance(op, lang.Assume):
-            atoms = assume_atoms.get(edge.id)
-            if atoms is None:
-                atoms = assume_atoms[edge.id] = F.atoms_of(F.bexpr_to_formula(op.expr))
-            for atom in atoms:
-                note(atom, 0)
+            noted = assume_numbers.get(edge.id)
+            if noted is None:
+                formula = F.bexpr_to_formula(op.expr)
+                noted = assume_numbers[edge.id] = [
+                    n for n in map(number, F.atoms_of(formula)) if n >= 0]
+            for n in noted:
+                current[n] = 0
         elif isinstance(op, lang.Assign):
-            for key, (atom, depth) in list(current.items()):
-                if op.var not in vars_of(atom):
+            for n, depth in list(current.items()):
+                if op.var not in atom_vars[n]:
                     continue
-                del current[key]
+                del current[n]
                 if depth >= MAX_WP_DEPTH:
                     continue
-                sub = substituted.get((atom, edge.id))
-                if sub is None:
+                m = substituted.get((n, edge.id))
+                if m is None:
                     repl = rhs.get(edge.id)
                     if repl is None:
                         repl = rhs[edge.id] = F.linearize(op.expr)
-                    sub = substituted[(atom, edge.id)] = F.substitute(F.AtomF(atom), op.var, repl)
-                if isinstance(sub, F.AtomF):
-                    note(sub.atom, depth + 1)
+                    sub = F.substitute(F.AtomF(atoms[n]), op.var, repl)
+                    m = number(sub.atom) if isinstance(sub, F.AtomF) else -1
+                    substituted[(n, edge.id)] = m
+                if m >= 0:
+                    current[m] = depth + 1
         else:
-            for key, (atom, _) in list(current.items()):
-                if op.var in vars_of(atom):
-                    del current[key]
+            for n in list(current):
+                if op.var in atom_vars[n]:
+                    del current[n]
 
+    # Every numbered atom was noted when it was numbered.
     locations = {nodes[i].state.location for i in range(pivot + 1)}
-    return {(loc, atom) for loc in locations for atom in collected.values()}
+    return {(loc, atom) for loc in locations for atom in atoms}
 
 
 def exclude_path_suffix(rs: engine.RunState, nodes: list[engine.ArtNode], pivot: int) -> None:

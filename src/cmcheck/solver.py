@@ -407,26 +407,49 @@ def encode_edge(edge: lang.Edge, idx: dict[str, int],
 
     Variables are read at their index in ``idx`` (0 when absent); an
     assigned or havocked variable moves to its next index, in ``idx``.
-    A havoc constrains nothing.  With ``consts`` (SSA name -> value), a
-    read of a known constant is that constant, and an assignment of a
-    constant is recorded there and constrains nothing.
-    """
-    def var_fn(name: str) -> F.LinExpr:
-        ssa = ssa_name(name, idx.get(name, 0))
-        if consts is not None and ssa in consts:
-            return F.lin_const(consts[ssa])
-        return F.lin_var(ssa)
+    A havoc constrains nothing.
 
+    With ``consts`` (variable -> its value at its current index), a read
+    of a known variable is that constant.  An edge that the known values
+    decide is evaluated, not encoded: ``lang.eval_bool`` answers an
+    assume with true or false, and ``lang.eval_arith`` gives an
+    assignment its exact value, which is recorded in ``consts`` (the
+    constraint is then true).  Any other edge is encoded with its known
+    reads substituted; an assignment that still folds to a constant is
+    recorded too, and a havoc or a non-constant assignment drops its
+    variable from ``consts``.
+    """
     op = edge.op
+    if consts is not None:
+        if isinstance(op, lang.Assume):
+            known = lang.eval_bool(op.expr, consts)
+            if known is not None:
+                return F.TRUE if known else F.FALSE
+        elif isinstance(op, lang.Assign):
+            value = lang.eval_arith(op.expr, consts)
+            if value is not None:
+                idx[op.var] = idx.get(op.var, 0) + 1
+                consts[op.var] = value
+                return F.TRUE
+
+    def var_fn(name: str) -> F.LinExpr:
+        if consts is not None and name in consts:
+            return F.lin_const(consts[name])
+        return F.lin_var(ssa_name(name, idx.get(name, 0)))
+
     if isinstance(op, lang.Assume):
         return F.bexpr_to_formula(op.expr, var_fn)
     if isinstance(op, lang.Assign):
         rhs = F.linearize(op.expr, var_fn)
         k = idx[op.var] = idx.get(op.var, 0) + 1
-        if consts is not None and rhs.is_const():
-            consts[ssa_name(op.var, k)] = rhs.const
-            return F.TRUE
+        if consts is not None:
+            if rhs.is_const():
+                consts[op.var] = rhs.const
+                return F.TRUE
+            consts.pop(op.var, None)
         return F.mk_atom(F.lin_sub(F.lin_var(ssa_name(op.var, k)), rhs), F.EQ, 0)
     assert isinstance(op, lang.Havoc)
     idx[op.var] = idx.get(op.var, 0) + 1
+    if consts is not None:
+        consts.pop(op.var, None)
     return F.TRUE

@@ -14,6 +14,7 @@ import gc
 import itertools
 import random
 from collections import Counter
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -266,6 +267,28 @@ def engine_reached_states(cpa: CompositeCpa, order: str = "dfs") -> list:
     monitor = C.GlobalMonitor(max_fuel=ENGINE_TEST_FUEL)
     assert engine.run_cpa(rs, monitor) is None and not monitor.halted
     return [n.state for n in rs.reached_nodes()], rs
+
+
+@contextmanager
+def counting_calls(owner, name: str):
+    """Count the calls of ``owner.name`` made inside the block.
+
+    Yields a Counter keyed by each call's first argument, so
+    ``sum(calls.values())`` is the number of calls and ``max`` the most
+    calls with one argument.  The function is restored on exit.
+    """
+    shipped = getattr(owner, name)
+    calls: Counter = Counter()
+
+    def counted(*args, **kwargs):
+        calls[args[0] if args else None] += 1
+        return shipped(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, shipped)
 
 
 def tracked_by_type() -> Counter:

@@ -388,13 +388,67 @@ def test_automaton_label_error_points_into_the_file():
     ("  state q1 init;", "4:3: second init state q1 (the first is q0)"),
     ("  state q1 bogus;", "4:12: unknown state flag 'bogus'"),
     ("  state q0 init;", "4:3: repeated state line: state q0 init;"),
+    # Fields out of order once raised a bare ValueError; a state id is one
+    # token, so an id with a space in it, or none at all, is no id.
+    ("  trans q0 assume=true edge=1 -> T;",
+     "4:3: unrecognized automaton line: trans q0 assume=true edge=1 -> T;"),
+    ("  trans q 0 edge=1 assume=true -> T;",
+     "4:3: unrecognized automaton line: trans q 0 edge=1 assume=true -> T;"),
+    ("  trans  edge=1 assume=true -> T;",
+     "4:3: unrecognized automaton line: trans  edge=1 assume=true -> T;"),
 ], ids=["semicolon", "edge", "unknown", "state", "duplicate", "header",
         "edge-underscore", "edge-sign", "header-underscore", "header-fullwidth",
-        "second-init", "state-flag", "repeated-state"])
+        "second-init", "state-flag", "repeated-state", "field-order", "spaced-id",
+        "empty-id"])
 def test_automaton_syntax_errors_name_file_and_line(line, message):
     text = "# edges: 3\nstate q0 init;\ntrans q0 edge=0 assume=true -> T;\n" + line + "\n"
     with pytest.raises(lang.ParseError) as err:
         A.parse_automaton(text, source="a.txt")
+    assert str(err.value) == "a.txt:" + message
+
+
+CANONICAL_AUTOMATON = ("# edges: 3\nstate q0 init;\nstate U U;\n"
+                       "trans q0 edge=0 assume=true -> q1;\n"
+                       "trans q1 edge=2 assume=(x <= 1) & !(y = 2) -> U;\n")
+
+
+@pytest.mark.parametrize("line, padded", [
+    (0, "#edges:3"),
+    (0, "  #  edges:   3  \t"),
+    (1, "\tstate   q0 \t init ;"),
+    (1, "state q0 init;   "),
+    (1, "\u3000state q0\u00a0init\u3000;\u3000"),
+    (3, "  trans   q0   edge=0 assume=  true   ->    q1  ;  "),
+    (3, "trans q0\t edge=0 assume=\ttrue\t -> \tq1\t;"),
+    (4, "trans q1 edge=2 assume=(x<=1)&!(y=2) -> U;"),
+    (4, "trans q1 edge=2 assume=  (x <= 1)  &  !(y = 2)   ->  U ;"),
+], ids=["header-tight", "header-padded", "state-padded", "state-trailing", "state-unicode",
+        "trans-padded", "trans-tabs", "label-tight", "label-padded"])
+def test_automaton_lines_take_padding(line, padded):
+    lines = CANONICAL_AUTOMATON.splitlines()
+    lines[line] = padded
+    want = A.parse_automaton(CANONICAL_AUTOMATON)
+    got = A.parse_automaton("\n".join(lines) + "\n\n  \n")
+    assert got == want
+    assert A.serialize_automaton(got) == A.serialize_automaton(want)
+
+
+@pytest.mark.parametrize("padded, message", [
+    # The space after a keyword, and the one before edge= and assume=, is a
+    # space character; an edge id takes no padding before assume=.
+    ("trans\tq0 edge=0 assume=true -> q1;", "4:1: unrecognized automaton line: "
+                                            "trans\tq0 edge=0 assume=true -> q1;"),
+    ("trans q0 edge=0  assume=true -> q1;", "4:15: edge id '0 ' is not an integer"),
+    ("trans q0 edge=0 assume=true ->\tq1;", "4:1: unrecognized automaton line: "
+                                            "trans q0 edge=0 assume=true ->\tq1;"),
+    ("state\tq0 init;", "4:1: unrecognized automaton line: state\tq0 init;"),
+    ("  trans q0 edge=0 assume=true -> q1  ", "4:36: missing ';' at the end of the line"),
+], ids=["trans-tab", "edge-padded", "arrow-tab", "state-tab", "no-semicolon"])
+def test_automaton_lines_keep_their_single_spaces(padded, message):
+    lines = CANONICAL_AUTOMATON.splitlines()
+    lines[3] = padded
+    with pytest.raises(lang.ParseError) as err:
+        A.parse_automaton("\n".join(lines) + "\n", source="a.txt")
     assert str(err.value) == "a.txt:" + message
 
 

@@ -44,6 +44,15 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     for flag in ("fuel=\u0663", "fuel=1_0", "fuel=+3", "fuel=-3", "fuel= 3", "repeat-loc=3.0"):
         with pytest.raises(ValueError, match=flag.partition("=")[0]):
             driver.parse_config(condition_flags=[flag])
+    # Seconds are ASCII digits with at most one '.', and an optional 's'.
+    for flag in ("soft-time=\u0663s", "soft-time=1_0", "soft-time=+3", "soft-time=1e1",
+                 "soft-time=inf", "soft-time=nan", "soft-time=.", "soft-time=s",
+                 "soft-time=1.2.3", "soft-time=3 s", "soft-time=-1"):
+        with pytest.raises(ValueError, match="soft-time"):
+            driver.parse_config(config_name="explicit", condition_flags=[flag])
+    for value, seconds in (("3", 3.0), ("1.5s", 1.5), (".5", 0.5), ("2.", 2.0)):
+        p = driver.parse_config(config_name="explicit", condition_flags=[f"soft-time={value}"])
+        assert p.stages[0].soft_time == seconds
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"stages": [{"domain": "explicit", "frobnicate": 1}]}))
     with pytest.raises(ValueError, match="unknown configuration keys"):
@@ -263,6 +272,9 @@ def test_cli_rejects_non_ascii_condition_digits(tmp_path, capsys):
     code = cli.main([str(f), "--config", "explicit", "--condition", "fuel=\u0663"])
     assert code == 3
     assert "fuel" in capsys.readouterr().err
+    code = cli.main([str(f), "--config", "explicit", "--condition", "soft-time=\u0663s"])
+    assert code == 3
+    assert "soft-time" in capsys.readouterr().err
 
 
 def test_cli_usage_error(tmp_path, capsys):

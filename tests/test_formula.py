@@ -6,7 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +69,38 @@ def test_complementary_literals_collapse():
     assert F.f_or([a, F.f_not(a)]) == F.TRUE
     # x <= 0 and x >= 1 are complements after normalization
     assert F.f_and([F.parse_formula("x <= 0"), F.parse_formula("x >= 1")]) == F.FALSE
+
+
+def test_literal_complement_key_is_the_key_of_the_negation(programs_dir):
+    # The complement's key is read off the literal's key; it must be the
+    # key f_not would give, for every literal that psi carries and for
+    # random atoms, products and coefficients past 2^63 included.
+    from cmcheck import driver
+    from test_golden import golden_configs, golden_programs
+
+    literals = []
+    for _, cfa in golden_programs(programs_dir):
+        for config in golden_configs():
+            psi = driver.run_analysis(cfa, replace(config)).psi
+            literals.extend(n for n in formula_nodes(psi) if isinstance(n, (F.AtomF, F.NotF)))
+    assert len(literals) > 1000
+    rng = random.Random(38)
+    for _ in range(300):
+        literals.extend(n for n in formula_nodes(random_formula(rng, 2))
+                        if isinstance(n, (F.AtomF, F.NotF)))
+        big = F.make_lin([(F.VarTerm("x"), rng.randint(-2 ** 64, 2 ** 64)),
+                          (F.VarTerm("y"), rng.randint(-2 ** 64, 2 ** 64))])
+        for op in (F.LE, F.EQ):
+            literal = F.mk_atom(big, op, rng.randint(-2 ** 64, 2 ** 64))
+            literals.extend([literal, F.f_not(literal)])
+    kinds = set()
+    for f in literals:
+        key = F.formula_key(f)
+        assert F._literal_complement_key(f, key) == F.formula_key(F.f_not(f))
+        kinds.add(type(f).__name__ + (f.atom.op if isinstance(f, F.AtomF) else ""))
+    assert kinds == {"AtomF<=", "AtomF=", "NotF"}
+    both = F.parse_formula("x <= 0 & y <= 0")
+    assert F._literal_complement_key(both, F.formula_key(both)) is None
 
 
 def test_opaque_products():

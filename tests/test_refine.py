@@ -1,15 +1,16 @@
 """Counterexample analysis: feasibility, mining, and the CEGAR loop."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from cmcheck import assumptions as A
-from cmcheck import engine, formula as F, lang, refine
+from cmcheck import engine, formula as F, lang, oracle, refine
 from cmcheck import solver as S
 from cmcheck.driver import AnalysisConfig, run_analysis
 
-from helpers import random_cfa, replay_witness
+from helpers import counting_calls, random_cfa, replay_witness
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +263,123 @@ def test_pivot_prefers_earliest_unsat_prefix(solver):
     assert res.pivot == 3
 
 
+# -- the constant exit --------------------------------------------------------------
+
+COUNTING_CFA = ("vars: i;\ninit: L0;\nerror: L3, L4;\n"
+                "L0 -> L1: i := 0;\n"
+                "L1 -> L2: assume i < {n};\n"
+                "L2 -> L1: i := i + 1;\n"
+                "L1 -> L3: assume i >= {n};\n"
+                "L1 -> L4: assume i > {n};\n")
+
+
+def counting_path(n: int, exit_edge: int):
+    """The loop unrolled n times, then ``exit_edge`` (3 or 4) to an error."""
+    cfa = lang.parse_cfa(COUNTING_CFA.format(n=n))
+    return cfa, [cfa.edges[0], *[cfa.edges[k] for _ in range(n) for k in (1, 2)],
+                 cfa.edges[exit_edge]]
+
+
+def test_constant_path_is_evaluated_not_encoded(solver):
+    # Every value on the path is known, so no edge needs linear algebra.
+    for exit_edge, expected in ((3, refine.Feasible), (4, refine.Infeasible)):
+        cfa, edges = counting_path(10_000, exit_edge)
+        with counting_calls(F, "linearize") as calls:
+            res = refine.check_feasibility(edges, cfa, solver)
+        assert isinstance(res, expected)
+        assert sum(calls.values()) == 0
+    assert res.pivot == len(edges)
+    # A havocked start makes the same path symbolic again.
+    cfa = lang.parse_cfa(COUNTING_CFA.format(n=3).replace("i := 0", "havoc i"))
+    edges = [cfa.edges[0], *[cfa.edges[k] for _ in range(3) for k in (1, 2)], cfa.edges[3]]
+    with counting_calls(F, "linearize") as calls:
+        res = refine.check_feasibility(edges, cfa, solver)
+    assert isinstance(res, refine.Feasible) and sum(calls.values()) > 0
+
+
+def _random_arith(rng: random.Random, names, depth: int = 0) -> lang.ArithExpr:
+    roll = rng.random()
+    if depth >= 2 or roll < 0.3:
+        if rng.random() < 0.5:
+            return lang.Var(rng.choice(names))
+        return lang.Const(rng.choice([0, 1, -1, 3, 2 ** 62, -(2 ** 62), rng.randint(-9, 9)]))
+    return lang.BinOp(rng.choice("+-*"), _random_arith(rng, names, depth + 1),
+                      _random_arith(rng, names, depth + 1))
+
+
+def _random_bool(rng: random.Random, names, depth: int = 0) -> lang.BoolExpr:
+    roll = rng.random()
+    if depth >= 2 or roll < 0.5:
+        return lang.Cmp(rng.choice(["<", "<=", "==", "!=", ">=", ">"]),
+                        _random_arith(rng, names), _random_arith(rng, names))
+    if roll < 0.65:
+        return lang.Not(_random_bool(rng, names, depth + 1))
+    kind = lang.And if roll < 0.85 else lang.Or
+    return kind(_random_bool(rng, names, depth + 1), _random_bool(rng, names, depth + 1))
+
+
+def test_constant_exit_agrees_with_the_oracle():
+    # Values up to 2^62 in magnitude, so products pass 2^63: the exit must
+    # compute exactly what the concrete semantics computes.  Where one
+    # variable is unknown, the answer must hold for each value it takes,
+    # and a formula must agree once that value is substituted too.
+    rng = random.Random(40)
+    names = ["a", "b", "c"]
+    big = 2 ** 62
+    decided = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            op = lang.Assign(rng.choice(names), _random_arith(rng, names))
+        else:
+            op = lang.Assume(_random_bool(rng, names))
+        edge = lang.Edge(0, 0, 1, op)
+        store = {v: rng.choice([rng.randint(-big, big), rng.randint(-5, 5)]) for v in names}
+        unknown = rng.choice([None, *names])
+        consts = {v: x for v, x in store.items() if v != unknown}
+        idx: dict[str, int] = {}
+        f = S.encode_edge(edge, idx, consts)
+        symbolic = S.encode_edge(edge, {})
+        values = [store[unknown], rng.randint(-big, big), 0] if unknown else [None]
+        for value in values:
+            concrete = dict(store) if unknown is None else {**store, unknown: value}
+            after = oracle.step(oracle.make_state(0, concrete), edge)
+            ssa = {S.ssa_name(v, 0): x for v, x in concrete.items()}
+            if isinstance(op, lang.Assume):
+                assert F.evaluate(symbolic, ssa) == (after is not None)
+                if isinstance(f, (F.TrueF, F.FalseF)):
+                    assert (f == F.TRUE) == (after is not None)
+                else:
+                    assert unknown is not None and F.evaluate(f, ssa) == (after is not None)
+                continue
+            result = oracle.store_of(after)[op.var]
+            ssa[S.ssa_name(op.var, 1)] = result
+            assert idx == {op.var: 1}
+            assert F.evaluate(symbolic, ssa)
+            assert not F.evaluate(symbolic, {**ssa, S.ssa_name(op.var, 1): result + 1})
+            if f == F.TRUE:
+                assert consts[op.var] == result
+            else:
+                assert unknown is not None and op.var not in consts
+                assert F.evaluate(f, ssa)
+        decided += isinstance(f, (F.TrueF, F.FalseF))
+    assert decided > 1500
+
+
 # -- the mining memo tables ----------------------------------------------------------
+
+def test_mining_keys_each_atom_once():
+    cfa, edges = counting_path(200, 3)
+    locations = [0] + [e.target for e in edges]
+    nodes = [SimpleNamespace(state=SimpleNamespace(location=loc)) for loc in locations]
+    with counting_calls(F, "atom_key") as keyed, counting_calls(F, "positive_form") as formed:
+        mined = refine.mine_predicates(nodes, edges, len(edges))
+    assert max(keyed.values(), default=0) <= 1
+    assert 0 < max(formed.values()) <= 1
+    # The exit atom i >= 200 (kept as i <= 199) and three substitutions of
+    # it through i := i + 1; the loop guard gives the same atoms again.
+    assert {F.render_atom(atom) for _, atom in mined} == {
+        "i <= 196", "i <= 197", "i <= 198", "i <= 199"}
+
 
 def test_mining_memo_on_the_two_stage_path(monkeypatch, nonlinear_square_cfa,
                                            nonlinear_square_explicit_automaton):
