@@ -233,6 +233,41 @@ class PredicateDomain:
             self._cache[key] = hit
         return list(hit)
 
+    def refutes(self, state: F.Formula, edges: Sequence[lang.Edge]) -> bool:
+        """Whether ``transfer`` from ``state`` along ``edges`` leaves no
+        successor at some edge, under the current precision.
+
+        An ``AbstractionFailure`` counts as not refuted.  One ``check_sat``
+        of the state (at SSA index 0, as a transfer reads it) and the
+        edges' encoding comes first: when that is satisfiable, some
+        execution follows the edges from the state, so no abstraction can
+        refute them and the walk is skipped.
+
+        ``refine.refine_loop`` re-explores from a path's pivot when the
+        node above it refutes the rest of the path, and every node above
+        the pivot has assumption true, so ψ lists none of them with its
+        own state.  Those nodes keep states computed under fewer
+        predicates; a weaker state still over-approximates, so the
+        condition stays sound.
+        """
+        idx: dict[str, int] = {}
+        path = [F.rename_vars(state, lambda n: solver_mod.ssa_name(n, 0))]
+        path.extend(solver_mod.encode_edge(edge, idx) for edge in edges)
+        try:
+            if self.solver.check_sat(F.f_and(path)).kind == solver_mod.SAT:
+                return False
+        except F.FormulaTooLarge:
+            pass
+        try:
+            for edge in edges:
+                succs = self.transfer(state, edge)
+                if not succs:
+                    return True
+                state = succs[0]
+        except AbstractionFailure:
+            pass
+        return False
+
     def _transfer_uncached(self, state: F.Formula, edge: lang.Edge) -> list[F.Formula]:
         if isinstance(state, F.FalseF):
             return []

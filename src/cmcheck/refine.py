@@ -12,10 +12,21 @@ through ``oracle``'s concrete steps to the error location; opaque products
 make spurious witnesses possible, and an unreplayable one downgrades the
 result to an unconfirmed path, handled exactly like refinement failure.
 
-Refinement failure excludes the path states from the pivot (first state
-whose prefix became unsatisfiable; the error state itself for unconfirmed
-paths) to the end, recording ``(pc = l) -> !state`` assumptions via the
-excluded states.
+Refinement adds the mined predicates and re-explores below a cut.  The
+cut is the pivot (first state whose prefix became unsatisfiable; the
+error state itself for unconfirmed paths) when every node above the
+pivot has assumption true and the node just above it, kept as it is,
+refutes the rest of the path under the new precision
+(``PredicateDomain.refutes``); otherwise it is the first path node whose
+location gained a predicate (Henzinger, Jhala, Majumdar and Sutre,
+"Lazy Abstraction", POPL 2002).  Nodes above the cut keep states
+computed under fewer predicates.  Those are weaker, so they still
+over-approximate, and a condition read from them stays sound.  A node
+under any other assumption is listed in ψ with its own state, which is
+why the guard gives it the new precision's state by the other cut.
+
+Refinement failure excludes the path states from the pivot to the end,
+recording ``(pc = l) -> !state`` assumptions via the excluded states.
 """
 
 from __future__ import annotations
@@ -270,12 +281,19 @@ def refine_loop(cpa: A.CompositeCpa, order: str, monitor: C.GlobalMonitor,
                 refined_signatures.add(signature)
                 refinements += 1
                 # Re-explore from the first path node whose location got
-                # new predicates; anything above cannot change.
+                # new predicates, or from the pivot when the node above
+                # it, kept as it is, already refutes the rest of the path
+                # and no node above it is under an assumption (see the
+                # module docstring).
                 cut = pivot
                 for i in range(pivot + 1):
                     if nodes[i].state.location in changed_locs:
                         cut = max(1, i)
                         break
+                if cut < pivot \
+                        and all(isinstance(n.state.assumption, F.TrueF) for n in nodes[:pivot]) \
+                        and cpa.domain.refutes(nodes[pivot - 1].state.domain, edges[pivot - 1:]):
+                    cut = pivot
                 parent = rs.remove_subtree(nodes[cut])
                 if parent is not None:
                     rs.add_to_waitlist(parent)

@@ -469,6 +469,16 @@ def test_cli_cfa_input(tmp_path):
     assert cli.main([str(f), "--config", "explicit"]) == 0
 
 
+def test_busy_edge_limit_counts_posts_for_the_whole_run(tmp_path, programs_dir):
+    # Busy-edge counts span the run.  The square's path is refined once
+    # and re-explored from its pivot, so the 3-post budget is not spent
+    # again below the root, and psi is plain predicate's condition, not
+    # the whole assertion location.
+    assert cli.main([str(programs_dir / "nonlinear_square.imp"), "--condition", "busy-edge=3",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert (tmp_path / "psi.txt").read_text() == "# psi\n(pc = 3) -> ((r - x >= 0))\n"
+
+
 def test_cli_entry_point_subprocess(tmp_path, programs_dir):
     # The child gets no import path from pytest: put the package's src/ first.
     src = str(Path(cli.__file__).resolve().parents[1])

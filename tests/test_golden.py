@@ -7,11 +7,20 @@ first 40 criterion-1 programs; ``GOLDEN_CONDITIONS`` covers the same
 programs under eight configurations with overflow bounds, busy edges,
 repeated locations and path lengths.  A change that alters outputs on
 purpose updates the digest and says why in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints one line per run
+(program, config, verdict, and short sha256s of the ψ and automaton
+texts), so the runs that moved between two commits show in a ``diff`` of
+their outputs.
 """
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from cmcheck import assumptions as A
 from cmcheck import driver, lang
@@ -19,7 +28,7 @@ from cmcheck import driver, lang
 from helpers import random_cfa
 
 GOLDEN = "8b339a609708ad21d17d5134493b0a13dab25defd0842cf7da92a206bce44d67"
-GOLDEN_CONDITIONS = "878b92781a4b417d8b2fb7108e38b31de5b5687b7c22f77ec383f57078c5c83e"
+GOLDEN_CONDITIONS = "b1b2f0516c9825c3ba4f4b776bcab553b1ce5cf1e9e598edc9c4d35242825bb0"
 
 
 def golden_programs(programs_dir):
@@ -66,14 +75,19 @@ def condition_configs():
     ])
 
 
-def digest(programs_dir, configs):
-    h = hashlib.sha256()
+def runs(programs_dir, configs):
+    """(program, config, verdict, ψ text, automaton text) for each run."""
     for name, cfa in golden_programs(programs_dir):
         for config in configs:
             report = driver.run_analysis(cfa, dataclasses.replace(config))
-            h.update(f"{name}\0{config.name}\0{report.verdict}\0"
-                     f"{A.serialize_condition(report.psi)}\0"
-                     f"{A.serialize_automaton(report.automaton)}\0".encode())
+            yield (name, config.name, report.verdict, A.serialize_condition(report.psi),
+                   A.serialize_automaton(report.automaton))
+
+
+def digest(programs_dir, configs):
+    h = hashlib.sha256()
+    for run in runs(programs_dir, configs):
+        h.update("".join(f"{field}\0" for field in run).encode())
     return h.hexdigest()
 
 
@@ -83,3 +97,28 @@ def test_outputs_match_the_golden_digest(programs_dir):
 
 def test_condition_configs_match_their_golden_digest(programs_dir):
     assert digest(programs_dir, condition_configs()) == GOLDEN_CONDITIONS
+
+
+def test_golden_digest_under_a_second_hash_seed(programs_dir):
+    # Output bytes must not depend on string hashing.  Tier-1 runs under
+    # one hash seed per session, so a child under a fixed one pins another.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here), str(here.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pathlib, test_golden as g; "
+         "print(g.digest(pathlib.Path(sys.argv[1]), g.golden_configs()))", str(programs_dir)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=path))
+    assert proc.stdout.strip() == GOLDEN
+
+
+def short(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+if __name__ == "__main__":
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    for name, config, verdict, psi, automaton in runs(
+            programs, golden_configs() + condition_configs()):
+        print(name, config, verdict, short(psi), short(automaton))

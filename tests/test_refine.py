@@ -1,5 +1,6 @@
 """Counterexample analysis: feasibility, mining, and the CEGAR loop."""
 
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from cmcheck import engine, formula as F, lang, oracle, refine
 from cmcheck import solver as S
 from cmcheck.driver import AnalysisConfig, run_analysis
 
-from helpers import counting_calls, random_cfa, replay_witness
+from helpers import br_program, counting_calls, random_cfa, replay_witness
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,32 @@ def test_same_path_never_refined_twice():
     # the repeated path skips mining entirely and is excluded instead
     assert len(seen) == 1
     assert report.stats["refinements"] == 1
+
+
+def test_refinement_re_explores_from_the_pivot_when_the_node_above_refutes(
+        nonlinear_square_cfa):
+    # The predicate stage of explicit -> predicate follows the explicit
+    # stage's chain.  Mining gives atoms to every path location, but the
+    # node above the pivot, kept as it is, refutes the rest of the path:
+    # only the pivot's subtree goes, not the chain below the root.
+    explicit = run_analysis(nonlinear_square_cfa,
+                            AnalysisConfig(name="explicit", domain="explicit", fuel=300))
+    report = run_analysis(
+        nonlinear_square_cfa, AnalysisConfig(name="predicate", domain="predicate"),
+        input_automaton=A.parse_automaton(A.serialize_automaton(explicit.automaton)))
+    assert report.verdict == "TRUE"
+    assert report.stats["refinements"] == 1
+    assert sum(n.removed for n in report.run.nodes) <= 2  # 229 cutting below the root
+    assert report.stats["posts"] == 310  # 611 cutting below the root
+
+
+def test_pivot_cut_keeps_the_condition_of_br_3():
+    # Its psi is pinned by test_driver::test_minterm_bound_excludes_no_branch_of_br_3.
+    cfa = lang.parse_program(br_program(3))
+    report = run_analysis(cfa, AnalysisConfig(name="predicate", domain="predicate"))
+    automaton = A.serialize_automaton(report.automaton).encode()
+    assert hashlib.sha256(automaton).hexdigest()[:16] == "3f8eea433d12d717"
+    assert report.stats["posts"] == 198  # 296 cutting below the root
 
 
 def test_refinement_strictly_grows_precision():
