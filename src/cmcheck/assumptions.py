@@ -189,20 +189,13 @@ class CompositeCpa:
         location and observer state can merge or cover each other."""
         return (state.location, state.observer)
 
-    def shape_of(self, state: CompositeState):
-        """The explicit store's shape, which the engine records per
-        partition for ``stop_candidates``; None for other domains."""
-        if self._is_explicit:
-            return state.domain.shape()
-        return None
-
-    def stop_candidates(self, state: CompositeState, held, shapes):
+    def stop_candidates(self, state: CompositeState, held, key):
         """The nodes of partition entry ``held`` (see ``engine.node_at``)
-        that may cover ``state``, in try order; ``shapes`` are the explicit
-        store shapes reached in the partition, None before the first."""
+        that may cover ``state``, in try order; ``key`` is the partition's
+        key, under which the explicit domain keeps its store shapes."""
         if self._is_explicit:
             node_at = engine.node_at
-            for weaker in self.domain.cover_keys(state.domain, shapes or ()):
+            for weaker in self.domain.cover_keys(state.domain, key):
                 node = node_at(held, weaker)
                 if node is not None:
                     yield node

@@ -8,6 +8,7 @@ nothing, so the composite over it is the location analysis.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,11 +52,15 @@ class ExplicitState:
 
 
 class ExplicitDomain:
-    """Composite-CPA component for explicit value tracking; ``value_widenings``
-    counts the assigned values past ``VALUE_LIMIT`` widened to top."""
+    """Explicit value tracking for one run; ``value_widenings`` counts the
+    assigned values past ``VALUE_LIMIT`` widened to top."""
 
     name = "explicit"
-    value_widenings = 0  # per instance once the first widening counts
+
+    def __init__(self):
+        self.value_widenings = 0
+        # Stop-check key -> the store shapes ``cover_keys`` has seen there.
+        self._shapes = defaultdict(dict)
 
     def initial(self, cfa: lang.Cfa) -> ExplicitState:
         return ExplicitState(tuple(sorted((v, 0) for v in cfa.variables)))
@@ -90,16 +95,20 @@ class ExplicitDomain:
             F.mk_atom(F.lin_var(v), F.EQ, val) for v, val in state.bindings
         )
 
-    def cover_keys(self, state: ExplicitState, shapes):
-        """The sub-stores of ``state`` with one of the given shapes.
+    def cover_keys(self, state: ExplicitState, key):
+        """The sub-stores of ``state`` with a shape seen at stop-check ``key``.
 
         Only a sub-store can cover ``state``, so reached covers are found
-        by looking these up.  ``shapes`` are the shapes reached at the
-        state's stop-check key; each that ``state`` defines gives one
-        projection.  They come strongest first, in descending order of
-        the subset mask over ``state.bindings`` (bit i for binding i),
-        which is the order of the full 2^n sub-store enumeration.
+        by looking these up.  ``state``'s own shape is recorded first:
+        every reached state but the initial one went through a stop check,
+        so its shape is known, and the initial state binds every variable,
+        so only its equal finds it.  A shape whose states are gone costs
+        one empty lookup.  Sub-stores come strongest first, in descending
+        order of the subset mask over ``state.bindings`` (bit i for
+        binding i), which is the order of the full 2^n enumeration.
         """
+        shapes = self._shapes[key]
+        shapes[state.shape()] = None
         bindings = state.bindings
         values = dict(bindings)
         found = []

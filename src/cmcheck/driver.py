@@ -321,6 +321,8 @@ _CONFIG_FIELDS = {f.name for f in fields(AnalysisConfig)}
 
 
 def config_from_dict(data: dict) -> AnalysisConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"a pipeline stage must be a JSON object, not {data!r}")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
@@ -339,11 +341,16 @@ def parse_config(config_name: Optional[str] = None,
     """
     if pipeline_file:
         data = json.loads(Path(pipeline_file).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"a pipeline must be a JSON object, not {data!r}")
         unknown = set(data) - {"chaining", "stages"}
         if unknown:
             raise ValueError(f"unknown pipeline keys: {sorted(unknown)}")
-        stages = [config_from_dict(s) for s in data.get("stages", [])]
-        pipeline = Pipeline(stages=stages, chaining=data.get("chaining", "condition-passing"))
+        stages = data.get("stages", [])
+        if not isinstance(stages, list):
+            raise ValueError(f"pipeline stages must be a list, not {stages!r}")
+        pipeline = Pipeline(stages=[config_from_dict(s) for s in stages],
+                            chaining=data.get("chaining", "condition-passing"))
     else:
         named = shipped_configurations()
         name = config_name or "predicate"

@@ -100,9 +100,6 @@ class RunState:
         # Partition key -> its one node, or {domain state: node} from the
         # second domain state on (see ``_index``).
         self.partitions: dict[Any, Any] = {}
-        # Partition key -> the explicit store shapes ever reached there;
-        # only explicit runs fill it.
-        self.shapes: dict[Any, dict[Any, None]] = {}
         self._reached = 0
         # Lazy deletion: entries whose node left the waitlist stay queued
         # and are skipped when popped.
@@ -139,8 +136,7 @@ class RunState:
         ``stop_candidates``, which follows this order, so it decides each
         ``covered_by``.  A node never changes partition or domain state:
         merges and exclusions change only its assumption and condition
-        states.  A shape in ``shapes`` stays after its nodes are gone; a
-        stale shape costs one empty lookup.
+        states.
         """
         state = node.state
         partitions = self.partitions
@@ -156,12 +152,6 @@ class RunState:
             if taken:
                 raise RuntimeError(f"node {node.nid} repeats a reached domain state "
                                    f"at location {state.location}")
-        shape = self.cpa.shape_of(state)
-        if shape is not None:
-            shapes = self.shapes.get(key)
-            if shapes is None:
-                shapes = self.shapes[key] = {}
-            shapes[shape] = None
         self._reached += 1
 
     def _unindex(self, node: ArtNode):
@@ -348,7 +338,7 @@ def _process_successor(rs: RunState, node: ArtNode, edge: lang.Edge,
             return None  # re-expansion of an already recorded step
         child = child.next_sibling
     assumption = succ.assumption
-    for cand in cpa.stop_candidates(succ, held, rs.shapes.get(key)):
+    for cand in cpa.stop_candidates(succ, held, key):
         if cand is same or cpa.covers(succ, cand.state):
             rs.new_covered_node(node, edge, assumption, succ, cand)
             return None

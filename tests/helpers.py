@@ -180,12 +180,12 @@ def reference_reached(cfa: lang.Cfa, cpa: CompositeCpa, order: str = "dfs") -> l
     return reached
 
 
-def reference_cover_keys(self, state: D.ExplicitState, shapes):
+def reference_cover_keys(self, state: D.ExplicitState, key):
     """Every sub-store of ``state``, all 2^n masks in descending order.
 
     Stands in for ``ExplicitDomain.cover_keys``, which yields only the
-    sub-stores whose shapes were reached; the reached-shape filter must
-    not change which cover a stop check finds.
+    sub-stores whose shapes were seen at stop-check key ``key``; the
+    seen-shape filter must not change which cover a stop check finds.
     """
     items = state.bindings
     n = len(items)

@@ -130,6 +130,27 @@ def test_cli_rejects_bad_pipeline_values(tmp_path, capsys, values, message):
     assert (out, err) == ("", f"cmcheck: error: {message}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("null", "a pipeline must be a JSON object, not None"),
+    ("3", "a pipeline must be a JSON object, not 3"),
+    ("[1, 2]", "a pipeline must be a JSON object, not [1, 2]"),
+    ('{"stages": 5}', "pipeline stages must be a list, not 5"),
+    ('{"stages": "ab"}', "pipeline stages must be a list, not 'ab'"),
+    ('{"stages": [3]}', "a pipeline stage must be a JSON object, not 3"),
+    ('{"stages": [null]}', "a pipeline stage must be a JSON object, not None"),
+    ('{"stages": [{}, 7]}', "a pipeline stage must be a JSON object, not 7"),
+], ids=["null", "number", "list", "stages-number", "stages-text", "stage-number",
+        "stage-null", "second-stage-number"])
+def test_cli_rejects_malformed_pipeline_files(tmp_path, capsys, text, message):
+    prog = tmp_path / "p.imp"
+    prog.write_text("int x; x := 1; assert(x == 1);")
+    f = tmp_path / "p.json"
+    f.write_text(text)
+    assert cli.main([str(prog), "--pipeline", str(f)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"cmcheck: error: {message}\n")
+
+
 def test_config_accepts_numbers_in_range():
     AnalysisConfig(domain="explicit", fuel=0, soft_time=2, overflow_min=-3,
                    overflow_max=-3).validate()

@@ -310,6 +310,18 @@ def test_shape_index_agrees_with_full_enumeration(monkeypatch):
     assert weaker_total > 0  # some stop checks found a strictly weaker cover
 
 
+def test_the_root_covers_a_successor_through_the_stop_check():
+    # The root never goes through a stop check, so its shape is known only
+    # because the successor's own shape is recorded before the lookups.
+    cfa = lang.parse_program("int x; while (x < 1) { x := 1; x := 0; }")
+    states, rs = engine_reached_states(CompositeCpa(cfa, D.ExplicitDomain(), S.Solver()))
+    back = rs.nodes[4]
+    assert back.state.location == rs.root.state.location
+    assert back.state.domain == rs.root.state.domain
+    assert back.covered_by is rs.root
+    assert len(states) == 4
+
+
 # -- sibling links and one node per domain state ------------------------------
 
 def hand_run():
@@ -603,10 +615,10 @@ def test_wide_family_stop_checks_stay_linear(tmp_path, capsys, monkeypatch):
     shipped = D.ExplicitDomain.cover_keys
     yielded = [0]
 
-    def counting(self, state, shapes):
-        for key in shipped(self, state, shapes):
+    def counting(self, state, key):
+        for sub in shipped(self, state, key):
             yielded[0] += 1
-            yield key
+            yield sub
 
     monkeypatch.setattr(D.ExplicitDomain, "cover_keys", counting)
     f = tmp_path / "wide14.imp"
